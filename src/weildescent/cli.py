@@ -92,6 +92,14 @@ def _model_args(args, need_m=True):
     return p, f, m, ell
 
 
+def _int_list(text, flag):
+    "Comma-separated integers of a CLI flag."
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise ConfigInvalid(f"{flag} takes comma-separated integers, not {text!r}") from None
+
+
 def _transcript(report, name, ok, detail=None):
     entry = {"check": name, "pass": bool(ok)}
     if detail is not None:
@@ -211,8 +219,7 @@ def cmd_end_algebra(args, report):
     elif args.subfield == "char":
         tag = character_field(target, bound=SP_CAP)
     else:
-        gens = [int(x) for x in args.subfield.split(",")]
-        tag = SubfieldTag(K, gens)
+        tag = SubfieldTag(K, _int_list(args.subfield, "--subfield"))
     alg = endomorphism_algebra(target, tag, bound=SP_CAP)
     report["results"] = alg.to_json()
     report["results"]["subfield_name"] = describe_subfield(tag)
@@ -247,8 +254,8 @@ def cmd_descend(args, report):
 def cmd_norm_solve(args, report):
     n = args.n
     K = field_make(RATIONAL, n) if args.ell is None else field_make(MODULAR, n, args.ell)
-    top = SubfieldTag(K, [int(x) for x in args.top.split(",")])
-    bottom = SubfieldTag(K, [int(x) for x in args.bottom.split(",")])
+    top = SubfieldTag(K, _int_list(args.top, "--top"))
+    bottom = SubfieldTag(K, _int_list(args.bottom, "--bottom"))
     target = K.from_int(args.target)
     lam, transcript = solve_norm_equation(K, top, bottom, target, args.bound)
     report["results"] = {"lambda": lam.to_json(), "transcript": transcript}
@@ -257,8 +264,11 @@ def cmd_norm_solve(args, report):
 
 
 def cmd_theta(args, report):
-    with open(args.pair) as fh:
-        desc = json.load(fh)
+    try:
+        with open(args.pair) as fh:
+            desc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigInvalid(f"cannot read the pair file: {exc}") from None
     fld = desc["field"]
     K = (
         field_make(RATIONAL, fld["n"])
@@ -295,7 +305,12 @@ def cmd_theta(args, report):
 
 def cmd_hilbert(args, report):
     if args.place is not None:
-        v = INF if args.place == "inf" else int(args.place)
+        if args.place == "inf":
+            v = INF
+        elif args.place.isdecimal() and is_prime(int(args.place)):
+            v = int(args.place)
+        else:
+            raise ConfigInvalid(f"place {args.place!r} must be a prime or 'inf'")
         s = hilbert_symbol(args.a, args.b, v)
         report["results"] = {"a": args.a, "b": args.b, "place": args.place, "symbol": s}
     else:
@@ -318,8 +333,8 @@ def cmd_p2(args, report):
 
 
 def cmd_table(args, report):
-    ps = [int(x) for x in args.p.split(",")]
-    fs = [int(x) for x in args.f.split(",")]
+    ps = _int_list(args.p, "--p")
+    fs = _int_list(args.f, "--f")
     rows = []
     for p in ps:
         if not (is_prime(p) and p % 2 == 1):

@@ -21,10 +21,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DatumInvalid, NotFoundWithinBound, RankDeficiency
+from .errors import DatumInvalid, IdentityFailure, NotFoundWithinBound, RankDeficiency
 from .fields import (
     GaloisAut,
     SubfieldTag,
+    _mult_order,
     apply_aut,
     embed,
     field_make,
@@ -37,12 +38,8 @@ from .fields import (
 )
 from .finite import SymplecticSpace, fq_field, psi_standard, token_m
 from .linalg import Matrix, ldl_psd
-from .rationality import (
-    _aut_matrix,
-    _subfield_q_basis,
-    iso_test,
-)
-from .weil import MarkedRep, even_odd_split, weil_rep
+from .rationality import _aut_matrix, _subfield_q_basis
+from .weil import MarkedRep, _fq_generator, even_odd_split, weil_rep
 
 
 class DescentDatum:
@@ -115,8 +112,10 @@ class DescentResult:
 
 def fixed_points(datum: DescentDatum, validate=True) -> DescentResult:
     """Solve for the simultaneous fixed vectors of all R_u . sigma_u over
-    the prime field, extract a K-basis of the fixed space, and conjugate
-    the generator images into the target subfield."""
+    the prime field, extract a K-basis U of the fixed space, and conjugate
+    the generator images into the target subfield.  The descended model is
+    certified by U itself: U is invertible and U . D(g) = rho(g) . U for
+    every generator g, so U is an isomorphism onto the original."""
     transcript = {}
     if validate:
         transcript["datum"] = datum.validate()
@@ -189,21 +188,21 @@ def fixed_points(datum: DescentDatum, validate=True) -> DescentResult:
         raise RankDeficiency("fixed space does not span over K")
     U = Matrix.from_cols(K, selected)
     Uinv = U.inverse()
+    if not (U * Uinv).is_identity():
+        raise IdentityFailure("fixed-space basis is not invertible")
     images = {}
     for g in rep.gen_names:
         img = Uinv * rep.image(g) * U
         for row in img.rows:
             for e in row:
-                assert subfield_membership(e, datum.target), (
-                    "descended entry escapes the target subfield"
-                )
+                if not subfield_membership(e, datum.target):
+                    raise IdentityFailure("descended entry escapes the target subfield")
+        if U * img != rep.image(g) * U:
+            raise IdentityFailure(f"basis does not intertwine at generator {g}")
         images[g] = img
     transcript["entries_in_target"] = True
-    descended = DescentResult(rep, datum.target, U, images, transcript)
-    T = iso_test(descended.to_marked_rep(), rep)
-    assert T is not None and T.is_invertible()
     transcript["round_trip_isomorphism"] = True
-    return descended
+    return DescentResult(rep, datum.target, U, images, transcript)
 
 
 # ---------------------------------------------------------------------------
@@ -212,16 +211,7 @@ def fixed_points(datum: DescentDatum, validate=True) -> DescentResult:
 
 def _odd_part_exponents(K):
     "Odd-order elements of the Galois group (the 2' part)."
-    out = []
-    for u in K.galois_exponents():
-        order = 1
-        x = u
-        while x != 1:
-            x = (x * u) % K.n
-            order += 1
-        if order % 2 == 1:
-            out.append(u)
-    return out
+    return [u for u in K.galois_exponents() if _mult_order(u, K.n) % 2 == 1]
 
 
 def descent_datum_weil(rep: MarkedRep) -> DescentDatum:
@@ -235,11 +225,7 @@ def descent_datum_weil(rep: MarkedRep) -> DescentDatum:
     gamma_tokens = {}
     for u in _odd_part_exponents(K):
         uinv = pow(u, -1, p)
-        order = 1
-        x = uinv
-        while x != 1:
-            x = (x * uinv) % p
-            order += 1
+        order = _mult_order(uinv, p)
         assert order % 2 == 1
         gamma = pow(uinv, (order + 1) // 2, p)
         assert (gamma * gamma) % p == uinv
@@ -291,18 +277,6 @@ def descent_datum_even(rep: MarkedRep) -> DescentDatum:
 # Odd-part obstruction
 
 
-def _primitive_root(p):
-    for g in range(2, p):
-        order = 1
-        x = g % p
-        while x != 1:
-            x = (x * g) % p
-            order += 1
-        if order == p - 1:
-            return g
-    raise AssertionError("no primitive root")
-
-
 def odd_obstruction_check(rep_odd: MarkedRep, bound: int = 20):
     """The CM obstruction of the odd part (q = 1 mod 4): constructs r_tau,
     verifies r_tau^(2^k_a) = -Id exactly, certifies that L = K^(2'-part) is
@@ -318,7 +292,7 @@ def odd_obstruction_check(rep_odd: MarkedRep, bound: int = 20):
     while t % 2 == 0:
         t //= 2
         k += 1
-    g0 = _primitive_root(p)
+    g0 = _fq_generator(fq_field(p, 1)).index()
     sigma_gen = pow(g0, (p - 1) // 2**k, p)  # generates the 2-Sylow
     a = 1 if f % 2 == 0 else 2
     tau = pow(sigma_gen, a, p)
@@ -574,7 +548,6 @@ def realise_odd(p, f, m, twist=1, bound: int = 20):
         result = fixed_points(descent_datum_weil(odd))
         return result, {"schur_index": 1, "norm_lambda": None, "obstruction": None}
     obstruction = odd_obstruction_check(odd, bound)
-    K = rep.field
     big = field_make(RATIONAL, 4 * p)
     odd_big = _embed_rep(odd, big)
     char_stab_small = _square_stabilizer(odd)
@@ -586,35 +559,7 @@ def realise_odd(p, f, m, twist=1, bound: int = 20):
         and apply_aut(GaloisAut(big, w), root) == root
     ]
     target = SubfieldTag(big, target_stab)
-    gen = _cyclic_generator(big, sorted(target.stabilizer))
-    ord_ = len(target.stabilizer)
-    fq = space.fq
-    u = gen % p
-    alpha = fq.sqrt(fq.from_int(pow(u, -1, p)))
-    assert alpha is not None
-    amat = Matrix.identity(fq, space.m).scale(alpha)
-    r0 = odd_big.image(token_m(amat))
-    power = Matrix.identity(big, odd.dim)
-    for _ in range(ord_):
-        power = power * r0
-    lam = big.one()
-    norm_transcript = None
-    if power == Matrix.identity(big, odd.dim).scale(big.from_int(-1)):
-        lam, norm_transcript = solve_norm_minus_one(
-            big, big.top_tag(), target, bound
-        )
-    else:
-        assert power.is_identity(), "r0^ord is not a sign"
-    # R_{gen^(j+1)} = R_{gen^j} . sigma_{gen^j}(R_gen), exact by construction
-    entries = {}
-    rgen = r0.scale(lam)
-    power_exp = gen
-    Rcur = rgen
-    while power_exp != 1:
-        entries[power_exp] = Rcur
-        Rcur = Rcur * rgen.map(lambda c, _e=power_exp: apply_aut(GaloisAut(big, _e), c))
-        power_exp = (power_exp * gen) % big.n
-    datum = DescentDatum(odd_big, entries, target)
+    datum, lam, norm_transcript = _tau_datum(odd_big, space, target, bound)
     result = fixed_points(datum)
     return result, {
         "schur_index": 2,
@@ -624,17 +569,40 @@ def realise_odd(p, f, m, twist=1, bound: int = 20):
     }
 
 
-def _cyclic_generator(K, stab):
-    "Least exponent generating the subgroup (assert it is cyclic)."
-    for u in sorted(stab):
-        seen = {1}
-        x = u
-        while x != 1:
-            seen.add(x)
-            x = (x * u) % K.n
-        if len(seen) == len(stab):
-            return u
-    raise AssertionError("stabilizer is not cyclic")
+def _tau_datum(block: MarkedRep, space, target: SubfieldTag, bound: int):
+    """The tau-datum of a parity block over the target subfield: with gen
+    the least generator of the (cyclic) stabilizer, R_gen = lambda . r0 for
+    r0 = omega~(m_alpha), alpha^2 = 1/gen in F_q.  r0^ord is +-Id; when it
+    is -Id, lambda solves N(lambda) = -1 down to the target, otherwise
+    lambda = 1.  Returns (datum, lambda, norm transcript or None)."""
+    K = block.field
+    fq = space.fq
+    gen = _quotient_generator(K, [1], sorted(target.stabilizer))
+    ord_ = len(target.stabilizer)
+    lam = K.one()
+    if ord_ == 1:
+        return DescentDatum(block, {}, target), lam, None
+    alpha = fq.sqrt(fq.from_int(pow(gen % fq.p, -1, fq.p)))
+    assert alpha is not None
+    r0 = block.image(token_m(Matrix.identity(fq, space.m).scale(alpha)))
+    power = Matrix.identity(K, block.dim)
+    for _ in range(ord_):
+        power = power * r0
+    norm_transcript = None
+    if power == Matrix.identity(K, block.dim).scale(K.from_int(-1)):
+        lam, norm_transcript = solve_norm_minus_one(K, K.top_tag(), target, bound)
+    elif not power.is_identity():
+        raise DatumInvalid("r0^ord is not a sign")
+    # R_{gen^(j+1)} = R_{gen^j} . sigma_{gen^j}(R_gen), exact by construction
+    entries = {}
+    rgen = r0.scale(lam)
+    e, Rcur = gen, rgen
+    while e != 1:
+        entries[e] = Rcur
+        sigma = GaloisAut(K, e)
+        Rcur = Rcur * rgen.map(lambda c: apply_aut(sigma, c))
+        e = (e * gen) % K.n
+    return DescentDatum(block, entries, target), lam, norm_transcript
 
 
 def realise_modular(p, f, m, ell, part="odd", twist=1, bound: int = 20):
@@ -644,40 +612,8 @@ def realise_modular(p, f, m, ell, part="odd", twist=1, bound: int = 20):
     _, space, rep = build_weil(p, f, m, twist, ell=ell)
     even, odd = even_odd_split(rep)
     block = odd if part == "odd" else even
-    K = rep.field
-    char_stab = _square_stabilizer(block)
-    target = SubfieldTag(K, char_stab)
-    gen = _cyclic_generator(K, sorted(target.stabilizer))
-    ord_ = len(target.stabilizer)
-    fq = space.fq
-    lam = K.one()
-    norm_transcript = None
-    if ord_ > 1:
-        u = gen % p
-        alpha = fq.sqrt(fq.from_int(pow(u, -1, p)))
-        assert alpha is not None
-        amat = Matrix.identity(fq, space.m).scale(alpha)
-        r0 = block.image(token_m(amat))
-        power = Matrix.identity(K, block.dim)
-        for _ in range(ord_):
-            power = power * r0
-        if power == Matrix.identity(K, block.dim).scale(K.from_int(-1)):
-            lam, norm_transcript = solve_norm_minus_one(K, K.top_tag(), target, bound)
-        else:
-            assert power.is_identity()
-        entries = {}
-        rgen = r0.scale(lam)
-        power_exp = gen
-        Rcur = rgen
-        while power_exp != 1:
-            entries[power_exp] = Rcur
-            Rcur = Rcur * rgen.map(
-                lambda c, _e=power_exp: apply_aut(GaloisAut(K, _e), c)
-            )
-            power_exp = (power_exp * gen) % K.n
-        datum = DescentDatum(block, entries, target)
-    else:
-        datum = DescentDatum(block, {}, target)
+    target = SubfieldTag(rep.field, _square_stabilizer(block))
+    datum, lam, norm_transcript = _tau_datum(block, space, target, bound)
     result = fixed_points(datum)
     return result, {"norm_lambda": lam.to_json(), "norm_transcript": norm_transcript}
 

@@ -82,7 +82,18 @@ def _mult_order(a: int, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# small GF(ell^d) helper used only to pick the canonical modular modulus
+# irreducibility over F_ell: picks the canonical moduli of F_q and of the
+# modular coefficient fields
+
+
+@lru_cache(maxsize=None)
+def _least_irreducible(ell: int, d: int) -> tuple:
+    "First monic irreducible of degree d over F_ell in counting order."
+    for k in range(ell**d):
+        cand = [(k // ell**i) % ell for i in range(d)] + [1]
+        if _lpoly_is_irreducible(cand, ell):
+            return tuple(cand)
+    raise AssertionError("unreachable: irreducibles exist in every degree")
 
 
 def _lpoly_is_irreducible(f, ell):
@@ -108,7 +119,7 @@ def _lpoly_is_irreducible(f, ell):
     for r in {p for p in range(2, d + 1) if d % p == 0 and is_prime(p)}:
         xe = powmod(x, ell ** (d // r))
         diff = [(a - b) % ell for a, b in zip(_lvec(xe, d), _lvec(x, d))]
-        if _lpoly_gcd_is_one(diff, f, ell) is False:
+        if not _lpoly_gcd_is_one(diff, f, ell):
             return False
     return True
 
@@ -148,13 +159,7 @@ def _least_irreducible_factor(p: int, ell: int) -> tuple:
     if d == p - 1:
         return tuple(phi)
     # build GF(ell^d) on the first irreducible monic polynomial of degree d
-    h = None
-    k = 0
-    while h is None:
-        cand = [(k // ell**i) % ell for i in range(d)] + [1]
-        if _lpoly_is_irreducible(cand, ell):
-            h = cand
-        k += 1
+    h = list(_least_irreducible(ell, d))
 
     def fmul(a, b):
         return tuple(lpoly_rem(lpoly_mul(list(a), list(b), ell), h, ell))

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from ._kernel import lpoly_mul, lpoly_rem
 from .errors import TooLarge, ZeroTwist
-from .fields import CoeffField, GaloisAut, is_prime
+from .fields import CoeffField, GaloisAut, _least_irreducible, is_prime
 from .linalg import Matrix
 
 
@@ -83,59 +83,6 @@ class FqField:
 @lru_cache(maxsize=None)
 def fq_field(p: int, f: int) -> FqField:
     return FqField(p, f)
-
-
-@lru_cache(maxsize=None)
-def _least_irreducible(p: int, f: int) -> tuple:
-    "First monic irreducible of degree f over F_p in counting order."
-    if f == 1:
-        return (0, 1)  # X itself
-    for k in range(p**f):
-        cand = [(k // p**i) % p for i in range(f)] + [1]
-        if _is_irreducible_mod(cand, p):
-            return tuple(cand)
-    raise AssertionError("unreachable: irreducibles exist in every degree")
-
-
-def _is_irreducible_mod(poly, p):
-    d = len(poly) - 1
-
-    def powx(e):
-        acc, b = [1], [0, 1]
-        while e:
-            if e & 1:
-                acc = lpoly_rem(lpoly_mul(acc, b, p), poly, p)
-            b = lpoly_rem(lpoly_mul(b, b, p), poly, p)
-            e >>= 1
-        return (acc + [0] * d)[:d]
-
-    x = ([0, 1] + [0] * d)[:d]
-    if powx(p**d) != x:
-        return False
-    for r in {r for r in range(2, d + 1) if d % r == 0 and is_prime(r)}:
-        diff = [(a - b) % p for a, b in zip(powx(p ** (d // r)), x)]
-        if not _coprime_mod(diff, poly, p):
-            return False
-    return True
-
-
-def _coprime_mod(a, b, p):
-    def deg(v):
-        for i in range(len(v) - 1, -1, -1):
-            if v[i] % p:
-                return i
-        return -1
-
-    a, b = [c % p for c in a], [c % p for c in b]
-    while deg(b) >= 0:
-        da, db = deg(a), deg(b)
-        if da < db:
-            a, b = b, a
-            continue
-        c = (a[da] * pow(b[db], -1, p)) % p
-        for j in range(db + 1):
-            a[da - db + j] = (a[da - db + j] - c * b[j]) % p
-    return deg(a) == 0
 
 
 class FqElem:

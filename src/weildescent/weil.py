@@ -22,7 +22,7 @@ measured (never assumed) by cocycle_certificate."""
 from __future__ import annotations
 
 from .errors import CocycleViolation, IdentityFailure, TooLarge
-from .fields import CoeffField, GaloisAut, apply_aut
+from .fields import CoeffField, GaloisAut, apply_aut, is_prime
 from .finite import (
     AdditiveCharacter,
     FqElem,
@@ -264,7 +264,7 @@ def _gl_generator_tokens(space: SymplecticSpace):
 def _fq_generator(fq):
     "Least multiplicative generator of F_q^x in counting order."
     target = fq.q - 1
-    primes = [r for r in range(2, target + 1) if target % r == 0 and _isp(r)]
+    primes = [r for r in range(2, target + 1) if target % r == 0 and is_prime(r)]
     for k in range(1, fq.q):
         e = fq.element(k)
         if e.is_zero():
@@ -272,10 +272,6 @@ def _fq_generator(fq):
         if all(e ** (target // r) != fq.one() for r in primes):
             return e
     raise AssertionError("unreachable")
-
-
-def _isp(n):
-    return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
 
 
 def weil_rep(psi: AdditiveCharacter, space: SymplecticSpace) -> MarkedRep:
@@ -551,7 +547,7 @@ def heisenberg_hom_check(rep: MarkedRep, exhaustive: bool, rng=None, samples=200
         assert rng is not None
         pairs = [(rng.choice(els), rng.choice(els)) for _ in range(samples)]
     for a, b in pairs:
-        if mats[a] * mats[b] != rho_matrix(psi, space, a * b):
+        if mats[a] * mats[b] != mats[a * b]:
             raise IdentityFailure(f"heisenberg hom fails at {a!r}, {b!r}")
     eye = Matrix.identity(rep.field, rep.dim)
     for t in space.fq.elements():

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from weildescent.cli import run
 from weildescent.fields import RATIONAL, field_make
 from weildescent.finite import SymplecticSpace, fq_field, psi_standard
@@ -107,6 +109,12 @@ def test_descend_verbs(tmp_path):
     )
     assert code == 0
     assert rep["results"]["target"] == {"n": 5, "stabilizer_gens": [1, 4]}
+
+
+def test_descend_p5_m2(tmp_path):
+    code, rep = run_json(["descend", "--part", "full", "--p", "5", "--m", "2"], tmp_path)
+    assert code == 0
+    assert rep["results"]["transcript"]["fixed_space_prime_dim"] == 100
 
 
 def test_norm_solve_verb_and_exit_codes(tmp_path):
@@ -222,3 +230,22 @@ def test_build_output_parses_back(tmp_path):
     for gen in rep["results"]["generators"]:
         mat = [[cyclonum_from_json(e, K) for e in row] for row in gen["matrix"]]
         assert len(mat) == 3 and len(mat[0]) == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--p", "3,x"],
+        ["theta", "--pair", "{tmp}/missing.json"],
+        ["theta", "--pair", "{tmp}/malformed.json"],
+        ["hilbert", "1", "1", "-v", "x"],
+        ["hilbert", "1", "1", "-v", "4"],
+    ],
+    ids=["table-p", "theta-missing", "theta-malformed", "hilbert-place-x", "hilbert-place-4"],
+)
+def test_malformed_input_exits_2(argv, tmp_path):
+    (tmp_path / "malformed.json").write_text('{"field": ')
+    code, rep = run_json([a.format(tmp=tmp_path) for a in argv], tmp_path)
+    assert code == 2
+    assert rep["error"]["kind"] == "config-invalid"
+    assert rep["error"]["message"]

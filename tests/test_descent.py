@@ -12,6 +12,7 @@ from weildescent.descent import (
     odd_obstruction_check,
     realise_even,
     realise_full,
+    realise_modular,
     realise_odd,
     realise_odd_modular,
     solve_norm_equation,
@@ -217,15 +218,34 @@ def test_realise_odd_modular():
                 assert subfield_membership(e, res.target)
 
 
-def test_descended_model_isomorphic_to_original(model5):
-    res, _ = realise_odd(5, 1, 1)
-    # explicit round trip: the descended images, read over K-tilde, are
-    # isomorphic to the embedded odd part
+def _weil_part(p, part, ell=None):
+    _, _, rep = build_weil(p, 1, 1, ell=ell)
+    even, odd = even_odd_split(rep)
+    return {"full": rep, "even": even, "odd": odd}[part]
+
+
+@pytest.mark.parametrize(
+    "realise,args,part,ell",
+    [
+        (realise_full, (7, 1, 1), "full", None),
+        (realise_even, (7, 1, 1), "even", None),
+        (realise_odd, (5, 1, 1), "odd", None),
+        (realise_modular, (13, 1, 1, 3, "even"), "even", 3),
+    ],
+    ids=["full-7", "even-7", "odd-5", "even-13-ell3"],
+)
+def test_descended_model_isomorphic_to_original(realise, args, part, ell):
+    # the reference for the basis certificate inside fixed_points: an
+    # independent intertwiner solve between the descended images, read over
+    # K, and a freshly built copy of the part (embedded into K if needed)
     from weildescent.descent import _embed_rep
 
-    big = res.rep.field
-    odd_embedded = _embed_rep(model5["odd"], big)
-    T = iso_test(res.to_marked_rep(), odd_embedded)
+    res = realise(*args)
+    res = res[0] if isinstance(res, tuple) else res
+    original = _weil_part(args[0], part, ell)
+    if original.field != res.rep.field:
+        original = _embed_rep(original, res.rep.field)
+    T = iso_test(res.to_marked_rep(), original)
     assert T is not None and T.is_invertible()
 
 
@@ -271,8 +291,6 @@ def test_realise_odd_p11_easy_branch():
 
 
 def test_realise_even_modular():
-    from weildescent.descent import realise_modular
-
     res, info = realise_modular(5, 1, 1, 7, part="even")
     assert res.rep.dim == 3
     assert res.target.stabilizer == frozenset({1, 4})  # F_49
