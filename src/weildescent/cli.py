@@ -263,32 +263,98 @@ def cmd_norm_solve(args, report):
     return EXIT_OK
 
 
-def cmd_theta(args, report):
+def _read_pair(path):
+    """The pair file of `theta --pair`: the field, dim, generator objects h1
+    and h2 of dim x dim matrices, and pi1, a list of {"label", "gens"} with
+    one matrix per h1 generator, all pi1 matrices of one size.  Returns
+    (K, dim, h1, h2, [(label, gens)]), the label of pi1[i] defaulting to
+    "pi<i>"; a file of any other shape is ConfigInvalid."""
     try:
-        with open(args.pair) as fh:
+        with open(path) as fh:
             desc = json.load(fh)
     except (OSError, ValueError) as exc:
         raise ConfigInvalid(f"cannot read the pair file: {exc}") from None
-    fld = desc["field"]
-    K = (
-        field_make(RATIONAL, fld["n"])
-        if fld["char"] == 0
-        else field_make(MODULAR, fld["n"], fld["char"])
+
+    def need(cond, what):
+        if not cond:
+            raise ConfigInvalid(f"pair file: {what}")
+
+    def is_int(x):
+        return isinstance(x, int) and not isinstance(x, bool)
+
+    need(isinstance(desc, dict), "the top level must be an object")
+    need(
+        all(k in desc for k in ("field", "dim", "h1", "h2", "pi1")),
+        "needs the keys field, dim, h1, h2 and pi1",
     )
+    fld, dim = desc["field"], desc["dim"]
+    need(
+        isinstance(fld, dict) and is_int(fld.get("n")) and is_int(fld.get("char")),
+        "field needs integers n and char",
+    )
+    n, char = fld["n"], fld["char"]
+    need(
+        n >= 1 and (char == 0 or (is_prime(char) and n % char and (n == 1 or is_prime(n)))),
+        "field must be Q(zeta_n), or F_ell[zeta_n] with n = 1 or a prime other than ell",
+    )
+    K = field_make(RATIONAL, n) if char == 0 else field_make(MODULAR, n, char)
+    need(is_int(dim) and dim >= 1, "dim must be a positive integer")
 
-    def parse_gens(obj):
-        return {
-            name: Matrix(K, [[cyclonum_from_json(e, K) for e in row] for row in mat])
-            for name, mat in obj.items()
-        }
+    def entry(e, what):
+        need(
+            isinstance(e, dict)
+            and (e.get("n"), e.get("char")) == (n, char)
+            and isinstance(e.get("coeffs"), list)
+            and len(e["coeffs"]) <= K.degree,
+            f"{what} has an entry that is not an element of {K}",
+        )
+        try:
+            return cyclonum_from_json(e, K)
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise ConfigInvalid(f"pair file: {what} has an unreadable coefficient") from None
 
-    pair = CommutingPair(K, desc["dim"], parse_gens(desc["h1"]), parse_gens(desc["h2"]))
+    def matrix(rows, size, what):
+        need(
+            isinstance(rows, list) and rows and all(isinstance(r, list) for r in rows),
+            f"{what} must be a non-empty list of rows",
+        )
+        size = size or len(rows)
+        need(
+            len(rows) == size and all(len(r) == size for r in rows),
+            f"{what} must be {size} x {size}",
+        )
+        return Matrix(K, [[entry(e, what) for e in r] for r in rows])
+
+    def gens(obj, size, what):
+        need(isinstance(obj, dict) and obj, f"{what} must be a non-empty object of matrices")
+        return {name: matrix(m, size, f"{what}.{name}") for name, m in obj.items()}
+
+    h1 = gens(desc["h1"], dim, "h1")
+    h2 = gens(desc["h2"], dim, "h2")
+    need(isinstance(desc["pi1"], list), "pi1 must be a list")
+    pi1 = []
+    for i, rep in enumerate(desc["pi1"]):
+        what = f"pi1[{i}]"
+        need(
+            isinstance(rep, dict) and isinstance(rep.get("gens"), dict),
+            f"{what} must be an object with gens",
+        )
+        need(isinstance(rep.get("label", ""), str), f"{what}.label must be a string")
+        need(set(rep["gens"]) == set(h1), f"{what}.gens must name the h1 generators")
+        first = next(iter(rep["gens"].values()))
+        size = len(first) if isinstance(first, list) else 0
+        pi1.append((rep.get("label", f"pi{i}"), gens(rep["gens"], size, f"{what}.gens")))
+    return K, dim, h1, h2, pi1
+
+
+def cmd_theta(args, report):
+    K, dim, h1, h2, pi1s = _read_pair(args.pair)
+    pair = CommutingPair(K, dim, h1, h2)
     lifts = []
     results = []
-    for entry in desc["pi1"]:
-        pi1 = parse_gens(entry["gens"])
+    for label, pi1 in pi1s:
         lift = theta_lift(pair, pi1)
-        lifts.append((entry.get("label", f"pi{len(lifts)}"), lift))
+        lifts.append((label, lift))
         results.append({"label": lifts[-1][0], **lift.to_json()})
     uni = []
     for i in range(len(lifts)):

@@ -39,7 +39,7 @@ from .fields import (
 from .finite import SymplecticSpace, fq_field, psi_standard, token_m
 from .linalg import Matrix, ldl_psd
 from .rationality import _aut_matrix, _subfield_q_basis
-from .weil import MarkedRep, _fq_generator, even_odd_split, weil_rep
+from .weil import MarkedRep, even_odd_split, weil_rep
 
 
 class DescentDatum:
@@ -292,7 +292,7 @@ def odd_obstruction_check(rep_odd: MarkedRep, bound: int = 20):
     while t % 2 == 0:
         t //= 2
         k += 1
-    g0 = _fq_generator(fq_field(p, 1)).index()
+    g0 = fq_field(p, 1).primitive_element().index()
     sigma_gen = pow(g0, (p - 1) // 2**k, p)  # generates the 2-Sylow
     a = 1 if f % 2 == 0 else 2
     tau = pow(sigma_gen, a, p)

@@ -4,6 +4,11 @@ polarisation, the Heisenberg group, and factorization of symplectic
 matrices into the Siegel-parabolic generators M(a), N(b) and the fixed
 Weyl element W0.
 
+An FqElem is an index in counting order, and F_q arithmetic is lookup in
+the add, neg, mul (log/antilog) and inv tables its FqField builds once;
+.coeffs gives the coefficient vector on the power basis of the modulus,
+which is what the wire format carries.
+
 Coordinates: W = X + Y with X = span(e_1..e_m), Y = span(f_1..f_m) and
 <e_i, f_j> = delta_ij.  A vector is a length-2m tuple of FqElem, X-part
 first.  The standard generators, as 2m x 2m block matrices acting on
@@ -17,23 +22,92 @@ column vectors:
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 
-from ._kernel import lpoly_mul, lpoly_rem
-from .errors import TooLarge, ZeroTwist
+from .errors import IdentityFailure, TooLarge, ZeroTwist
 from .fields import CoeffField, GaloisAut, _least_irreducible, is_prime
-from .linalg import Matrix
+from .linalg import Matrix, _rref_kernel
 
 
 class FqField:
-    "F_q, q = p^f with p odd, on a deterministic irreducible modulus."
+    """F_q, q = p^f with p odd, on a deterministic irreducible modulus.
+
+    An element is its index in counting order: the base-p digits of the
+    index are its coefficients on the power basis 1, X, ..., X^(f-1) modulo
+    the modulus.  All arithmetic is lookup in tables built once per field
+    from small-integer arithmetic on digit vectors: addition and negation
+    digit-wise mod p, multiplication and inversion through the discrete
+    logarithm to the least primitive element g in counting order
+    (exp[k] = index of g^k, log its inverse), traces through the Frobenius
+    x -> x^p = exp[p log x].  Each table has at most q^2 entries, and the
+    size cap keeps q small."""
 
     def __init__(self, p: int, f: int):
         assert is_prime(p) and p % 2 == 1, "characteristic must be an odd prime"
         assert f >= 1
         self.p = p
         self.f = f
-        self.q = p**f
+        self.q = q = p**f
         self.modulus = _least_irreducible(p, f)
+        weights = [p**i for i in range(f)]
+        self.digits = [d[::-1] for d in product(range(p), repeat=f)]
+        # row a of the add table is row a - p^i, with digit i of every
+        # entry raised by one, for i the lowest nonzero digit of a
+        raise_digit = [
+            [k + w if (k // w) % p < p - 1 else k - (p - 1) * w for k in range(q)]
+            for w in weights
+        ]
+        self.add = [list(range(q))]
+        for a in range(1, q):
+            i = next(i for i, w in enumerate(weights) if (a // w) % p)
+            self.add.append([raise_digit[i][k] for k in self.add[a - weights[i]]])
+        self.neg = [row.index(0) for row in self.add]
+        self.exp = self._powers_of_least_primitive()
+        self.log = [None] * q
+        for k, e in enumerate(self.exp):
+            self.log[e] = k
+        exp2 = self.exp + self.exp
+        logs = self.log[1:]
+        self.mul = [[0] * q] + [[0] + [exp2[la + lb] for lb in logs] for la in logs]
+        self.inv = [None] + [self.exp[-la % (q - 1)] for la in logs]
+        self.trace = [0] * q
+        for a, la in enumerate(logs, 1):
+            acc = 0
+            for w in weights:  # the conjugates a^(p^i)
+                acc = self.add[acc][self.exp[la * w % (q - 1)]]
+            if acc >= p:
+                raise IdentityFailure(f"trace of element {a} of F_{q} is not in F_{p}")
+            self.trace[a] = acc
+        self.elems = [FqElem(self, k) for k in range(q)]
+
+    def _powers_of_least_primitive(self):
+        """[index of g^k for k < q - 1] for the least element g of
+        multiplicative order q - 1, by repeated multiplication by g on digit
+        vectors; g X^j mod the modulus comes from shifting by X."""
+        p, f, q = self.p, self.f, self.q
+        low = self.modulus[:f]  # X^f = -sum low[i] X^i
+
+        def index(vec):
+            return sum(c * p**i for i, c in enumerate(vec))
+
+        def times_x(vec):
+            top = vec[-1]
+            return [(c - top * m) % p for c, m in zip([0] + vec[:-1], low)]
+
+        for k in range(2, q):
+            cols = [list(self.digits[k])]  # g X^j for j < f
+            for _ in range(f - 1):
+                cols.append(times_x(cols[-1]))
+            powers, vec = [1], [1] + [0] * (f - 1)
+            while True:
+                vec = [sum(v * col[i] for v, col in zip(vec, cols)) % p for i in range(f)]
+                e = index(vec)
+                if e == 1:
+                    break
+                powers.append(e)
+            if len(powers) == q - 1:
+                return powers
+        raise AssertionError("unreachable: F_q^x is cyclic")
 
     def __repr__(self):
         return f"F_{self.q}"
@@ -45,38 +119,39 @@ class FqField:
         return hash(("Fq", self.p, self.f))
 
     def zero(self):
-        return FqElem(self, (0,) * self.f)
+        return self.elems[0]
 
     def one(self):
-        return self.from_int(1)
+        return self.elems[1]
 
     def from_int(self, k: int):
-        v = [0] * self.f
-        v[0] = k % self.p
-        return FqElem(self, tuple(v))
+        return self.elems[k % self.p]
+
+    def from_coeffs(self, coeffs):
+        "Element with the given coefficients on the power basis."
+        return self.elems[sum((c % self.p) * self.p**i for i, c in enumerate(coeffs))]
 
     def gen(self):
         "The class of X (a root of the modulus); only meaningful for f > 1."
         assert self.f > 1
-        v = [0] * self.f
-        v[1] = 1
-        return FqElem(self, tuple(v))
+        return self.elems[self.p]
+
+    def primitive_element(self):
+        "Least multiplicative generator of F_q^x in counting order."
+        return self.elems[self.exp[1]]
 
     def element(self, index: int):
         "index-th element in counting order: digits of index base p."
-        return FqElem(
-            self, tuple((index // self.p**i) % self.p for i in range(self.f))
-        )
+        return self.elems[index]
 
     def elements(self):
-        return [self.element(k) for k in range(self.q)]
+        return list(self.elems)
 
     def sqrt(self, a):
         "Least square root in counting order, or None."
         for k in range(self.q):
-            e = self.element(k)
-            if e * e == a:
-                return e
+            if self.mul[k][k] == a.idx:
+                return self.elems[k]
         return None
 
 
@@ -86,97 +161,91 @@ def fq_field(p: int, f: int) -> FqField:
 
 
 class FqElem:
-    __slots__ = ("field", "coeffs")
+    """Element of F_q, held as its index in counting order.  A field makes
+    each of its elements once, and every operation returns one of those."""
 
-    def __init__(self, field, coeffs):
+    __slots__ = ("field", "idx")
+
+    def __init__(self, field, idx):
         self.field = field
-        self.coeffs = coeffs
+        self.idx = idx
+
+    @property
+    def coeffs(self):
+        "Coefficients on the power basis: the base-p digits of the index."
+        return self.field.digits[self.idx]
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return self.idx == 0
 
     def __add__(self, o):
-        p = self.field.p
-        return FqElem(
-            self.field, tuple((a + b) % p for a, b in zip(self.coeffs, o.coeffs))
-        )
+        f = self.field
+        return f.elems[f.add[self.idx][o.idx]]
 
     def __neg__(self):
-        p = self.field.p
-        return FqElem(self.field, tuple((-a) % p for a in self.coeffs))
+        f = self.field
+        return f.elems[f.neg[self.idx]]
 
     def __sub__(self, o):
-        return self + (-o)
+        f = self.field
+        return f.elems[f.add[self.idx][f.neg[o.idx]]]
 
     def __mul__(self, o):
-        if isinstance(o, int):
-            o = self.field.from_int(o)
         f = self.field
-        v = lpoly_rem(
-            lpoly_mul(list(self.coeffs), list(o.coeffs), f.p), list(f.modulus), f.p
-        )
-        return FqElem(f, tuple(v))
+        if isinstance(o, int):
+            o = f.from_int(o)
+        return f.elems[f.mul[self.idx][o.idx]]
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
-        if e < 0:
-            return self.inv() ** (-e)
-        acc, b = self.field.one(), self
-        while e:
-            if e & 1:
-                acc = acc * b
-            b = b * b
-            e >>= 1
-        return acc
+        f = self.field
+        if self.idx == 0:
+            if e < 0:
+                raise ZeroDivisionError("zero has no inverse in F_q")
+            return f.elems[1 if e == 0 else 0]
+        return f.elems[f.exp[f.log[self.idx] * e % (f.q - 1)]]
 
     def inv(self):
-        assert not self.is_zero()
-        return self ** (self.field.q - 2)
+        if self.idx == 0:
+            raise ZeroDivisionError("zero has no inverse in F_q")
+        f = self.field
+        return f.elems[f.inv[self.idx]]
 
     def __truediv__(self, o):
         return self * o.inv()
 
     def __eq__(self, o):
-        return (
-            isinstance(o, FqElem) and self.field == o.field and self.coeffs == o.coeffs
+        return self is o or (
+            isinstance(o, FqElem) and self.idx == o.idx and self.field == o.field
         )
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return self.idx
 
     def __repr__(self):
         if self.field.f == 1:
-            return str(self.coeffs[0])
+            return str(self.idx)
         return "Fq" + str(list(self.coeffs))
 
     def index(self) -> int:
         "Position in the field's counting order."
-        return sum(c * self.field.p**i for i, c in enumerate(self.coeffs))
+        return self.idx
 
     def trace_to_prime(self) -> int:
         "Tr_{F_q/F_p} as an integer in [0, p)."
-        acc = self
-        x = self
-        for _ in range(self.field.f - 1):
-            x = x ** self.field.p
-            acc = acc + x
-        assert all(c == 0 for c in acc.coeffs[1:])
-        return acc.coeffs[0]
+        return self.field.trace[self.idx]
 
     def in_prime_subfield(self):
-        return all(c == 0 for c in self.coeffs[1:])
+        return self.idx < self.field.p
 
 
 def legendre(gamma: FqElem) -> int:
     "Quadratic character of F_q^x: +1 on squares, -1 otherwise."
     if gamma.is_zero():
         raise ZeroTwist("legendre symbol of zero")
-    s = gamma ** ((gamma.field.q - 1) // 2)
-    if s == gamma.field.one():
-        return 1
-    assert s == -gamma.field.one()
-    return -1
+    # the squares are the even powers of a primitive element
+    return 1 if gamma.field.log[gamma.idx] % 2 == 0 else -1
 
 
 class AdditiveCharacter:
@@ -190,10 +259,15 @@ class AdditiveCharacter:
         self.fq = fq
         self.coeff = coeff
         self.twist = twist
+        shift = coeff.n // fq.p
+        self.values = [coeff.zeta_pow(shift * k) for k in range(fq.p)]
+
+    def exponent(self, x: FqElem) -> int:
+        "k in [0, p) with psi(x) = zeta_p^k."
+        return (self.twist * x).trace_to_prime()
 
     def __call__(self, x: FqElem):
-        e = (self.twist * x).trace_to_prime()
-        return self.coeff.zeta_pow((self.coeff.n // self.fq.p) * e)
+        return self.values[self.exponent(x)]
 
     def __eq__(self, o):
         return (
@@ -286,7 +360,7 @@ class SymplecticSpace:
     def vector_index(self, pt):
         "Inverse of y_points ordering."
         q = self.fq.q
-        return sum(c.index() * q**i for i, c in enumerate(pt))
+        return sum(c.idx * q**i for i, c in enumerate(pt))
 
 
 class SpElement:
@@ -297,7 +371,8 @@ class SpElement:
         self.mat = mat
         if not _checked:
             J = space.gram()
-            assert mat.transpose() * J * mat == J, "matrix is not symplectic"
+            if mat.transpose() * J * mat != J:
+                raise IdentityFailure("matrix is not symplectic")
 
     def __mul__(self, o):
         assert self.space == o.space
@@ -447,7 +522,7 @@ def word_from_json(fq, data):
         if item[0] == "W0":
             out.append(TOKEN_W)
         else:
-            mat = Matrix(fq, [[FqElem(fq, tuple(c)) for c in row] for row in item[1]])
+            mat = Matrix(fq, [[fq.from_coeffs(c) for c in row] for row in item[1]])
             out.append((item[0], mat.to_key()))
     return out
 
@@ -588,5 +663,4 @@ def _solve_affine(fq, rows, rhs):
     part = [fq.zero()] * ncols
     for r, p in enumerate(pivots):
         part[p] = red.rows[r][ncols]
-    kernel = [list(v) for v in Matrix(fq, rows).nullspace()]
-    return part, kernel
+    return part, _rref_kernel(red, pivots, ncols)

@@ -1,8 +1,11 @@
 """Exact dense linear algebra over the package's field elements.
 
-A Matrix is rows of field elements (CycloNum or FqElem); the field handle
-supplies zero()/one() and elements do their own exact arithmetic.  Pivoting
-is deterministic (leftmost column, topmost row), so ranks, nullspace bases
+A Matrix is rows of field elements (CycloNum, or FqElem: an index into the
+lookup tables of its FqField); the field handle supplies zero()/one() and
+elements do their own exact arithmetic.  A product tests each entry of
+either factor for zero once, so a product with a monomial factor (the
+Heisenberg, M(a), N(b) and parity images) costs O(n^2).  Pivoting is
+deterministic (leftmost column, topmost row), so ranks, nullspace bases
 and inverses are reproducible.
 
 Intertwiner systems T*A_i = B_i*T get a dedicated solver: when every
@@ -111,10 +114,10 @@ class Matrix:
         )
 
     def __sub__(self, other):
-        return self + other.scale(self.field.from_int(-1))
+        return self + (-other)
 
     def __neg__(self):
-        return self.scale(self.field.from_int(-1))
+        return Matrix(self.field, [[-e for e in r] for r in self.rows])
 
     def scale(self, c):
         return Matrix(self.field, [[c * e for e in r] for r in self.rows])
@@ -122,16 +125,18 @@ class Matrix:
     def __mul__(self, other):
         assert self.ncols == other.nrows
         z = self.field.zero()
-        brows = other.rows
+        # the nonzero entries of each row of the right factor, found once
+        # per product: a monomial right factor costs O(n^2) in all
+        bnz = [[(j, b) for j, b in enumerate(rb) if not b.is_zero()] for rb in other.rows]
         out = []
         for ra in self.rows:
-            nz = [(k, a) for k, a in enumerate(ra) if not a.is_zero()]
             row = [z] * other.ncols
-            for k, a in nz:
-                rb = brows[k]
-                for j, b in enumerate(rb):
-                    if not b.is_zero():
-                        row[j] = row[j] + a * b
+            for k, a in enumerate(ra):
+                if a.is_zero():
+                    continue
+                for j, b in bnz[k]:
+                    c = row[j]
+                    row[j] = a * b if c is z else c + a * b
             out.append(row)
         return Matrix(self.field, out)
 
@@ -217,16 +222,7 @@ class Matrix:
     def nullspace(self):
         "Deterministic basis of the right kernel, as a list of vectors."
         red, pivots = self.rref()
-        free = [j for j in range(self.ncols) if j not in pivots]
-        z, o = self.field.zero(), self.field.one()
-        basis = []
-        for f in free:
-            v = [z] * self.ncols
-            v[f] = o
-            for r, p in enumerate(pivots):
-                v[p] = -red.rows[r][f]
-            basis.append(v)
-        return basis
+        return _rref_kernel(red, pivots, self.ncols)
 
     def inverse(self):
         assert self.nrows == self.ncols
@@ -274,6 +270,23 @@ class Matrix:
                     row.extend(a * b for b in rb)
                 rows.append(row)
         return Matrix(self.field, rows)
+
+
+def _rref_kernel(red, pivots, ncols):
+    """Kernel basis of a matrix A from the reduced row echelon form red of
+    A, or of A with columns appended on the right (the first ncols columns
+    of that form are the form of A, with the same pivots)."""
+    z, o = red.field.zero(), red.field.one()
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [z] * ncols
+        v[f] = o
+        for r, p in enumerate(pivots):
+            v[p] = -red.rows[r][f]
+        basis.append(v)
+    return basis
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ measured (never assumed) by cocycle_certificate."""
 from __future__ import annotations
 
 from .errors import CocycleViolation, IdentityFailure, TooLarge
-from .fields import CoeffField, GaloisAut, apply_aut, is_prime
+from .fields import CoeffField, GaloisAut, apply_aut
 from .finite import (
     AdditiveCharacter,
     FqElem,
@@ -129,22 +129,29 @@ def _heis_from_key(rep, key):
 # Heisenberg representation
 
 
-def rho_matrix(psi: AdditiveCharacter, space: SymplecticSpace, h: HeisElem) -> Matrix:
+def rho_monomial(psi: AdditiveCharacter, space: SymplecticSpace, h: HeisElem):
+    """rho(h) in monomial exponent form (perm, exps): column col of rho(h)
+    has its one nonzero entry zeta_p^exps[col] in row perm[col]."""
     m = space.m
-    K = psi.coeff
-    pts = space.y_points()
+    zeros = (space.fq.zero(),) * m
     x = h.w[:m]
     y = h.w[m:]
-    xw = tuple(x) + (space.fq.zero(),) * m
-    half = space.half
-    yx = space.pairing((space.fq.zero(),) * m + tuple(y), xw)
-    base = h.t - half * yx
-    n = len(pts)
-    out = Matrix.zeros(K, n, n)
-    for col, y0 in enumerate(pts):
-        y0w = (space.fq.zero(),) * m + y0
-        row = space.vector_index(tuple(a - b for a, b in zip(y0, y)))
-        out.rows[row][col] = psi(base + space.pairing(y0w, xw))
+    xw = tuple(x) + zeros
+    base = h.t - space.half * space.pairing(zeros + tuple(y), xw)
+    perm, exps = [], []
+    for y0 in space.y_points():
+        perm.append(space.vector_index(tuple(a - b for a, b in zip(y0, y))))
+        exps.append(psi.exponent(base + space.pairing(zeros + y0, xw)))
+    return perm, exps
+
+
+def rho_matrix(psi: AdditiveCharacter, space: SymplecticSpace, h: HeisElem) -> Matrix:
+    "rho(h) as a dense matrix: the expansion of rho_monomial."
+    perm, exps = rho_monomial(psi, space, h)
+    n = len(perm)
+    out = Matrix.zeros(psi.coeff, n, n)
+    for col, (row, e) in enumerate(zip(perm, exps)):
+        out.rows[row][col] = psi.values[e]
     return out
 
 
@@ -238,7 +245,7 @@ def _gl_generator_tokens(space: SymplecticSpace):
     else:
         one, zero = fq.one(), fq.zero()
         # GL_m generators: diag(g,1,...), adjacent transposition, transvection
-        g = _fq_generator(fq)
+        g = fq.primitive_element()
         diag = Matrix.identity(fq, m)
         diag.rows[0][0] = g
         toks.append(token_m(diag))
@@ -259,19 +266,6 @@ def _gl_generator_tokens(space: SymplecticSpace):
                 toks.append(token_n(b))
     toks.append(TOKEN_W)
     return toks
-
-
-def _fq_generator(fq):
-    "Least multiplicative generator of F_q^x in counting order."
-    target = fq.q - 1
-    primes = [r for r in range(2, target + 1) if target % r == 0 and is_prime(r)]
-    for k in range(1, fq.q):
-        e = fq.element(k)
-        if e.is_zero():
-            continue
-        if all(e ** (target // r) != fq.one() for r in primes):
-            return e
-    raise AssertionError("unreachable")
 
 
 def weil_rep(psi: AdditiveCharacter, space: SymplecticSpace) -> MarkedRep:
@@ -337,7 +331,8 @@ def _block_image(block_rep: MarkedRep, full: Matrix) -> Matrix:
         for i, j in enumerate(neg_index):
             if i < j:
                 expect = vec[i] if sign == 1 else -vec[i]
-                assert vec[j] == expect, "parity block leak: operator not equivariant"
+                if vec[j] != expect:
+                    raise IdentityFailure("parity block leak: operator not equivariant")
     return out
 
 
@@ -418,12 +413,11 @@ def cocycle_value(rep: MarkedRep, g: SpElement, h: SpElement) -> int:
     that; everything treats omega~ as projective and keeps measuring."""
     t = weil_op(rep, g) * weil_op(rep, h)
     tprime = weil_op(rep, g * h)
-    lam = _scalar_ratio(t, tprime)
-    K = rep.field
-    if lam == K.one():
+    if t == tprime:
         return 1
-    if lam == -K.one():
+    if t == -tprime:
         return -1
+    lam = _scalar_ratio(t, tprime)
     raise CocycleViolation(f"lambda(g, h) = {lam!r} not in {{+1, -1}}")
 
 
@@ -532,27 +526,46 @@ def weil_twist_check(psi: AdditiveCharacter, space: SymplecticSpace, gamma: FqEl
 # Exhaustive sweeps (traces, cocycle tables)
 
 
+def _monomial_product(a, b, p):
+    "AB in monomial exponent form (perm, exps), exponents mod p, for A = a, B = b."
+    pa, ea = a
+    pb, eb = b
+    return [pa[k] for k in pb], [(ea[k] + e) % p for k, e in zip(pb, eb)]
+
+
 def heisenberg_hom_check(rep: MarkedRep, exhaustive: bool, rng=None, samples=200):
     """rho(h1 h2) = rho(h1) rho(h2) exactly: every pair when exhaustive,
-    seeded samples otherwise.  Also the central character rho(0,t) = psi(t) Id."""
+    seeded samples otherwise.  Also the central character rho(0,t) = psi(t) Id.
+
+    Both are checked on the monomial exponent form of rho_monomial, of which
+    rho_matrix is the dense expansion.  If column j of A sits in row pa[j]
+    as zeta^ea[j], and likewise B with (pb, eb), then column j of AB sits in
+    row pa[pb[j]] as zeta^(ea[pb[j]] + eb[j]).  A monomial matrix is
+    determined by its permutation and its entries, and zeta_p has exact
+    order p in the coefficient field (Q(zeta_p), or F_ell[zeta_p] with
+    ell != p), so k -> zeta_p^k is injective on Z/p: the matrices are equal
+    exactly when the permutations agree and the exponents agree mod p.
+    This is the same certificate as the dense comparison, with no
+    coefficient-field arithmetic."""
     from .finite import heis_enumerate
 
     assert rep.kind == "heis"
     space, psi = rep.meta["space"], rep.meta["psi"]
+    p = space.fq.p
     els = heis_enumerate(space)
-    mats = {h: rho_matrix(psi, space, h) for h in els}
+    forms = {h: rho_monomial(psi, space, h) for h in els}
     if exhaustive:
         pairs = [(a, b) for a in els for b in els]
     else:
         assert rng is not None
         pairs = [(rng.choice(els), rng.choice(els)) for _ in range(samples)]
     for a, b in pairs:
-        if mats[a] * mats[b] != mats[a * b]:
+        if _monomial_product(forms[a], forms[b], p) != forms[a * b]:
             raise IdentityFailure(f"heisenberg hom fails at {a!r}, {b!r}")
-    eye = Matrix.identity(rep.field, rep.dim)
+    ident = list(range(rep.dim))
     for t in space.fq.elements():
-        h = HeisElem(space, space.zero_vector(), t)
-        if rho_matrix(psi, space, h) != eye.scale(psi(t)):
+        perm, exps = rho_monomial(psi, space, HeisElem(space, space.zero_vector(), t))
+        if perm != ident or exps != [psi.exponent(t)] * rep.dim:
             raise IdentityFailure(f"central character fails at t = {t!r}")
     return len(pairs)
 
@@ -581,7 +594,8 @@ def bfs_matrices(rep: MarkedRep, bound: int):
                     out[k] = (h, gmat * img)
                     nxt.append(h)
         frontier = nxt
-    assert len(out) == total, "generators failed to generate Sp"
+    if len(out) != total:
+        raise IdentityFailure(f"generators reach {len(out)} of the {total} elements of Sp")
     return out
 
 
@@ -612,7 +626,6 @@ def end_dimension_over_subfield(rep: MarkedRep, tag, bound: int):
         total = total + t1 * t2
     size = K.from_int(len(mats))
     dim = total * size.inv()
-    assert dim.is_rational()
-    frac = dim.as_fraction()
-    assert frac.denominator == 1
-    return int(frac)
+    if not dim.is_rational() or dim.as_fraction().denominator != 1:
+        raise IdentityFailure(f"End-algebra dimension {dim!r} is not an integer")
+    return int(dim.as_fraction())

@@ -232,6 +232,53 @@ def test_build_output_parses_back(tmp_path):
         assert len(mat) == 3 and len(mat[0]) == 3
 
 
+ONE = {"n": 3, "char": 0, "coeffs": ["1", "0"]}
+
+
+def _pair_file(**changes):
+    """A valid one-dimensional pair file over Q(zeta_3), with top-level keys
+    replaced (or dropped when the value is None)."""
+    pair = {
+        "field": {"n": 3, "char": 0},
+        "dim": 1,
+        "h1": {"c": [[ONE]]},
+        "h2": {"t": [[ONE]]},
+        "pi1": [{"label": "trivial", "gens": {"c": [[ONE]]}}],
+    }
+    for key, value in changes.items():
+        if value is None:
+            del pair[key]
+        else:
+            pair[key] = value
+    return json.dumps(pair)
+
+
+PAIR_SHAPES = {
+    "list": "[]",
+    "empty-object": "{}",
+    "no-h1": _pair_file(h1=None),
+    "no-pi1": _pair_file(pi1=None),
+    "field-list": _pair_file(field=[3, 0]),
+    "field-not-prime-char": _pair_file(field={"n": 3, "char": 4}),
+    "dim-string": _pair_file(dim="1"),
+    "h1-list": _pair_file(h1=[[[ONE]]]),
+    "row-not-list": _pair_file(h2={"t": [ONE]}),
+    "wrong-size": _pair_file(h2={"t": [[ONE, ONE], [ONE, ONE]]}),
+    "entry-other-field": _pair_file(h2={"t": [[{"n": 5, "char": 0, "coeffs": ["1"]}]]}),
+    "entry-bad-coeff": _pair_file(h2={"t": [[{"n": 3, "char": 0, "coeffs": ["x", "0"]}]]}),
+    "pi1-not-list": _pair_file(pi1={"label": "trivial"}),
+    "pi1-gens-mismatch": _pair_file(pi1=[{"label": "a", "gens": {"d": [[ONE]]}}]),
+    "pi1-ragged": _pair_file(pi1=[{"gens": {"c": [[ONE], [ONE, ONE]]}}]),
+}
+
+
+def test_pair_file_base_is_valid(tmp_path):
+    (tmp_path / "pair.json").write_text(_pair_file())
+    code, rep = run_json(["theta", "--pair", str(tmp_path / "pair.json")], tmp_path)
+    assert code == 0
+    assert rep["results"]["lifts"][0]["label"] == "trivial"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -240,11 +287,15 @@ def test_build_output_parses_back(tmp_path):
         ["theta", "--pair", "{tmp}/malformed.json"],
         ["hilbert", "1", "1", "-v", "x"],
         ["hilbert", "1", "1", "-v", "4"],
-    ],
-    ids=["table-p", "theta-missing", "theta-malformed", "hilbert-place-x", "hilbert-place-4"],
+    ]
+    + [["theta", "--pair", "{tmp}/shape-%s.json" % name] for name in PAIR_SHAPES],
+    ids=["table-p", "theta-missing", "theta-malformed", "hilbert-place-x", "hilbert-place-4"]
+    + ["theta-shape-" + name for name in PAIR_SHAPES],
 )
 def test_malformed_input_exits_2(argv, tmp_path):
     (tmp_path / "malformed.json").write_text('{"field": ')
+    for name, text in PAIR_SHAPES.items():
+        (tmp_path / f"shape-{name}.json").write_text(text)
     code, rep = run_json([a.format(tmp=tmp_path) for a in argv], tmp_path)
     assert code == 2
     assert rep["error"]["kind"] == "config-invalid"

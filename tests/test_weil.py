@@ -295,3 +295,123 @@ def test_bfs_matches_canonical_up_to_sign(model5):
         g, bfs_mat = mats[key]
         canonical = weil_op(w, g)
         assert bfs_mat == canonical or bfs_mat == canonical.scale(K.from_int(-1))
+
+
+def _dense(psi, form):
+    "Dense matrix of a monomial exponent form (perm, exps)."
+    perm, exps = form
+    out = Matrix.zeros(psi.coeff, len(perm), len(perm))
+    for col, (row, e) in enumerate(zip(perm, exps)):
+        out.rows[row][col] = psi.coeff.zeta_pow(e)  # K = Q(zeta_3): zeta_p^e
+    return out
+
+
+def test_monomial_product_matches_dense_q3(model3):
+    from weildescent.finite import heis_enumerate
+    from weildescent.weil import _monomial_product, rho_monomial
+
+    sp, psi = model3["space"], model3["psi"]
+    els = heis_enumerate(sp)
+    forms = {h: rho_monomial(psi, sp, h) for h in els}
+    dense = {h: rho_matrix(psi, sp, h) for h in els}
+    for h in els:
+        assert _dense(psi, forms[h]) == dense[h]
+    pairs = [(a, b) for a in els for b in els]
+    assert len(pairs) == 729
+    for a, b in pairs:
+        prod = _monomial_product(forms[a], forms[b], 3)
+        assert _dense(psi, prod) == dense[a] * dense[b] == dense[a * b]
+        assert prod == forms[a * b]
+
+
+def test_hom_check_detects_corrupted_exponent(model3, monkeypatch):
+    from weildescent import weil
+
+    sp, psi = model3["space"], model3["psi"]
+    fq = sp.fq
+    bad = HeisElem(sp, (fq.one(), fq.from_int(2)), fq.one())
+    honest = weil.rho_monomial
+
+    def corrupted(psi_, space, h):
+        perm, exps = honest(psi_, space, h)
+        if h == bad:
+            exps = [(exps[0] + 1) % 3] + exps[1:]
+        return perm, exps
+
+    monkeypatch.setattr(weil, "rho_monomial", corrupted)
+    with pytest.raises(IdentityFailure, match="heisenberg hom fails"):
+        heisenberg_hom_check(model3["heis"], exhaustive=True)
+
+
+# Run with python -O: every check below must still raise IdentityFailure.
+OPTIMIZED_SCRIPT = """
+import sys
+from weildescent import weil
+from weildescent.errors import IdentityFailure
+from weildescent.fields import RATIONAL, field_make
+from weildescent.finite import SpElement, SymplecticSpace, TOKEN_W, fq_field, psi_standard, token_n
+from weildescent.linalg import Matrix
+
+if sys.flags.optimize < 1:
+    sys.exit("not optimized")
+fq = fq_field(3, 1)
+sp = SymplecticSpace(fq, 1)
+psi = psi_standard(fq, field_make(RATIONAL, 3))
+
+
+def expect(name, fn):
+    try:
+        fn()
+    except IdentityFailure:
+        print(name)
+
+
+honest = weil.rho_monomial
+
+
+def corrupted(psi_, space, h):
+    perm, exps = honest(psi_, space, h)
+    if h.t == fq.one() and all(c.is_zero() for c in h.w):
+        exps = [(exps[0] + 1) % 3] + exps[1:]
+    return perm, exps
+
+
+weil.rho_monomial = corrupted
+expect("rho-exponent", lambda: weil.heisenberg_hom_check(weil.heisenberg_rep(psi, sp), True))
+weil.rho_monomial = honest
+
+w = weil.weil_rep(psi, sp)
+even, odd = weil.even_odd_split(w)
+tok = token_n(Matrix(fq, [[fq.one()]]))
+leak = w.image(tok).copy()
+leak.rows[1][1] = psi.coeff.zeta_pow(2) * leak.rows[1][1]
+w._images[tok] = leak
+expect("parity-leak", lambda: even.image(tok))
+
+borel = weil.weil_rep(psi, sp)
+borel.gen_names = tuple(t for t in borel.gen_names if t != TOKEN_W)
+expect("generation", lambda: weil.bfs_matrices(borel, 10**4))
+
+o, z = fq.one(), fq.zero()
+expect("symplectic", lambda: SpElement(sp, Matrix(fq, [[o, o], [z, fq.from_int(2)]])))
+"""
+
+
+def test_certificates_raise_under_optimize():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import weildescent
+
+    src = Path(weildescent.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_SCRIPT],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["rho-exponent", "parity-leak", "generation", "symplectic"]
