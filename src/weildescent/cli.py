@@ -109,19 +109,21 @@ def _transcript(report, name, ok, detail=None):
         report["failed"] = True
 
 
+def _cocycle_pairs(space, rng, exhaustive, npairs):
+    "All pairs of elements of Sp(W), or npairs pairs drawn with rng."
+    els = list(sp_enumerate(space, SP_CAP))
+    if exhaustive:
+        return [(a, b) for a in els for b in els]
+    return [(rng.choice(els), rng.choice(els)) for _ in range(npairs)]
+
+
 def cmd_build(args, report):
     p, f, m, ell = _model_args(args)
     psi, space, rep = build_weil(p, f, m, args.twist, ell=ell)
     rng = random.Random(args.seed)
-    order = sp_order(m, p**f)
-    if order <= 30:
-        els = list(sp_enumerate(space, SP_CAP))
-        pairs = [(a, b) for a in els for b in els]
-        mode = "exhaustive"
-    else:
-        els = list(sp_enumerate(space, SP_CAP))
-        pairs = [(rng.choice(els), rng.choice(els)) for _ in range(args.pairs)]
-        mode = f"{args.pairs} seeded pairs"
+    exhaustive = sp_order(m, p**f) <= 30
+    pairs = _cocycle_pairs(space, rng, exhaustive, args.pairs)
+    mode = "exhaustive" if exhaustive else f"{args.pairs} seeded pairs"
     cert = cocycle_certificate(rep, pairs)
     _transcript(report, "cocycle_values_pm1", cert.all_pm_one(), cert.summary())
     out = rep.to_json()
@@ -157,13 +159,8 @@ def cmd_verify(args, report):
     intertwining_check(rep, hrep)
     _transcript(report, "weil_intertwines_heisenberg", True)
 
-    order = sp_order(m, q)
-    els = list(sp_enumerate(space, SP_CAP))
-    if args.exhaustive or order <= 30:
-        pairs = [(a, b) for a in els for b in els]
-    else:
-        pairs = [(rng.choice(els), rng.choice(els)) for _ in range(args.pairs)]
-    cert = cocycle_certificate(rep, pairs)
+    exhaustive = args.exhaustive or sp_order(m, q) <= 30
+    cert = cocycle_certificate(rep, _cocycle_pairs(space, rng, exhaustive, args.pairs))
     _transcript(report, "cocycle_values_pm1", cert.all_pm_one(), cert.summary())
 
     for u in K.galois_exponents():

@@ -110,15 +110,13 @@ class DescentResult:
         }
 
 
-def fixed_points(datum: DescentDatum, validate=True) -> DescentResult:
+def fixed_points(datum: DescentDatum) -> DescentResult:
     """Solve for the simultaneous fixed vectors of all R_u . sigma_u over
     the prime field, extract a K-basis U of the fixed space, and conjugate
     the generator images into the target subfield.  The descended model is
     certified by U itself: U is invertible and U . D(g) = rho(g) . U for
     every generator g, so U is an isomorphism onto the original."""
-    transcript = {}
-    if validate:
-        transcript["datum"] = datum.validate()
+    transcript = {"datum": datum.validate()}
     rep = datum.rep
     K = rep.field
     P = prime_field(K.char)
@@ -131,10 +129,7 @@ def fixed_points(datum: DescentDatum, validate=True) -> DescentResult:
             cols = []
             for j in range(dk):
                 prod = c * K.zeta_pow(j) if j else c
-                if K.char == 0:
-                    cols.append([P.from_fraction(f) for f in prod.as_fractions()])
-                else:
-                    cols.append([P.from_int(x) for x in prod.nums])
+                cols.append([P.from_fraction(f) for f in prod.as_fractions()])
             mulmats[c] = Matrix.from_cols(P, cols)
         return mulmats[c]
 
@@ -167,14 +162,10 @@ def fixed_points(datum: DescentDatum, validate=True) -> DescentResult:
     transcript["fixed_space_prime_dim"] = len(null)
 
     def fold(vec):
-        out = []
-        for i in range(N):
-            chunk = vec[i * dk : (i + 1) * dk]
-            if K.char == 0:
-                out.append(K.from_coeffs([e.as_fraction() for e in chunk]))
-            else:
-                out.append(K.from_coeffs([e.nums[0] for e in chunk]))
-        return out
+        return [
+            K.from_coeffs([e.as_fraction() for e in vec[i * dk : (i + 1) * dk]])
+            for i in range(N)
+        ]
 
     selected = []
     for vec in null:

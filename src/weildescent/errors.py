@@ -52,9 +52,5 @@ class NotIrreducible(WeilError):
     "Operation requires an irreducible representation."
 
 
-class BadTower(WeilError):
-    "Subfields do not form the required tower."
-
-
 class ConfigInvalid(WeilError):
     "CLI/run configuration rejected."

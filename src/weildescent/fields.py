@@ -9,8 +9,15 @@ are subgroup computations.
 
 A rational element is stored as an integer coefficient vector with one
 common positive denominator, fully reduced; a modular element as a vector
-of residues.  This keeps the hot multiply/reduce loops in plain integer
-arithmetic (see _kernel)."""
+of residues with denominator 1.  This keeps the hot multiply/reduce loops in
+plain integer arithmetic (see _kernel), and lets as_fraction, from_fraction
+and from_coeffs move prime-field values in and out of either kind of field.
+
+Inversion uses the Galois structure instead of polynomial division: the
+product of the conjugates sigma_u(x) over the Galois exponents u != 1 is
+x^-1 up to the norm N(x), which lies in the prime field Q or F_ell, so
+x^-1 = conj / N(x) in both characteristics.  A norm outside the prime field
+(a defining polynomial that is not irreducible) raises IdentityFailure."""
 
 from __future__ import annotations
 
@@ -19,7 +26,7 @@ from functools import lru_cache
 from math import gcd
 
 from ._kernel import lpoly_mul, lpoly_rem, zpoly_mul, zpoly_rem
-from .errors import FieldMismatch, InvalidCharacteristic, ZeroInput
+from .errors import FieldMismatch, IdentityFailure, InvalidCharacteristic, ZeroInput
 
 RATIONAL = "rational-cyclotomic"
 MODULAR = "modular-cyclotomic"
@@ -34,10 +41,6 @@ def is_prime(n: int) -> bool:
             return False
         d += 1
     return True
-
-
-def euler_phi(n: int) -> int:
-    return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
 
 
 @lru_cache(maxsize=None)
@@ -384,11 +387,6 @@ class CycloNum:
     def is_zero(self):
         return all(c == 0 for c in self.nums)
 
-    def is_one(self):
-        return self.den == 1 and self.nums[0] == 1 and all(
-            c == 0 for c in self.nums[1:]
-        )
-
     def is_rational(self):
         return all(c == 0 for c in self.nums[1:])
 
@@ -449,18 +447,20 @@ class CycloNum:
     __rmul__ = __mul__
 
     def inv(self):
-        "Multiplicative inverse via extended Euclid modulo the modulus."
-        assert not self.is_zero()
+        """Multiplicative inverse by the Galois norm: conj is the product of
+        the other conjugates sigma_u(x), N(x) = x . conj lies in the prime
+        field, and x^-1 = conj / N(x)."""
+        if self.is_zero():
+            raise ZeroDivisionError(f"zero has no inverse in {self.field}")
         f = self.field
-        if f.char:
-            ell = f.char
-            a = [Fraction(c) for c in self.nums]
-            mod = [Fraction(c % ell) for c in f.modulus]
-            inv = _poly_modinv(a, mod, ell)
-            return f.from_coeffs(inv)
-        a = list(self.as_fractions())
-        mod = [Fraction(c) for c in f.modulus]
-        return f.from_coeffs(_poly_modinv(a, mod, 0))
+        conj = f.one()
+        for u in f.galois_exponents():
+            if u != 1:
+                conj = conj * apply_aut(GaloisAut(f, u), self)
+        norm = self * conj
+        if not norm.is_rational():
+            raise IdentityFailure(f"norm {norm!r} is not in the prime field")
+        return conj * f.from_fraction(1 / norm.as_fraction())
 
     def __truediv__(self, other):
         if isinstance(other, int):
@@ -521,64 +521,6 @@ def cyclonum_from_json(obj, field=None) -> CycloNum:
         )
     assert field.n == n and field.char == char
     return field.from_coeffs([Fraction(c) for c in obj["coeffs"]])
-
-
-def _poly_modinv(a, mod, char):
-    "Inverse of a modulo mod over Q (char 0) or F_char, via xgcd."
-
-    def deg(p):
-        for i in range(len(p) - 1, -1, -1):
-            if p[i] != 0:
-                return i
-        return -1
-
-    def redc(p):
-        if char:
-            return [Fraction(int(c) % char) for c in p]
-        return list(p)
-
-    def polydivmod(x, y):
-        x = list(x)
-        dy = deg(y)
-        inv_lead = Fraction(1) / y[dy] if not char else Fraction(
-            pow(y[dy].numerator % char, -1, char)
-        )
-        q = [Fraction(0)] * (max(deg(x) - dy + 1, 1))
-        while deg(x) >= dy:
-            dx = deg(x)
-            c = x[dx] * inv_lead
-            if char:
-                c = Fraction(c.numerator % char)
-            q[dx - dy] = c
-            for j in range(dy + 1):
-                x[dx - dy + j] -= c * y[j]
-            x = redc(x)
-        return q, x
-
-    r0, r1 = redc(mod), redc(a)
-    s0, s1 = [Fraction(0)], [Fraction(1)]
-    while deg(r1) > 0:
-        q, r = polydivmod(r0, r1)
-        r0, r1 = r1, redc(r)
-        qs = _polymul_frac(q, s1, char)
-        s0, s1 = s1, redc(
-            [x - y for x, y in zip(s0 + [Fraction(0)] * len(qs), qs + [Fraction(0)] * len(s0))]
-        )
-    assert deg(r1) == 0, "element not invertible"
-    c = r1[deg(r1)]
-    cinv = Fraction(pow(c.numerator % char, -1, char)) if char else Fraction(1) / c
-    return redc([x * cinv for x in s1])
-
-
-def _polymul_frac(a, b, char):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    if char:
-        out = [Fraction(int(c) % char) for c in out]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -693,11 +635,6 @@ class SubfieldTag:
 
     def generators(self):
         return sorted(self.stabilizer)
-
-    def contains_tag(self, other: "SubfieldTag") -> bool:
-        "Field containment: larger field = smaller stabilizer."
-        assert self.field == other.field
-        return self.stabilizer <= other.stabilizer
 
     def meet(self, other: "SubfieldTag") -> "SubfieldTag":
         "Compositum of the two subfields (intersection of stabilizers)."

@@ -15,7 +15,7 @@ section-independent form for the metaplectic sweeps)."""
 
 from __future__ import annotations
 
-from .errors import NotIrreducible, TooLarge
+from .errors import IdentityFailure, NotIrreducible, TooLarge
 from .fields import (
     GaloisAut,
     SubfieldTag,
@@ -25,7 +25,12 @@ from .fields import (
     trace_to_subfield,
 )
 from .linalg import Matrix, intertwiner_space, invertible_element, ldl_psd
-from .weil import MarkedRep, end_dimension_over_subfield, trace_values
+from .weil import (
+    MarkedRep,
+    _trace_pair_dimension,
+    end_dimension_over_subfield,
+    trace_values,
+)
 from .finite import heis_enumerate
 
 
@@ -340,7 +345,7 @@ def _expand_in_span(basis_mats, M):
 
 
 def endomorphism_algebra(
-    rep: MarkedRep, tag: SubfieldTag, bound: int = DEFAULT_SP_BOUND, certify_dim=True
+    rep: MarkedRep, tag: SubfieldTag, bound: int = DEFAULT_SP_BOUND
 ) -> EndAlgebra:
     "End of rep restricted to the tagged subfield, with certified dimension."
     K = rep.field
@@ -352,12 +357,12 @@ def endomorphism_algebra(
         if basis:
             hom_bases[u] = basis
     alg = EndAlgebra(rep, tag, hom_bases, rb)
-    if certify_dim:
-        if rep.kind in ("weil", "weil-even", "weil-odd"):
-            expected = end_dimension_over_subfield(rep, tag, bound)
-        else:
-            expected = _heis_end_dimension(rep, tag)
-        assert alg.dim == expected, (
+    if rep.kind in ("weil", "weil-even", "weil-odd"):
+        expected = end_dimension_over_subfield(rep, tag, bound)
+    else:
+        expected = _heis_end_dimension(rep, tag)
+    if alg.dim != expected:
+        raise IdentityFailure(
             f"semilinear basis dim {alg.dim} != character-formula dim {expected}"
         )
     return alg
@@ -365,18 +370,14 @@ def endomorphism_algebra(
 
 def _heis_end_dimension(rep, tag):
     space, psi = rep.meta["space"], rep.meta["psi"]
-    K = rep.field
-    total = K.zero()
-    els = heis_enumerate(space)
-    for h in els:
-        t1 = trace_to_subfield(_heis_trace(psi, space, h), tag)
-        t2 = trace_to_subfield(_heis_trace(psi, space, h.inverse()), tag)
-        total = total + t1 * t2
-    dim = total * K.from_int(len(els)).inv()
-    assert dim.is_rational()
-    frac = dim.as_fraction()
-    assert frac.denominator == 1
-    return int(frac)
+    pairs = [
+        (
+            trace_to_subfield(_heis_trace(psi, space, h), tag),
+            trace_to_subfield(_heis_trace(psi, space, h.inverse()), tag),
+        )
+        for h in heis_enumerate(space)
+    ]
+    return _trace_pair_dimension(rep.field, pairs)
 
 
 def quaternion_scalar(alg: EndAlgebra):
@@ -456,23 +457,18 @@ def _subfield_q_basis(tag):
             )
     if not rows:
         rows = [[P.zero()] * deg]
-    basis = []
-    for v in Matrix(P, rows).nullspace():
-        coeffs = [e.as_fraction() if K.char == 0 else e.nums[0] for e in v]
-        basis.append(K.from_coeffs(coeffs))
+    null = Matrix(P, rows).nullspace()
+    basis = [K.from_coeffs([e.as_fraction() for e in v]) for v in null]
     assert len(basis) == tag.degree_over_prime()
     return basis
 
 
 def _aut_matrix(K, sigma, P):
     "Matrix of sigma on the power basis, over the prime field."
-    cols = []
-    for j in range(K.degree):
-        img = apply_aut(sigma, K.zeta_pow(j))
-        if K.char == 0:
-            cols.append([P.from_fraction(f) for f in img.as_fractions()])
-        else:
-            cols.append([P.from_int(c) for c in img.nums])
+    cols = [
+        [P.from_fraction(f) for f in apply_aut(sigma, K.zeta_pow(j)).as_fractions()]
+        for j in range(K.degree)
+    ]
     return Matrix.from_cols(P, cols)
 
 

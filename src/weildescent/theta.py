@@ -9,16 +9,20 @@ and odd subspaces, and the lifts carry the Sp-side action."""
 
 from __future__ import annotations
 
+from .errors import IdentityFailure, TooLarge
 from .fields import GaloisAut, apply_aut, cyclotomic_poly
 from .linalg import Matrix, intertwiner_space, invertible_element
 from .rationality import _expand_in_span, restrict_scalars
-from .weil import MarkedRep, parity_matrix
+from .weil import MarkedRep, _trace_pair_dimension, parity_matrix
+
+# largest group the closures below enumerate
+CLOSURE_BOUND = 4096
 
 
 class CommutingPair:
     "Two commuting matrix groups on V = K^dim, given by generator dicts."
 
-    def __init__(self, field, dim, h1_gens, h2_gens, closure_bound=4096):
+    def __init__(self, field, dim, h1_gens, h2_gens):
         self.field = field
         self.dim = dim
         self.h1_gens = dict(h1_gens)
@@ -26,16 +30,13 @@ class CommutingPair:
         for a in self.h1_gens.values():
             for b in self.h2_gens.values():
                 assert a * b == b * a, "the two actions do not commute"
-        self.closure_bound = closure_bound
 
     def h1_elements(self):
         "Full list of H1 matrices (BFS closure of the generators)."
-        return _mulclose(
-            self.field, self.dim, list(self.h1_gens.values()), self.closure_bound
-        )
+        return _mulclose(self.field, self.dim, list(self.h1_gens.values()))
 
 
-def _mulclose(field, dim, gens, bound):
+def _mulclose(field, dim, gens):
     ident = Matrix.identity(field, dim)
     seen = {ident.to_key(): ident}
     frontier = [ident]
@@ -45,16 +46,18 @@ def _mulclose(field, dim, gens, bound):
             for h in gens:
                 prod = g * h
                 k = prod.to_key()
-                if k not in seen:
-                    assert len(seen) < bound, "group closure exceeded the bound"
-                    seen[k] = prod
-                    nxt.append(prod)
+                if k in seen:
+                    continue
+                if len(seen) >= CLOSURE_BOUND:
+                    raise TooLarge(f"group closure exceeds {CLOSURE_BOUND} elements")
+                seen[k] = prod
+                nxt.append(prod)
         frontier = nxt
     return list(seen.values())
 
 
 def _mirrored_closure(pair: CommutingPair, pi1_gens):
-    """H1 elements with the matching pi1 matrices, asserting that pi1 is a
+    """H1 elements with the matching pi1 matrices, certifying that pi1 is a
     well-defined representation of the group the V-side matrices generate."""
     field = pair.field
     ident_v = Matrix.identity(field, pair.dim)
@@ -71,28 +74,15 @@ def _mirrored_closure(pair: CommutingPair, pi1_gens):
                 pp = gp * pi1_gens[name]
                 k = pv.to_key()
                 if k in seen:
-                    assert seen[k][1] == pp, "pi1 is not well defined on H1"
-                else:
-                    assert len(seen) < pair.closure_bound
-                    seen[k] = (pv, pp)
-                    nxt.append((pv, pp))
+                    if seen[k][1] != pp:
+                        raise IdentityFailure("pi1 is not well defined on H1")
+                    continue
+                if len(seen) >= CLOSURE_BOUND:
+                    raise TooLarge(f"group closure exceeds {CLOSURE_BOUND} elements")
+                seen[k] = (pv, pp)
+                nxt.append((pv, pp))
         frontier = nxt
     return list(seen.values())
-
-
-def _end_dim_of_group_rep(field, elements):
-    "dim End over the coefficient span: (1/|H|) sum tr(h) tr(h^-1), exact."
-    total = field.zero()
-    index = {m.to_key(): m for m in elements}
-    for mat in elements:
-        inv = mat.inverse()
-        assert inv.to_key() in index
-        total = total + mat.trace() * inv.trace()
-    dim = total * field.from_int(len(elements)).inv()
-    assert dim.is_rational()
-    f = dim.as_fraction()
-    assert f.denominator == 1
-    return int(f)
 
 
 def isotypic_projector(pair: CommutingPair, pi1_gens):
@@ -103,11 +93,12 @@ def isotypic_projector(pair: CommutingPair, pi1_gens):
     size = len(mirrored)
     pi_index = {gv.to_key(): gp for gv, gp in mirrored}
     d1 = mirrored[0][1].nrows
-    eps = _end_dim_of_group_rep(field, [gp for _, gp in mirrored])
+    # chi(h) = tr pi1(h^-1), read off the closure: pi1 is a homomorphism
+    chis = [pi_index[gv.inverse().to_key()].trace() for gv, _ in mirrored]
+    pairs = [(gp.trace(), chi) for (_, gp), chi in zip(mirrored, chis)]
+    eps = _trace_pair_dimension(field, pairs)
     e = Matrix.zeros(field, pair.dim, pair.dim)
-    for gv, _ in mirrored:
-        gv_inv = gv.inverse()
-        chi = pi_index[gv_inv.to_key()].trace()
+    for (gv, _), chi in zip(mirrored, chis):
         e = e + gv.scale(chi)
     scale = field.from_int(d1) * (field.from_int(eps * size)).inv()
     e = e.scale(scale)

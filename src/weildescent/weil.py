@@ -613,19 +613,26 @@ def end_dimension_over_subfield(rep: MarkedRep, tag, bound: int):
 
     mats = bfs_matrices(rep, bound)
     K = rep.field
-    total = K.zero()
-    for key, (g, mat) in mats.items():
-        ginv = g.inverse()
-        minv = mats[ginv.mat.to_key()][1]
+    pairs = []
+    for g, mat in mats.values():
+        minv = mats[g.inverse().mat.to_key()][1]
         # mat * minv = c * Id with c a scalar: read entry (0,0)
         c = K.zero()
         for k in range(mat.ncols):
             c = c + mat.rows[0][k] * minv.rows[k][0]
         t1 = trace_to_subfield(mat.trace(), tag)
         t2 = trace_to_subfield(c.inv() * minv.trace(), tag)
+        pairs.append((t1, t2))
+    return _trace_pair_dimension(K, pairs)
+
+
+def _trace_pair_dimension(K, pairs):
+    """dim End = (1/|G|) sum_g tr(g) tr(g^-1) from the pairs (tr(g), tr(g^-1)),
+    one per element of G; raises IdentityFailure unless it is an integer."""
+    total = K.zero()
+    for t1, t2 in pairs:
         total = total + t1 * t2
-    size = K.from_int(len(mats))
-    dim = total * size.inv()
+    dim = total / len(pairs)
     if not dim.is_rational() or dim.as_fraction().denominator != 1:
         raise IdentityFailure(f"End-algebra dimension {dim!r} is not an integer")
     return int(dim.as_fraction())

@@ -3,6 +3,7 @@ equivariance, and the scalar-extension compatibility."""
 
 import pytest
 
+from weildescent.errors import IdentityFailure
 from weildescent.fields import GaloisAut, RATIONAL, field_make
 from weildescent.finite import SymplecticSpace, fq_field, psi_standard
 from weildescent.linalg import Matrix
@@ -48,7 +49,7 @@ def test_isotypic_quotient_missing_rep_is_zero(model3):
     assert quot["isotypic_dim"] == 0 and quot["kernel_dim"] == 3
     # an order-3 scalar is not a representation of the order-2 group
     fake = {"c": Matrix.identity(K, 1).scale(K.zeta())}
-    with pytest.raises(AssertionError):
+    with pytest.raises(IdentityFailure):
         isotypic_quotient(pair, fake)
 
 

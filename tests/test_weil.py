@@ -348,7 +348,7 @@ OPTIMIZED_SCRIPT = """
 import sys
 from weildescent import weil
 from weildescent.errors import IdentityFailure
-from weildescent.fields import RATIONAL, field_make
+from weildescent.fields import MODULAR, RATIONAL, CoeffField, cyclotomic_poly, field_make
 from weildescent.finite import SpElement, SymplecticSpace, TOKEN_W, fq_field, psi_standard, token_n
 from weildescent.linalg import Matrix
 
@@ -359,10 +359,10 @@ sp = SymplecticSpace(fq, 1)
 psi = psi_standard(fq, field_make(RATIONAL, 3))
 
 
-def expect(name, fn):
+def expect(name, fn, exc=IdentityFailure):
     try:
         fn()
-    except IdentityFailure:
+    except exc:
         print(name)
 
 
@@ -394,6 +394,12 @@ expect("generation", lambda: weil.bfs_matrices(borel, 10**4))
 
 o, z = fq.one(), fq.zero()
 expect("symplectic", lambda: SpElement(sp, Matrix(fq, [[o, o], [z, fq.from_int(2)]])))
+
+expect("zero-inverse", lambda: psi.coeff.zero().inv(), ZeroDivisionError)
+
+# F_2[z]/Phi_7 is not a field: 1 + z + z^5 has a norm outside F_2
+ring = CoeffField(MODULAR, 7, 2, tuple(c % 2 for c in cyclotomic_poly(7)))
+expect("norm-outside", lambda: ring.from_coeffs([1, 1, 0, 0, 0, 1]).inv())
 """
 
 
@@ -414,4 +420,7 @@ def test_certificates_raise_under_optimize():
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["rho-exponent", "parity-leak", "generation", "symplectic"]
+    assert proc.stdout.split() == [
+        "rho-exponent", "parity-leak", "generation", "symplectic", "zero-inverse",
+        "norm-outside",
+    ]
