@@ -31,9 +31,9 @@ from .fields import (
     field_make,
     is_prime,
 )
-from .finite import sp_enumerate, sp_order
+from .finite import sp_enumerate, sp_order, sp_order_within
 from .linalg import Matrix
-from .rationality import character_field, endomorphism_algebra, iso_test
+from .rationality import character_field, endomorphism_algebra
 from .descent import (
     build_weil,
     realise_even,
@@ -148,12 +148,14 @@ def cmd_verify(args, report):
 
     comm = intertwiner_space(hrep.gens_images(), hrep.gens_images())
     _transcript(report, "stone_von_neumann_commutant", len(comm) == 1, {"dim": len(comm)})
-    conj_hits = []
-    for u in K.galois_exponents():
-        if u == 1:
-            continue
-        if iso_test(hrep.conjugate(GaloisAut(K, u)), hrep) is not None:
-            conj_hits.append(u)
+    # heisenberg_hom_check certified that the centre acts by the scalar psi(t),
+    # so ^sigma_u rho and rho are isomorphic only if their central images agree
+    centre = hrep.image(("T",))
+    conj_hits = [
+        u
+        for u in K.galois_exponents()
+        if u != 1 and hrep.conjugate(GaloisAut(K, u)).image(("T",)) == centre
+    ]
     _transcript(report, "heisenberg_galois_rigidity", not conj_hits, {"fixing": conj_hits})
 
     intertwining_check(rep, hrep)
@@ -213,10 +215,13 @@ def cmd_end_algebra(args, report):
     K = rep.field
     if args.subfield == "Q":
         tag = K.full_tag()
-    elif args.subfield == "char":
-        tag = character_field(target, bound=SP_CAP)
-    else:
+    elif args.subfield != "char":
         tag = SubfieldTag(K, _int_list(args.subfield, "--subfield"))
+    if target.group == "sp":
+        # the End dimension of an Sp-rep sweeps the whole group: refuse first
+        sp_order_within(space, SP_CAP)
+    if args.subfield == "char":
+        tag = character_field(target, bound=SP_CAP)
     alg = endomorphism_algebra(target, tag, bound=SP_CAP)
     report["results"] = alg.to_json()
     report["results"]["subfield_name"] = describe_subfield(tag)

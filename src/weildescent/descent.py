@@ -84,14 +84,11 @@ class DescentResult:
         self.transcript = transcript
 
     def to_marked_rep(self) -> MarkedRep:
-        return MarkedRep(
-            self.rep.field,
-            self.rep.dim,
-            self.rep.gen_names,
+        "The descended model as a rep: U^-1 . rho(g) . U for every element g."
+        U, Uinv = self.basis, self.basis.inverse()
+        return self.rep.derive(
             f"{self.rep.label} over {self.target!r}",
-            "derived",
-            meta={"parent": self.rep, "subfield": self.target},
-            images=self.images,
+            lambda k: Uinv * self.rep.image(k) * U,
         )
 
     def to_json(self):
@@ -210,7 +207,7 @@ def descent_datum_weil(rep: MarkedRep) -> DescentDatum:
     for sigma_u the unique odd-order gamma with gamma^2 u = 1 in F_p gives
     R_u = omega~(m_gamma), and the token-level twisting identities make the
     cocycle and equivariance exact (no sign repair needed)."""
-    space = _space_of(rep)
+    space = rep.space
     K = rep.field
     p = space.fq.p
     gamma_tokens = {}
@@ -226,15 +223,9 @@ def descent_datum_weil(rep: MarkedRep) -> DescentDatum:
     return DescentDatum(rep, gamma_tokens, target)
 
 
-def _space_of(rep):
-    meta = rep.meta
-    return meta["space"] if "space" in meta else meta["parent"].meta["space"]
-
-
 def _square_stabilizer(rep):
     "{u in Gal : u, embedded in F_q, is a square} -- the character-field stabilizer."
-    space = _space_of(rep)
-    fq = space.fq
+    fq = rep.space.fq
     K = rep.field
     out = []
     for u in K.galois_exponents():
@@ -248,8 +239,7 @@ def descent_datum_even(rep: MarkedRep) -> DescentDatum:
     """Even-part datum for q = 1 mod 4: Gamma is the square part of the
     Galois group, gamma(sigma) any square root (least in counting order);
     sign discrepancies die on even functions."""
-    assert rep.kind == "weil-even"
-    space = _space_of(rep)
+    space = rep.space
     fq = space.fq
     assert fq.q % 4 == 1, "q = 3 mod 4 needs no further descent"
     K = rep.field
@@ -273,7 +263,7 @@ def odd_obstruction_check(rep_odd: MarkedRep, bound: int = 20):
     verifies r_tau^(2^k_a) = -Id exactly, certifies that L = K^(2'-part) is
     CM, and that the bounded search for N(lambda) = -1 in the CM tower
     L / L_0 fails (with the definite-form certificate when available)."""
-    space = _space_of(rep_odd)
+    space = rep_odd.space
     fq = space.fq
     K = rep_odd.field
     p, f = fq.p, fq.f
@@ -291,19 +281,21 @@ def odd_obstruction_check(rep_odd: MarkedRep, bound: int = 20):
     order = 2**k_a
     assert pow(tau, order, p) == 1 and (order == 1 or pow(tau, order // 2, p) != 1)
     alpha = fq.sqrt(fq.from_int(pow(tau, -1, p)))
-    assert alpha is not None
+    if alpha is None:
+        raise IdentityFailure(f"1/tau = {pow(tau, -1, p)} has no square root in F_q")
     amat = Matrix.identity(fq, space.m).scale(alpha)
     r = rep_odd.image(token_m(amat))
     power = Matrix.identity(K, rep_odd.dim)
     for _ in range(order):
         power = power * r
     minus_id = Matrix.identity(K, rep_odd.dim).scale(K.from_int(-1))
-    assert power == minus_id, "r_tau^(2^k_a) != -Id"
+    if power != minus_id:
+        raise IdentityFailure("r_tau^(2^k_a) != -Id")
     # L = fixed field of the odd part; CM since -1 acts on it nontrivially
     odd_exps = _odd_part_exponents(K)
     L_tag = SubfieldTag(K, odd_exps)
-    cm = (K.n - 1) % K.n not in L_tag.stabilizer
-    assert cm, "L must be CM for odd p"
+    if (K.n - 1) % K.n in L_tag.stabilizer:
+        raise IdentityFailure("L must be CM for odd p: complex conjugation fixes it")
     L0_tag = SubfieldTag(K, odd_exps + [K.n - 1])
     search = None
     try:
@@ -502,18 +494,11 @@ def realise_even(p, f, m, twist=1) -> DescentResult:
 
 
 def _embed_rep(rep: MarkedRep, big) -> MarkedRep:
-    images = {
-        k: rep.image(k).map(lambda c: embed(c, big), field=big)
-        for k in rep.gen_names
-    }
-    return MarkedRep(
-        big,
-        rep.dim,
-        rep.gen_names,
+    "rep with its coefficients embedded into the larger cyclotomic field big."
+    return rep.derive(
         rep.label + f" over {big!r}",
-        "derived",
-        meta={"parent": rep},
-        images=images,
+        lambda k: rep.image(k).map(lambda c: embed(c, big), field=big),
+        field=big,
     )
 
 
@@ -523,7 +508,8 @@ def sqrt_minus_p(big, p):
     if p % 4 == 3:
         return g
     i = big.zeta_pow(p)  # zeta_4 inside zeta_4p
-    assert i * i == big.from_int(-1)
+    if i * i != big.from_int(-1):
+        raise IdentityFailure(f"zeta_4p^{p} is not a square root of -1")
     return i * g
 
 
@@ -533,7 +519,7 @@ def realise_odd(p, f, m, twist=1, bound: int = 20):
     otherwise char-field adjoined sqrt(-p) (Schur index 2), via the
     norm-equation repair of the tau-datum inside Q(zeta_4p)."""
     q = p**f
-    _, space, rep = build_weil(p, f, m, twist)
+    _, _, rep = build_weil(p, f, m, twist)
     _, odd = even_odd_split(rep)
     if q % 4 == 3:
         result = fixed_points(descent_datum_weil(odd))
@@ -550,7 +536,7 @@ def realise_odd(p, f, m, twist=1, bound: int = 20):
         and apply_aut(GaloisAut(big, w), root) == root
     ]
     target = SubfieldTag(big, target_stab)
-    datum, lam, norm_transcript = _tau_datum(odd_big, space, target, bound)
+    datum, lam, norm_transcript = _tau_datum(odd_big, target, bound)
     result = fixed_points(datum)
     return result, {
         "schur_index": 2,
@@ -560,13 +546,14 @@ def realise_odd(p, f, m, twist=1, bound: int = 20):
     }
 
 
-def _tau_datum(block: MarkedRep, space, target: SubfieldTag, bound: int):
+def _tau_datum(block: MarkedRep, target: SubfieldTag, bound: int):
     """The tau-datum of a parity block over the target subfield: with gen
     the least generator of the (cyclic) stabilizer, R_gen = lambda . r0 for
     r0 = omega~(m_alpha), alpha^2 = 1/gen in F_q.  r0^ord is +-Id; when it
     is -Id, lambda solves N(lambda) = -1 down to the target, otherwise
     lambda = 1.  Returns (datum, lambda, norm transcript or None)."""
     K = block.field
+    space = block.space
     fq = space.fq
     gen = _quotient_generator(K, [1], sorted(target.stabilizer))
     ord_ = len(target.stabilizer)
@@ -574,7 +561,8 @@ def _tau_datum(block: MarkedRep, space, target: SubfieldTag, bound: int):
     if ord_ == 1:
         return DescentDatum(block, {}, target), lam, None
     alpha = fq.sqrt(fq.from_int(pow(gen % fq.p, -1, fq.p)))
-    assert alpha is not None
+    if alpha is None:
+        raise IdentityFailure(f"1/{gen} is not a square in F_q: no r0 for the target")
     r0 = block.image(token_m(Matrix.identity(fq, space.m).scale(alpha)))
     power = Matrix.identity(K, block.dim)
     for _ in range(ord_):
@@ -600,11 +588,11 @@ def realise_modular(p, f, m, ell, part="odd", twist=1, bound: int = 20):
     """Modular even or odd part over its character field F_ell[sqrt(p*)]:
     the same tau-datum as in characteristic 0, except the norm equation is
     always solvable (every finite-field norm is surjective)."""
-    _, space, rep = build_weil(p, f, m, twist, ell=ell)
+    _, _, rep = build_weil(p, f, m, twist, ell=ell)
     even, odd = even_odd_split(rep)
     block = odd if part == "odd" else even
     target = SubfieldTag(rep.field, _square_stabilizer(block))
-    datum, lam, norm_transcript = _tau_datum(block, space, target, bound)
+    datum, lam, norm_transcript = _tau_datum(block, target, bound)
     result = fixed_points(datum)
     return result, {"norm_lambda": lam.to_json(), "norm_transcript": norm_transcript}
 

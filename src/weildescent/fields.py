@@ -326,12 +326,17 @@ class CoeffField:
         return SubfieldTag(self, frozenset([1]))
 
 
-@lru_cache(maxsize=None)
 def field_make(kind: str, n: int, ell: int | None = None) -> CoeffField:
-    """Canonical coefficient field.
+    """Canonical coefficient field, one object per (kind, n, ell) however
+    the arguments are passed, so that fields compare by identity.
 
     rational: Q(zeta_n) defined by Phi_n.  modular: F_ell[zeta_n] for prime
     n, defined by the least irreducible factor of Phi_n over F_ell."""
+    return _field_make(kind, n, ell)
+
+
+@lru_cache(maxsize=None)
+def _field_make(kind, n, ell):
     assert n >= 1
     if kind == RATIONAL:
         assert ell is None
@@ -402,7 +407,7 @@ class CycloNum:
     # --- ring ops
 
     def _check(self, other):
-        if not isinstance(other, CycloNum) or other.field != self.field:
+        if not isinstance(other, CycloNum) or other.field is not self.field:
             raise FieldMismatch(f"{self.field} vs {getattr(other, 'field', other)}")
 
     def __add__(self, other):

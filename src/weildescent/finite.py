@@ -595,12 +595,18 @@ def sp_order(m: int, q: int) -> int:
     return order
 
 
-def sp_enumerate(space: SymplecticSpace, bound: int):
-    """Every element of Sp(W) exactly once, in the deterministic order given
-    by enumerating symplectic bases (e'_1, f'_1, e'_2, f'_2, ...)."""
+def sp_order_within(space: SymplecticSpace, bound: int) -> int:
+    "|Sp(W)|; raises TooLarge when it exceeds bound."
     total = sp_order(space.m, space.fq.q)
     if total > bound:
         raise TooLarge(f"|Sp| = {total} exceeds bound {bound}")
+    return total
+
+
+def sp_enumerate(space: SymplecticSpace, bound: int):
+    """Every element of Sp(W) exactly once, in the deterministic order given
+    by enumerating symplectic bases (e'_1, f'_1, e'_2, f'_2, ...)."""
+    sp_order_within(space, bound)
     fq = space.fq
     dim = space.dim
 

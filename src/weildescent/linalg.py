@@ -43,10 +43,6 @@ class Matrix:
         z = field.zero()
         return Matrix(field, [[z] * ncols for _ in range(nrows)])
 
-    @staticmethod
-    def from_fn(field, nrows, ncols, fn):
-        return Matrix(field, [[fn(i, j) for j in range(ncols)] for i in range(nrows)])
-
     def copy(self):
         return Matrix(self.field, self.rows)
 

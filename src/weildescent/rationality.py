@@ -50,14 +50,9 @@ class TraceProfile:
 
 
 def trace_profile(rep: MarkedRep, bound: int = DEFAULT_SP_BOUND) -> TraceProfile:
-    if rep.kind in ("weil", "weil-even", "weil-odd"):
+    if rep.group == "sp":
         return TraceProfile(rep, trace_values(rep, bound), True)
-    assert rep.kind == "heis"
-    space = rep.meta["space"]
-    psi = rep.meta["psi"]
-    vals = []
-    for h in heis_enumerate(space):
-        vals.append(_heis_trace(psi, space, h))
+    vals = [_heis_trace(rep.psi, rep.space, h) for h in heis_enumerate(rep.space)]
     return TraceProfile(rep, vals, True)
 
 
@@ -100,8 +95,7 @@ def _character_field_sampled(rep: MarkedRep, seed: int = 0, words: int = 200):
     from .finite import token_to_sp
 
     rng = random.Random(seed)
-    space = rep.meta["space"] if "space" in rep.meta else rep.meta["parent"].meta["space"]
-    gens = [token_to_sp(space, t) for t in rep.gen_names]
+    gens = [token_to_sp(rep.space, t) for t in rep.gen_names]
     traces = [rep.field.one()]
     for _ in range(words):
         g = gens[rng.randrange(len(gens))]
@@ -194,16 +188,7 @@ def restrict_scalars(
                         out.rows[i * d + l][j * d + k] = r[l]
         return out
 
-    images = {k: restricted(rep.image(k)) for k in rep.gen_names}
-    return MarkedRep(
-        K,
-        n * d,
-        rep.gen_names,
-        f"{rep.label}|_{tag!r}",
-        "derived",
-        meta={"parent": rep, "tag": tag, "restriction": rb},
-        images=images,
-    )
+    return rep.derive(f"{rep.label}|_{tag!r}", lambda k: restricted(rep.image(k)), dim=n * d)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +342,7 @@ def endomorphism_algebra(
         if basis:
             hom_bases[u] = basis
     alg = EndAlgebra(rep, tag, hom_bases, rb)
-    if rep.kind in ("weil", "weil-even", "weil-odd"):
+    if rep.group == "sp":
         expected = end_dimension_over_subfield(rep, tag, bound)
     else:
         expected = _heis_end_dimension(rep, tag)
@@ -369,7 +354,7 @@ def endomorphism_algebra(
 
 
 def _heis_end_dimension(rep, tag):
-    space, psi = rep.meta["space"], rep.meta["psi"]
+    space, psi = rep.space, rep.psi
     pairs = [
         (
             trace_to_subfield(_heis_trace(psi, space, h), tag),
@@ -528,7 +513,7 @@ def orbit_decomposition(
     assert m * n == len(exps)
 
     restricted = restrict_scalars(rep, tag)
-    rb = restricted.meta["restriction"]
+    rb = RestrictionBasis(tag)
     d, N = rb.d, rep.dim
     # component maps Phi_u : V|_R (x) K -> ^u V,  theta^l e_i -> sigma_u(theta^l) e_i
     phis = {}

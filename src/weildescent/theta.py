@@ -32,28 +32,9 @@ class CommutingPair:
                 assert a * b == b * a, "the two actions do not commute"
 
     def h1_elements(self):
-        "Full list of H1 matrices (BFS closure of the generators)."
-        return _mulclose(self.field, self.dim, list(self.h1_gens.values()))
-
-
-def _mulclose(field, dim, gens):
-    ident = Matrix.identity(field, dim)
-    seen = {ident.to_key(): ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for h in gens:
-                prod = g * h
-                k = prod.to_key()
-                if k in seen:
-                    continue
-                if len(seen) >= CLOSURE_BOUND:
-                    raise TooLarge(f"group closure exceeds {CLOSURE_BOUND} elements")
-                seen[k] = prod
-                nxt.append(prod)
-        frontier = nxt
-    return list(seen.values())
+        "Full list of H1 matrices: the closure mirrored on the trivial 1 x 1 pi1."
+        one = Matrix.identity(self.field, 1)
+        return [gv for gv, _ in _mirrored_closure(self, dict.fromkeys(self.h1_gens, one))]
 
 
 def _mirrored_closure(pair: CommutingPair, pi1_gens):
@@ -241,8 +222,7 @@ def theta_unitarity(lift1: ThetaLift, lift2: ThetaLift):
 
 def parity_pair(rep: MarkedRep) -> CommutingPair:
     "H1 = {1, parity}, H2 = the declared Weil generator images."
-    space = rep.meta["space"]
-    S = parity_matrix(space, rep.field)
+    S = parity_matrix(rep.space, rep.field)
     h2 = {str(k): rep.image(k) for k in rep.gen_names}
     return CommutingPair(rep.field, rep.dim, {"c": S}, h2)
 

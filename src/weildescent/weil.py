@@ -21,7 +21,7 @@ measured (never assumed) by cocycle_certificate."""
 
 from __future__ import annotations
 
-from .errors import CocycleViolation, IdentityFailure, TooLarge
+from .errors import CocycleViolation, IdentityFailure
 from .fields import CoeffField, GaloisAut, apply_aut
 from .finite import (
     AdditiveCharacter,
@@ -34,7 +34,7 @@ from .finite import (
     char_twist,
     legendre,
     sp_factor,
-    sp_order,
+    sp_order_within,
     token_m,
     token_n,
     token_to_sp,
@@ -43,53 +43,51 @@ from .linalg import Matrix
 
 
 class MarkedRep:
-    """A representation given by exact matrices on a fixed generating set.
+    """A representation of Sp(W) (group "sp") or of the Heisenberg group H(W)
+    (group "heis") by exact dim x dim matrices over field, marked on the
+    declared generators gen_names.
 
-    kind decides how images are produced: 'heis' and 'weil' compute them
-    from the model formulas on demand (and can produce the image of *any*
-    group element, not just declared generators), 'weil-even'/'weil-odd'
-    cut blocks of a parent, 'derived' only carries a stored dict."""
+    One rule makes every image: image(key) returns the cached matrix or
+    computes make(key), where make maps any element key (a generator word
+    token of Sp, a generator key of H) to its matrix.  The Schroedinger
+    model's own reps (heisenberg_rep, weil_rep) make images from the model
+    formulas; every other rep is derived from a parent by derive, with a
+    make that transforms parent.image(key): the even and odd blocks, Galois
+    conjugates, restrictions of scalars, scalar extensions and descended
+    models.  So each of them has the image of any element, not only of its
+    generators.  space is the symplectic space of the model, psi its central
+    character (None on a derived rep, which is no longer rho_psi)."""
 
-    def __init__(self, field, dim, gen_names, label, kind, meta=None, images=None):
+    def __init__(self, field, dim, gen_names, label, make, group, space, psi):
         self.field = field
         self.dim = dim
         self.gen_names = tuple(gen_names)
         self.label = label
-        self.kind = kind
-        self.meta = meta or {}
-        self._images = dict(images or {})
+        self.group = group
+        self.space = space
+        self.psi = psi
+        self._make = make
+        self._images = {}
+        self._ops = {}  # weil_op cache: matrix key of g -> omega~(g)
 
     def image(self, key) -> Matrix:
-        if key in self._images:
-            return self._images[key]
-        if self.kind == "heis":
-            mat = rho_matrix(self.meta["psi"], self.meta["space"], _heis_from_key(self, key))
-        elif self.kind == "weil":
-            mat = weil_generator_image(self.meta["psi"], self.meta["space"], key)
-        elif self.kind in ("weil-even", "weil-odd"):
-            mat = _block_image(self, self.meta["parent"].image(key))
-        else:
-            raise KeyError(f"no stored image for {key!r}")
-        self._images[key] = mat
-        return mat
+        if key not in self._images:
+            self._images[key] = self._make(key)
+        return self._images[key]
 
     def gens_images(self):
         return [self.image(k) for k in self.gen_names]
 
+    def derive(self, label, make, field=None, dim=None) -> "MarkedRep":
+        "The rep of the same group with image rule make (field and dim default to ours)."
+        field, dim = field or self.field, dim or self.dim
+        return MarkedRep(field, dim, self.gen_names, label, make, self.group, self.space, None)
+
     def conjugate(self, sigma: GaloisAut) -> "MarkedRep":
-        "Entrywise Galois conjugate ^sigma(rep) on the declared generators."
-        images = {
-            k: self.image(k).map(lambda e: apply_aut(sigma, e))
-            for k in self.gen_names
-        }
-        return MarkedRep(
-            self.field,
-            self.dim,
-            self.gen_names,
+        "Entrywise Galois conjugate ^sigma(rep)."
+        return self.derive(
             f"^{sigma!r}({self.label})",
-            "derived",
-            meta={"parent": self, "sigma": sigma},
-            images=images,
+            lambda k: self.image(k).map(lambda e: apply_aut(sigma, e)),
         )
 
     def to_json(self):
@@ -113,8 +111,7 @@ def _key_json(key):
     return list(key)
 
 
-def _heis_from_key(rep, key):
-    space = rep.meta["space"]
+def _heis_from_key(space, key):
     fq = space.fq
     if key == ("T",):
         return HeisElem(space, space.zero_vector(), fq.one())
@@ -172,8 +169,10 @@ def heisenberg_rep(psi: AdditiveCharacter, space: SymplecticSpace) -> MarkedRep:
         fq.q**space.m,
         gens,
         f"heisenberg({psi!r})",
+        lambda key: rho_matrix(psi, space, _heis_from_key(space, key)),
         "heis",
-        meta={"psi": psi, "space": space},
+        space,
+        psi,
     )
 
 
@@ -276,24 +275,22 @@ def weil_rep(psi: AdditiveCharacter, space: SymplecticSpace) -> MarkedRep:
         space.fq.q**space.m,
         _gl_generator_tokens(space),
         f"weil({psi!r})",
-        "weil",
-        meta={"psi": psi, "space": space},
+        lambda key: weil_generator_image(psi, space, key),
+        "sp",
+        space,
+        psi,
     )
 
 
 def weil_op(rep: MarkedRep, g: SpElement) -> Matrix:
     "Canonical omega~(g): product of generator images along sp_factor(g)."
-    assert rep.kind in ("weil", "weil-even", "weil-odd")
-    space = rep.meta["space"] if rep.kind == "weil" else rep.meta["parent"].meta["space"]
-    cache = rep.meta.setdefault("op_cache", {})
     key = g.mat.to_key()
-    if key in cache:
-        return cache[key]
-    out = Matrix.identity(rep.field, rep.dim)
-    for tok in sp_factor(g):
-        out = out * rep.image(tok)
-    cache[key] = out
-    return out
+    if key not in rep._ops:
+        out = Matrix.identity(rep.field, rep.dim)
+        for tok in sp_factor(g):
+            out = out * rep.image(tok)
+        rep._ops[key] = out
+    return rep._ops[key]
 
 
 # ---------------------------------------------------------------------------
@@ -309,12 +306,10 @@ def parity_data(space: SymplecticSpace):
     return pts, neg_index, even_reps, odd_reps
 
 
-def _block_image(block_rep: MarkedRep, full: Matrix) -> Matrix:
-    """Matrix of a parity-commuting operator on the even/odd basis
-    (delta_0 and delta_r +- delta_{-r} over representatives r)."""
-    meta = block_rep.meta
-    reps, neg_index, sign = meta["reps"], meta["neg_index"], meta["sign"]
-    K = block_rep.field
+def _block_image(full: Matrix, reps, neg_index, sign) -> Matrix:
+    """Matrix of a parity-commuting operator on the even (sign 1) or odd
+    (sign -1) basis: delta_0 and delta_r +- delta_{-r} over representatives r."""
+    K = full.field
     n = len(reps)
     out = Matrix.zeros(K, n, n)
     for colpos, r in enumerate(reps):
@@ -338,27 +333,16 @@ def _block_image(block_rep: MarkedRep, full: Matrix) -> Matrix:
 
 def even_odd_split(rep: MarkedRep):
     "Even and odd subrepresentations, dims (q^m + 1)/2 and (q^m - 1)/2."
-    assert rep.kind == "weil"
-    space = rep.meta["space"]
-    pts, neg_index, even_reps, odd_reps = parity_data(space)
-    common = {"psi": rep.meta["psi"], "space": space, "parent": rep, "neg_index": neg_index}
-    even = MarkedRep(
-        rep.field,
-        len(even_reps),
-        rep.gen_names,
-        f"weil-even({rep.meta['psi']!r})",
-        "weil-even",
-        meta={**common, "reps": even_reps, "sign": 1},
-    )
-    odd = MarkedRep(
-        rep.field,
-        len(odd_reps),
-        rep.gen_names,
-        f"weil-odd({rep.meta['psi']!r})",
-        "weil-odd",
-        meta={**common, "reps": odd_reps, "sign": -1},
-    )
-    return even, odd
+    _, neg_index, even_reps, odd_reps = parity_data(rep.space)
+
+    def block(name, reps, sign):
+        return rep.derive(
+            f"weil-{name}({rep.psi!r})",
+            lambda k: _block_image(rep.image(k), reps, neg_index, sign),
+            dim=len(reps),
+        )
+
+    return block("even", even_reps, 1), block("odd", odd_reps, -1)
 
 
 def parity_matrix(space: SymplecticSpace, K: CoeffField) -> Matrix:
@@ -432,16 +416,16 @@ def cocycle_certificate(rep: MarkedRep, pairs) -> CocycleCert:
 def intertwining_check(wrep: MarkedRep, hrep: MarkedRep):
     """omega~(g) rho(h) omega~(g)^-1 = rho(g.h) for declared Weil generators
     g and Heisenberg generators h, exactly."""
-    space = wrep.meta["space"]
+    space = wrep.space
     for tok in wrep.gen_names:
         g = token_to_sp(space, tok)
         omega = wrep.image(tok)
         omega_inv = omega.inverse()
         for hk in hrep.gen_names:
-            h = _heis_from_key(hrep, hk)
+            h = _heis_from_key(space, hk)
             lhs = omega * hrep.image(hk) * omega_inv
             gh = HeisElem(space, g.apply(h.w), h.t)
-            rhs = rho_matrix(hrep.meta["psi"], space, gh)
+            rhs = rho_matrix(hrep.psi, space, gh)
             if lhs != rhs:
                 raise IdentityFailure(f"intertwining fails at {tok}, {hk}")
     return True
@@ -549,8 +533,7 @@ def heisenberg_hom_check(rep: MarkedRep, exhaustive: bool, rng=None, samples=200
     coefficient-field arithmetic."""
     from .finite import heis_enumerate
 
-    assert rep.kind == "heis"
-    space, psi = rep.meta["space"], rep.meta["psi"]
+    space, psi = rep.space, rep.psi
     p = space.fq.p
     els = heis_enumerate(space)
     forms = {h: rho_monomial(psi, space, h) for h in els}
@@ -574,11 +557,8 @@ def bfs_matrices(rep: MarkedRep, bound: int):
     """omega~-matrices (up to a +-1 per element) for every g in Sp, one
     matrix product per element, walking the Cayley graph of the declared
     generators.  Returns dict: matrix-key of g -> (SpElement, Matrix)."""
-    assert rep.kind in ("weil", "weil-even", "weil-odd")
-    space = rep.meta["space"] if rep.kind == "weil" else rep.meta["parent"].meta["space"]
-    total = sp_order(space.m, space.fq.q)
-    if total > bound:
-        raise TooLarge(f"|Sp| = {total} exceeds bound {bound}")
+    space = rep.space
+    total = sp_order_within(space, bound)
     gens = [(tok, token_to_sp(space, tok), rep.image(tok)) for tok in rep.gen_names]
     ident = SpElement(space, Matrix.identity(space.fq, space.dim), _checked=True)
     out = {ident.mat.to_key(): (ident, Matrix.identity(rep.field, rep.dim))}

@@ -117,6 +117,44 @@ def test_descend_p5_m2(tmp_path):
     assert rep["results"]["transcript"]["fixed_space_prime_dim"] == 100
 
 
+@pytest.mark.parametrize(
+    "model, target, prime_dim",
+    [
+        (["--p", "5", "--m", "2"], {"n": 20, "stabilizer_gens": [1, 9]}, 48),
+        (["--p", "3", "--f", "2", "--m", "2"], {"n": 12, "stabilizer_gens": [1, 7]}, 80),
+    ],
+)
+def test_descend_odd_rank_2(model, target, prime_dim, tmp_path):
+    # the Schur-index-2 route asks the embedded odd block for omega(m_alpha)
+    # with alpha . I_2, which is not a declared generator
+    code, rep = run_json(["descend", "--part", "odd", *model], tmp_path)
+    assert code == 0
+    assert all(t["pass"] for t in rep["transcript"])
+    res = rep["results"]
+    assert res["target"] == target
+    assert res["schur_index"] == 2
+    assert res["transcript"]["fixed_space_prime_dim"] == prime_dim
+
+
+def test_end_algebra_refuses_before_working(tmp_path, monkeypatch):
+    # |Sp(4, F_5)| is past the bound of the End-dimension sweep, so the
+    # character field and the Hom solves must not run first
+    from weildescent import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("ran before the size refusal")
+
+    monkeypatch.setattr(cli, "character_field", never)
+    monkeypatch.setattr(cli, "endomorphism_algebra", never)
+    argv = ["end-algebra", "--p", "5", "--m", "2", "--part", "odd", "--subfield", "char"]
+    code, rep = run_json(argv, tmp_path)
+    assert code == 3
+    assert rep["error"] == {
+        "kind": "too-large",
+        "message": "|Sp| = 9360000 exceeds bound 100000",
+    }
+
+
 def test_norm_solve_verb_and_exit_codes(tmp_path):
     code, rep = run_json(
         ["norm-solve", "--n", "20", "--top", "9", "--bottom", "3"], tmp_path

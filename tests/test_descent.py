@@ -322,3 +322,66 @@ def test_descended_odd_q5_projective_relations():
         prod = model_op(g) * model_op(h)
         target = model_op(g * h)
         assert prod == target or prod == target.scale(big.from_int(-1))
+
+
+def _non_generator_case(kind):
+    """(derived rep, key, check) on Sp(4, F_p) with key = M(2 . I_2), which
+    is not a declared generator; check(image) tests the image against the
+    parent's image of the same key under the derivation's transformation."""
+    from weildescent.descent import _embed_rep
+    from weildescent.fields import embed
+    from weildescent.finite import token_m
+    from weildescent.rationality import restrict_scalars
+
+    p = 5 if kind == "descended" else 3
+    _, space, rep = build_weil(p, 1, 2)
+    fq = space.fq
+    key = token_m(Matrix.identity(fq, 2).scale(fq.from_int(2)))
+    assert key not in rep.gen_names
+    K = rep.field
+    if kind == "conjugate":
+        sigma = GaloisAut(K, 2)
+        return rep.conjugate(sigma), key, lambda img: img == rep.image(key).map(
+            lambda c: apply_aut(sigma, c)
+        )
+    if kind == "embedded":
+        _, odd = even_odd_split(rep)
+        big = field_make(RATIONAL, 4 * p)
+        return _embed_rep(odd, big), key, lambda img: img == odd.image(key).map(
+            lambda c: embed(c, big), field=big
+        )
+    if kind == "restriction":
+        tag = K.full_tag()
+        theta = K.zeta()
+        d = len(tag.stabilizer)
+
+        def check(img):
+            # column (j, k) holds the R-coordinates of A[i][j] theta^k on theta^l
+            A = rep.image(key)
+            for i in range(rep.dim):
+                for j in range(rep.dim):
+                    for k in range(d):
+                        acc = K.zero()
+                        for l in range(d):
+                            c = img.rows[i * d + l][j * d + k]
+                            assert subfield_membership(c, tag)
+                            acc = acc + c * theta**l
+                        if acc != A.rows[i][j] * theta**k:
+                            return False
+            return True
+
+        return restrict_scalars(rep, tag), key, check
+    res, _ = realise_odd(p, 1, 2)
+
+    def check(img):
+        # U . D(key) = rho(key) . U with the entries of D(key) in the target
+        inside = all(subfield_membership(c, res.target) for row in img.rows for c in row)
+        return inside and res.basis * img == res.rep.image(key) * res.basis
+
+    return res.to_marked_rep(), key, check
+
+
+@pytest.mark.parametrize("kind", ["conjugate", "embedded", "restriction", "descended"])
+def test_derived_rep_images_any_element(kind):
+    derived, key, check = _non_generator_case(kind)
+    assert check(derived.image(key))

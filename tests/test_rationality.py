@@ -22,7 +22,7 @@ from weildescent.rationality import (
     restrict_scalars,
     trace_profile,
 )
-from weildescent.weil import even_odd_split, weil_rep
+from weildescent.weil import even_odd_split, parity_data, weil_rep
 
 
 def test_trace_profile_heisenberg(model3):
@@ -255,7 +255,7 @@ def test_odd_trace_oracle_q5(model5):
     sign = legendre(fq.from_int(2))
     pts = sp.y_points()
     acc = 0
-    for r_idx in odd.meta["reps"]:
+    for r_idx in parity_data(sp)[3]:
         r = pts[r_idx]
         two_r = tuple(fq.from_int(2) * c for c in r)
         if two_r == r:

@@ -129,7 +129,7 @@ def test_scalar_extension_center_q5(model5):
 def test_theta_verdicts_agree_over_Q_and_K(model3):
     # (Uni) verdicts computed from the Q-restricted parity pair agree with
     # the K-side verdicts on the {1, S} pair
-    from weildescent.rationality import restrict_scalars
+    from weildescent.rationality import RestrictionBasis, restrict_scalars
     from weildescent.weil import parity_matrix
 
     w = model3["weil"]
@@ -137,7 +137,7 @@ def test_theta_verdicts_agree_over_Q_and_K(model3):
     restricted = restrict_scalars(w, K.full_tag())
     S = parity_matrix(model3["space"], K)
     # by restriction, the parity matrix becomes block-diagonal S (x) 1
-    rb = restricted.meta["restriction"]
+    rb = RestrictionBasis(K.full_tag())
     d = rb.d
     big = Matrix.zeros(K, w.dim * d, w.dim * d)
     for i in range(w.dim):

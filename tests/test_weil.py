@@ -347,6 +347,7 @@ def test_hom_check_detects_corrupted_exponent(model3, monkeypatch):
 OPTIMIZED_SCRIPT = """
 import sys
 from weildescent import weil
+from weildescent.descent import build_weil, odd_obstruction_check, sqrt_minus_p
 from weildescent.errors import IdentityFailure
 from weildescent.fields import MODULAR, RATIONAL, CoeffField, cyclotomic_poly, field_make
 from weildescent.finite import SpElement, SymplecticSpace, TOKEN_W, fq_field, psi_standard, token_n
@@ -400,6 +401,15 @@ expect("zero-inverse", lambda: psi.coeff.zero().inv(), ZeroDivisionError)
 # F_2[z]/Phi_7 is not a field: 1 + z + z^5 has a norm outside F_2
 ring = CoeffField(MODULAR, 7, 2, tuple(c % 2 for c in cyclotomic_poly(7)))
 expect("norm-outside", lambda: ring.from_coeffs([1, 1, 0, 0, 0, 1]).inv())
+
+# an odd block whose every image is Id: r_tau^2 = Id, not -Id
+_, _, w5 = build_weil(5, 1, 1)
+odd5 = weil.even_odd_split(w5)[1]
+odd5._make = lambda key: Matrix.identity(odd5.field, odd5.dim)
+expect("r-tau-power", lambda: odd_obstruction_check(odd5))
+
+# zeta_40^5 is a primitive 8th root of unity, not i
+expect("sqrt-minus-one", lambda: sqrt_minus_p(field_make(RATIONAL, 40), 5))
 """
 
 
@@ -422,5 +432,5 @@ def test_certificates_raise_under_optimize():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [
         "rho-exponent", "parity-leak", "generation", "symplectic", "zero-inverse",
-        "norm-outside",
+        "norm-outside", "r-tau-power", "sqrt-minus-one",
     ]
