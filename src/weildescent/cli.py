@@ -18,6 +18,7 @@ import time
 from . import __version__
 from .errors import (
     ConfigInvalid,
+    IdentityFailure,
     NotFoundWithinBound,
     TooLarge,
     WeilError,
@@ -33,7 +34,7 @@ from .fields import (
 )
 from .finite import sp_enumerate, sp_order, sp_order_within
 from .linalg import Matrix
-from .rationality import character_field, endomorphism_algebra
+from .rationality import DEFAULT_SP_BOUND, character_field, endomorphism_algebra
 from .descent import (
     build_weil,
     realise_even,
@@ -64,7 +65,6 @@ from .weil import (
 )
 
 SIZE_CAP = 200
-SP_CAP = 10**5
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -100,6 +100,35 @@ def _int_list(text, flag):
         raise ConfigInvalid(f"{flag} takes comma-separated integers, not {text!r}") from None
 
 
+def _tag_arg(K, text, flag, inside=None):
+    """SubfieldTag of K whose stabilizer the Galois exponents of a flag
+    generate; with inside, the stabilizer must lie inside that tag's."""
+    exps = _int_list(text, flag)
+    units = K.galois_exponents()
+    bad = [u for u in exps if u % K.n not in units]
+    if bad:
+        raise ConfigInvalid(f"{flag}: exponents {bad} are not in the Galois group of {K}")
+    tag = SubfieldTag(K, exps)
+    if inside is not None and not tag.stabilizer <= inside.stabilizer:
+        raise ConfigInvalid(
+            f"{flag} {text}: stabilizer {sorted(tag.stabilizer)} is not inside "
+            f"{sorted(inside.stabilizer)}"
+        )
+    return tag
+
+
+def _part_rep(args):
+    "(space, rep) of the model flags and --part of character-field and end-algebra."
+    p, f, m, ell = _model_args(args)
+    psi, space, rep = build_weil(p, f, m, args.twist, ell=ell)
+    if args.part == "heisenberg":
+        return space, heisenberg_rep(psi, space)
+    if args.part == "full":
+        return space, rep
+    even, odd = even_odd_split(rep)
+    return space, even if args.part == "even" else odd
+
+
 def _transcript(report, name, ok, detail=None):
     entry = {"check": name, "pass": bool(ok)}
     if detail is not None:
@@ -111,7 +140,7 @@ def _transcript(report, name, ok, detail=None):
 
 def _cocycle_pairs(space, rng, exhaustive, npairs):
     "All pairs of elements of Sp(W), or npairs pairs drawn with rng."
-    els = list(sp_enumerate(space, SP_CAP))
+    els = list(sp_enumerate(space, DEFAULT_SP_BOUND))
     if exhaustive:
         return [(a, b) for a in els for b in els]
     return [(rng.choice(els), rng.choice(els)) for _ in range(npairs)]
@@ -186,16 +215,8 @@ def cmd_verify(args, report):
 
 
 def cmd_character_field(args, report):
-    p, f, m, ell = _model_args(args)
-    psi, space, rep = build_weil(p, f, m, args.twist, ell=ell)
-    if args.part == "heisenberg":
-        target = heisenberg_rep(psi, space)
-    elif args.part == "full":
-        target = rep
-    else:
-        even, odd = even_odd_split(rep)
-        target = even if args.part == "even" else odd
-    tag = character_field(target, bound=SP_CAP)
+    _, target = _part_rep(args)
+    tag = character_field(target)
     report["results"] = {
         "part": args.part,
         "tag": tag.to_json(),
@@ -206,23 +227,18 @@ def cmd_character_field(args, report):
 
 
 def cmd_end_algebra(args, report):
-    p, f, m, ell = _model_args(args)
-    psi, space, rep = build_weil(p, f, m, args.twist, ell=ell)
-    even, odd = even_odd_split(rep)
-    target = {"even": even, "odd": odd, "full": rep, "heisenberg": None}[args.part]
-    if target is None:
-        target = heisenberg_rep(psi, space)
-    K = rep.field
+    space, target = _part_rep(args)
+    K = target.field
     if args.subfield == "Q":
         tag = K.full_tag()
     elif args.subfield != "char":
-        tag = SubfieldTag(K, _int_list(args.subfield, "--subfield"))
+        tag = _tag_arg(K, args.subfield, "--subfield")
     if target.group == "sp":
         # the End dimension of an Sp-rep sweeps the whole group: refuse first
-        sp_order_within(space, SP_CAP)
+        sp_order_within(space, DEFAULT_SP_BOUND)
     if args.subfield == "char":
-        tag = character_field(target, bound=SP_CAP)
-    alg = endomorphism_algebra(target, tag, bound=SP_CAP)
+        tag = character_field(target)
+    alg = endomorphism_algebra(target, tag)
     report["results"] = alg.to_json()
     report["results"]["subfield_name"] = describe_subfield(tag)
     return EXIT_OK
@@ -256,8 +272,8 @@ def cmd_descend(args, report):
 def cmd_norm_solve(args, report):
     n = args.n
     K = field_make(RATIONAL, n) if args.ell is None else field_make(MODULAR, n, args.ell)
-    top = SubfieldTag(K, _int_list(args.top, "--top"))
-    bottom = SubfieldTag(K, _int_list(args.bottom, "--bottom"))
+    bottom = _tag_arg(K, args.bottom, "--bottom")
+    top = _tag_arg(K, args.top, "--top", inside=bottom)
     target = K.from_int(args.target)
     lam, transcript = solve_norm_equation(K, top, bottom, target, args.bound)
     report["results"] = {"lambda": lam.to_json(), "transcript": transcript}
@@ -351,7 +367,10 @@ def _read_pair(path):
 
 def cmd_theta(args, report):
     K, dim, h1, h2, pi1s = _read_pair(args.pair)
-    pair = CommutingPair(K, dim, h1, h2)
+    try:
+        pair = CommutingPair(K, dim, h1, h2)
+    except IdentityFailure as exc:
+        raise ConfigInvalid(f"pair file: {exc}") from None
     lifts = []
     results = []
     for label, pi1 in pi1s:

@@ -8,6 +8,15 @@ v -> R_sigma . sigma(v).  Validity means exactly:
     cocycle        R_{sigma tau} = R_sigma . sigma(R_tau)
     equivariance   R_sigma . sigma(rho(g)) = rho(g) . R_sigma
 
+Every part in both characteristics gets its datum from descent_datum:
+Gamma = <sigma_gen> of order ord, R_gen = lambda . omega(m_alpha) with
+alpha^2 = 1/gen in F_q (the root with alpha^ord = 1 if any, else the least)
+and R_{gen^(j+1)} = R_{gen^j} . sigma_{gen^j}(R_gen); lambda = 1 unless
+omega(m_alpha)^ord = -Id, when N(lambda) = -1.  The parts differ only in
+the target: the 2'-part (full rep), the square stabilizer (even part, odd
+part for q = 3 mod 4, modular parts), a subfield of Q(zeta_4p) (odd part
+of Schur index 2).
+
 Fixed points are extracted by one exact nullspace computation over the
 prime field (restriction of scalars), never by Galois averaging: the
 solve works for any valid datum and certifies itself through the rank.
@@ -21,7 +30,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DatumInvalid, IdentityFailure, NotFoundWithinBound, RankDeficiency
+from .errors import (
+    ConfigInvalid,
+    DatumInvalid,
+    IdentityFailure,
+    NotFoundWithinBound,
+    RankDeficiency,
+)
 from .fields import (
     GaloisAut,
     SubfieldTag,
@@ -38,7 +53,6 @@ from .fields import (
 )
 from .finite import SymplecticSpace, fq_field, psi_standard, token_m
 from .linalg import Matrix, ldl_psd
-from .rationality import _aut_matrix, _subfield_q_basis
 from .weil import MarkedRep, even_odd_split, weil_rep
 
 
@@ -52,7 +66,11 @@ class DescentDatum:
         K = rep.field
         if 1 not in self.entries:
             self.entries[1] = Matrix.identity(K, rep.dim)
-        assert set(self.entries) == set(target.stabilizer)
+        if set(self.entries) != set(target.stabilizer):
+            raise DatumInvalid(
+                f"entries {sorted(self.entries)} are not the stabilizer "
+                f"{sorted(target.stabilizer)} of the target"
+            )
 
     def validate(self):
         K = self.rep.field
@@ -116,41 +134,9 @@ def fixed_points(datum: DescentDatum) -> DescentResult:
     transcript = {"datum": datum.validate()}
     rep = datum.rep
     K = rep.field
-    P = prime_field(K.char)
     dk = K.degree
     N = rep.dim
-    mulmats = {}
-
-    def mulmat(c):
-        if c not in mulmats:
-            cols = []
-            for j in range(dk):
-                prod = c * K.zeta_pow(j) if j else c
-                cols.append([P.from_fraction(f) for f in prod.as_fractions()])
-            mulmats[c] = Matrix.from_cols(P, cols)
-        return mulmats[c]
-
-    rows = []
-    for u, Ru in datum.entries.items():
-        if u == 1:
-            continue
-        smat = _aut_matrix(K, GaloisAut(K, u), P)
-        block = Matrix.zeros(P, N * dk, N * dk)
-        for i in range(N):
-            for j in range(N):
-                c = Ru.rows[i][j]
-                if c.is_zero():
-                    continue
-                piece = mulmat(c) * smat
-                for a in range(dk):
-                    for b in range(dk):
-                        block.rows[i * dk + a][j * dk + b] = piece.rows[a][b]
-        eye = Matrix.identity(P, N * dk)
-        rows.extend((block - eye).rows)
-    if rows:
-        null = Matrix(P, rows).nullspace()
-    else:
-        null = Matrix.identity(P, N * dk).rows
+    null = _fixed_space(K, N, datum.entries)
     dt = datum.target.degree_over_prime()
     if len(null) != N * dt:
         raise RankDeficiency(
@@ -193,6 +179,66 @@ def fixed_points(datum: DescentDatum) -> DescentResult:
     return DescentResult(rep, datum.target, U, images, transcript)
 
 
+def _fixed_space(K, N, entries):
+    """Prime-field basis of the vectors of K^N fixed by every
+    v -> R_u . sigma_u(v), R_u = entries[u]: one exact nullspace over the
+    prime field, each coordinate written on the power basis of K."""
+    P = prime_field(K.char)
+    dk = K.degree
+    mulmats = {}
+
+    def mulmat(c):
+        if c not in mulmats:
+            cols = []
+            for j in range(dk):
+                prod = c * K.zeta_pow(j) if j else c
+                cols.append([P.from_fraction(f) for f in prod.as_fractions()])
+            mulmats[c] = Matrix.from_cols(P, cols)
+        return mulmats[c]
+
+    rows = []
+    for u, Ru in entries.items():
+        if u == 1:
+            continue
+        smat = _aut_matrix(K, GaloisAut(K, u), P)
+        block = Matrix.zeros(P, N * dk, N * dk)
+        for i in range(N):
+            for j in range(N):
+                c = Ru.rows[i][j]
+                if c.is_zero():
+                    continue
+                piece = mulmat(c) * smat
+                for a in range(dk):
+                    for b in range(dk):
+                        block.rows[i * dk + a][j * dk + b] = piece.rows[a][b]
+        eye = Matrix.identity(P, N * dk)
+        rows.extend((block - eye).rows)
+    if not rows:
+        return Matrix.identity(P, N * dk).rows
+    return Matrix(P, rows).nullspace()
+
+
+def _aut_matrix(K, sigma, P):
+    "Matrix of sigma on the power basis, over the prime field."
+    cols = [
+        [P.from_fraction(f) for f in apply_aut(sigma, K.zeta_pow(j)).as_fractions()]
+        for j in range(K.degree)
+    ]
+    return Matrix.from_cols(P, cols)
+
+
+def _subfield_q_basis(tag: SubfieldTag):
+    "Prime-field basis of the tagged subfield: the fixed space of the trivial 1 x 1 datum."
+    K = tag.field
+    one = Matrix.identity(K, 1)
+    null = _fixed_space(K, 1, dict.fromkeys(tag.stabilizer, one))
+    if len(null) != tag.degree_over_prime():
+        raise RankDeficiency(
+            f"subfield has prime dimension {len(null)}, expected {tag.degree_over_prime()}"
+        )
+    return [K.from_coeffs([e.as_fraction() for e in v]) for v in null]
+
+
 # ---------------------------------------------------------------------------
 # The descent data
 
@@ -200,27 +246,6 @@ def fixed_points(datum: DescentDatum) -> DescentResult:
 def _odd_part_exponents(K):
     "Odd-order elements of the Galois group (the 2' part)."
     return [u for u in K.galois_exponents() if _mult_order(u, K.n) % 2 == 1]
-
-
-def descent_datum_weil(rep: MarkedRep) -> DescentDatum:
-    """Datum of the unconditional descent: Gamma = 2'-part of Gal(K/Q);
-    for sigma_u the unique odd-order gamma with gamma^2 u = 1 in F_p gives
-    R_u = omega~(m_gamma), and the token-level twisting identities make the
-    cocycle and equivariance exact (no sign repair needed)."""
-    space = rep.space
-    K = rep.field
-    p = space.fq.p
-    gamma_tokens = {}
-    for u in _odd_part_exponents(K):
-        uinv = pow(u, -1, p)
-        order = _mult_order(uinv, p)
-        assert order % 2 == 1
-        gamma = pow(uinv, (order + 1) // 2, p)
-        assert (gamma * gamma) % p == uinv
-        a = Matrix.identity(space.fq, space.m).scale(space.fq.from_int(gamma))
-        gamma_tokens[u] = rep.image(token_m(a))
-    target = SubfieldTag(K, list(gamma_tokens))
-    return DescentDatum(rep, gamma_tokens, target)
 
 
 def _square_stabilizer(rep):
@@ -235,23 +260,57 @@ def _square_stabilizer(rep):
     return out
 
 
-def descent_datum_even(rep: MarkedRep) -> DescentDatum:
-    """Even-part datum for q = 1 mod 4: Gamma is the square part of the
-    Galois group, gamma(sigma) any square root (least in counting order);
-    sign discrepancies die on even functions."""
-    space = rep.space
+def _m_alpha_sign(block: MarkedRep, gen: int, ord_: int):
+    """(alpha, r0, s): alpha^2 = 1/gen in F_q, the root with alpha^ord = 1
+    when there is one and the least root otherwise; r0 = omega(m_alpha);
+    s = +-1 with r0^ord = s . Id."""
+    space = block.space
     fq = space.fq
-    assert fq.q % 4 == 1, "q = 3 mod 4 needs no further descent"
-    K = rep.field
+    K = block.field
+    alpha = fq.sqrt(fq.from_int(pow(gen % fq.p, -1, fq.p)))
+    if alpha is None:
+        raise IdentityFailure(f"1/{gen} is not a square in F_q")
+    if alpha**ord_ != fq.one() and (-alpha) ** ord_ == fq.one():
+        alpha = -alpha
+    r0 = block.image(token_m(Matrix.identity(fq, space.m).scale(alpha)))
+    power = Matrix.identity(K, block.dim)
+    for _ in range(ord_):
+        power = power * r0
+    if power.is_identity():
+        return alpha, r0, 1
+    if power == Matrix.identity(K, block.dim).scale(K.from_int(-1)):
+        return alpha, r0, -1
+    raise DatumInvalid("r0^ord is not a sign")
+
+
+def descent_datum(block: MarkedRep, target: SubfieldTag, bound: int):
+    """The descent datum of a rep over the target subfield: with gen the
+    least generator of the (cyclic) stabilizer and ord its order,
+    R_gen = lambda . r0 for (alpha, r0, s) = _m_alpha_sign(block, gen, ord);
+    lambda = 1 when s = 1, and solves N(lambda) = -1 down to the target
+    when s = -1.  Returns (datum, lambda, norm transcript or None)."""
+    K = block.field
+    gen = _quotient_generator(K, [1], sorted(target.stabilizer))
+    ord_ = len(target.stabilizer)
+    lam = K.one()
+    if ord_ == 1:
+        return DescentDatum(block, {}, target), lam, None
+    _, r0, sign = _m_alpha_sign(block, gen, ord_)
+    norm_transcript = None
+    if sign == -1:
+        lam, norm_transcript = solve_norm_equation(
+            K, K.top_tag(), target, K.from_int(-1), bound
+        )
+    # R_{gen^(j+1)} = R_{gen^j} . sigma_{gen^j}(R_gen), exact by construction
     entries = {}
-    for u in _square_stabilizer(rep):
-        uinv_fq = fq.from_int(pow(u % fq.p, -1, fq.p))
-        gamma = fq.sqrt(uinv_fq)
-        assert gamma is not None
-        a = Matrix.identity(fq, space.m).scale(gamma)
-        entries[u] = rep.image(token_m(a))
-    target = SubfieldTag(K, list(entries))
-    return DescentDatum(rep, entries, target)
+    rgen = r0.scale(lam)
+    e, Rcur = gen, rgen
+    while e != 1:
+        entries[e] = Rcur
+        sigma = GaloisAut(K, e)
+        Rcur = Rcur * rgen.map(lambda c: apply_aut(sigma, c))
+        e = (e * gen) % K.n
+    return DescentDatum(block, entries, target), lam, norm_transcript
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +322,7 @@ def odd_obstruction_check(rep_odd: MarkedRep, bound: int = 20):
     verifies r_tau^(2^k_a) = -Id exactly, certifies that L = K^(2'-part) is
     CM, and that the bounded search for N(lambda) = -1 in the CM tower
     L / L_0 fails (with the definite-form certificate when available)."""
-    space = rep_odd.space
-    fq = space.fq
+    fq = rep_odd.space.fq
     K = rep_odd.field
     p, f = fq.p, fq.f
     assert fq.q % 4 == 1, "obstruction concerns the q = 1 mod 4 case"
@@ -279,17 +337,10 @@ def odd_obstruction_check(rep_odd: MarkedRep, bound: int = 20):
     tau = pow(sigma_gen, a, p)
     k_a = k - a + 1
     order = 2**k_a
-    assert pow(tau, order, p) == 1 and (order == 1 or pow(tau, order // 2, p) != 1)
-    alpha = fq.sqrt(fq.from_int(pow(tau, -1, p)))
-    if alpha is None:
-        raise IdentityFailure(f"1/tau = {pow(tau, -1, p)} has no square root in F_q")
-    amat = Matrix.identity(fq, space.m).scale(alpha)
-    r = rep_odd.image(token_m(amat))
-    power = Matrix.identity(K, rep_odd.dim)
-    for _ in range(order):
-        power = power * r
-    minus_id = Matrix.identity(K, rep_odd.dim).scale(K.from_int(-1))
-    if power != minus_id:
+    if _mult_order(tau, p) != order:
+        raise IdentityFailure(f"tau = {tau} does not have order 2^k_a = {order}")
+    alpha, _, sign = _m_alpha_sign(rep_odd, tau, order)
+    if sign != -1:
         raise IdentityFailure("r_tau^(2^k_a) != -Id")
     # L = fixed field of the odd part; CM since -1 acts on it nontrivially
     odd_exps = _odd_part_exponents(K)
@@ -340,7 +391,9 @@ def _quotient_generator(K, top_stab, bottom_stab):
             x = (x * u) % n
         if len(seen) == size:
             return u
-    raise AssertionError("quotient not cyclic")
+    raise ConfigInvalid(
+        f"the quotient of {sorted(bottom_stab)} by {sorted(top_stab)} is not cyclic"
+    )
 
 
 def solve_norm_equation(
@@ -448,14 +501,11 @@ def _definitely_unsolvable(K, basis, gen, bottom_tag, target):
                 sigma, basis[i]
             )
             t = trace_to_subfield(x, full)
-            assert t.is_rational()
+            if not t.is_rational():
+                raise IdentityFailure("trace of a norm-form entry is not rational")
             row.append(t.as_fraction() / 2)
         gram.append(row)
     return ldl_psd(gram)
-
-
-def solve_norm_minus_one(K, top_tag, bottom_tag, bound: int = 20):
-    return solve_norm_equation(K, top_tag, bottom_tag, K.from_int(-1), bound)
 
 
 # ---------------------------------------------------------------------------
@@ -478,18 +528,21 @@ def build_weil(p, f, m, twist=1, ell=None):
 def realise_full(p, f, m, twist=1) -> DescentResult:
     "Model of the full Weil representation over L (the 2'-part descent)."
     _, _, rep = build_weil(p, f, m, twist)
-    return fixed_points(descent_datum_weil(rep))
+    target = SubfieldTag(rep.field, _odd_part_exponents(rep.field))
+    # ord is odd, so alpha is the odd-order root, r0^ord = Id and no norm
+    # is searched (bound 0)
+    datum, _, _ = descent_datum(rep, target, 0)
+    return fixed_points(datum)
 
 
 def realise_even(p, f, m, twist=1) -> DescentResult:
     "Model of the even part over its character field."
     _, _, rep = build_weil(p, f, m, twist)
     even, _ = even_odd_split(rep)
-    q = p**f
-    if q % 4 == 3:
-        datum = descent_datum_weil(even)
-    else:
-        datum = descent_datum_even(even)
+    target = SubfieldTag(rep.field, _square_stabilizer(even))
+    # r0^ord = Id on the even part in characteristic 0 (ord is odd when
+    # q = 3 mod 4), so no norm is searched (bound 0)
+    datum, _, _ = descent_datum(even, target, 0)
     return fixed_points(datum)
 
 
@@ -517,13 +570,14 @@ def realise_odd(p, f, m, twist=1, bound: int = 20):
     """Model of the odd part over the predicted realisation field:
     the character field itself when p = 3 mod 4 and f odd (Schur index 1),
     otherwise char-field adjoined sqrt(-p) (Schur index 2), via the
-    norm-equation repair of the tau-datum inside Q(zeta_4p)."""
+    norm-equation repair of the datum inside Q(zeta_4p)."""
     q = p**f
     _, _, rep = build_weil(p, f, m, twist)
     _, odd = even_odd_split(rep)
     if q % 4 == 3:
-        result = fixed_points(descent_datum_weil(odd))
-        return result, {"schur_index": 1, "norm_lambda": None, "obstruction": None}
+        target = SubfieldTag(odd.field, _square_stabilizer(odd))
+        datum, _, _ = descent_datum(odd, target, bound)
+        return fixed_points(datum), {"schur_index": 1, "norm_lambda": None, "obstruction": None}
     obstruction = odd_obstruction_check(odd, bound)
     big = field_make(RATIONAL, 4 * p)
     odd_big = _embed_rep(odd, big)
@@ -536,7 +590,7 @@ def realise_odd(p, f, m, twist=1, bound: int = 20):
         and apply_aut(GaloisAut(big, w), root) == root
     ]
     target = SubfieldTag(big, target_stab)
-    datum, lam, norm_transcript = _tau_datum(odd_big, target, bound)
+    datum, lam, norm_transcript = descent_datum(odd_big, target, bound)
     result = fixed_points(datum)
     return result, {
         "schur_index": 2,
@@ -546,56 +600,14 @@ def realise_odd(p, f, m, twist=1, bound: int = 20):
     }
 
 
-def _tau_datum(block: MarkedRep, target: SubfieldTag, bound: int):
-    """The tau-datum of a parity block over the target subfield: with gen
-    the least generator of the (cyclic) stabilizer, R_gen = lambda . r0 for
-    r0 = omega~(m_alpha), alpha^2 = 1/gen in F_q.  r0^ord is +-Id; when it
-    is -Id, lambda solves N(lambda) = -1 down to the target, otherwise
-    lambda = 1.  Returns (datum, lambda, norm transcript or None)."""
-    K = block.field
-    space = block.space
-    fq = space.fq
-    gen = _quotient_generator(K, [1], sorted(target.stabilizer))
-    ord_ = len(target.stabilizer)
-    lam = K.one()
-    if ord_ == 1:
-        return DescentDatum(block, {}, target), lam, None
-    alpha = fq.sqrt(fq.from_int(pow(gen % fq.p, -1, fq.p)))
-    if alpha is None:
-        raise IdentityFailure(f"1/{gen} is not a square in F_q: no r0 for the target")
-    r0 = block.image(token_m(Matrix.identity(fq, space.m).scale(alpha)))
-    power = Matrix.identity(K, block.dim)
-    for _ in range(ord_):
-        power = power * r0
-    norm_transcript = None
-    if power == Matrix.identity(K, block.dim).scale(K.from_int(-1)):
-        lam, norm_transcript = solve_norm_minus_one(K, K.top_tag(), target, bound)
-    elif not power.is_identity():
-        raise DatumInvalid("r0^ord is not a sign")
-    # R_{gen^(j+1)} = R_{gen^j} . sigma_{gen^j}(R_gen), exact by construction
-    entries = {}
-    rgen = r0.scale(lam)
-    e, Rcur = gen, rgen
-    while e != 1:
-        entries[e] = Rcur
-        sigma = GaloisAut(K, e)
-        Rcur = Rcur * rgen.map(lambda c: apply_aut(sigma, c))
-        e = (e * gen) % K.n
-    return DescentDatum(block, entries, target), lam, norm_transcript
-
-
 def realise_modular(p, f, m, ell, part="odd", twist=1, bound: int = 20):
     """Modular even or odd part over its character field F_ell[sqrt(p*)]:
-    the same tau-datum as in characteristic 0, except the norm equation is
+    the same datum as in characteristic 0, except the norm equation is
     always solvable (every finite-field norm is surjective)."""
     _, _, rep = build_weil(p, f, m, twist, ell=ell)
     even, odd = even_odd_split(rep)
     block = odd if part == "odd" else even
     target = SubfieldTag(rep.field, _square_stabilizer(block))
-    datum, lam, norm_transcript = _tau_datum(block, target, bound)
+    datum, lam, norm_transcript = descent_datum(block, target, bound)
     result = fixed_points(datum)
     return result, {"norm_lambda": lam.to_json(), "norm_transcript": norm_transcript}
-
-
-def realise_odd_modular(p, f, m, ell, twist=1, bound: int = 20):
-    return realise_modular(p, f, m, ell, "odd", twist, bound)

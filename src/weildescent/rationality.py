@@ -24,6 +24,7 @@ from .fields import (
     subfield_of_values,
     trace_to_subfield,
 )
+from .descent import _subfield_q_basis
 from .linalg import Matrix, intertwiner_space, invertible_element, ldl_psd
 from .weil import (
     MarkedRep,
@@ -423,40 +424,6 @@ def _totally_positive(c, tag):
     return ldl_psd(gram)
 
 
-def _subfield_q_basis(tag):
-    "Deterministic Q-basis of the tagged subfield, by exact fixed-space solve."
-    K = tag.field
-    from .fields import prime_field
-
-    P = prime_field(K.char)
-    deg = K.degree
-    rows = []
-    for u in sorted(tag.stabilizer):
-        if u == 1:
-            continue
-        s = GaloisAut(K, u)
-        smat = _aut_matrix(K, s, P)
-        for i in range(deg):
-            rows.append(
-                [smat.rows[i][j] - (P.one() if i == j else P.zero()) for j in range(deg)]
-            )
-    if not rows:
-        rows = [[P.zero()] * deg]
-    null = Matrix(P, rows).nullspace()
-    basis = [K.from_coeffs([e.as_fraction() for e in v]) for v in null]
-    assert len(basis) == tag.degree_over_prime()
-    return basis
-
-
-def _aut_matrix(K, sigma, P):
-    "Matrix of sigma on the power basis, over the prime field."
-    cols = [
-        [P.from_fraction(f) for f in apply_aut(sigma, K.zeta_pow(j)).as_fractions()]
-        for j in range(K.degree)
-    ]
-    return Matrix.from_cols(P, cols)
-
-
 # ---------------------------------------------------------------------------
 # Orbit decomposition of a restriction of scalars
 
@@ -480,9 +447,7 @@ class OrbitDecomposition:
         }
 
 
-def orbit_decomposition(
-    rep: MarkedRep, tag: SubfieldTag, bound: int = DEFAULT_SP_BOUND
-) -> OrbitDecomposition:
+def orbit_decomposition(rep: MarkedRep, tag: SubfieldTag) -> OrbitDecomposition:
     """Multiplicity m, orbit size n, and explicit central idempotents
     cutting the isotypic blocks of (rep|_R) tensored back up to K.
 

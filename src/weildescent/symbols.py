@@ -98,33 +98,10 @@ def hilbert_symbol_bruteforce(a, b, v, extra_precision: int = 3) -> int:
     return -1
 
 
-def quaternion_ramification(a, b):
-    "{v : (a,b)_v = -1}; finite support, even cardinality by the product formula."
-    a, b = Fraction(a), Fraction(b)
-    if a == 0 or b == 0:
-        raise ZeroInput("quaternion algebra with zero parameter")
+def _places(a: Fraction, b: Fraction):
+    "2, infinity and the primes dividing a numerator or denominator of a or b."
     support = {2, INF}
     for x in (a, b):
-        for part in (x.numerator, x.denominator):
-            part = abs(part)
-            d = 2
-            while d * d <= part:
-                if part % d == 0:
-                    support.add(d)
-                    while part % d == 0:
-                        part //= d
-                d += 1
-            if part > 1:
-                support.add(part)
-    ram = {v for v in support if hilbert_symbol(a, b, v) == -1}
-    assert len(ram) % 2 == 0, "product formula violated"
-    return ram
-
-
-def product_formula_holds(a, b) -> bool:
-    "Direct check that prod_v (a,b)_v = 1 over the support."
-    support = {2, INF}
-    for x in (Fraction(a), Fraction(b)):
         for part in (abs(x.numerator), x.denominator):
             d = 2
             while d * d <= part:
@@ -135,8 +112,23 @@ def product_formula_holds(a, b) -> bool:
                 d += 1
             if part > 1:
                 support.add(part)
+    return support
+
+
+def quaternion_ramification(a, b):
+    "{v : (a,b)_v = -1}; finite support, even cardinality by the product formula."
+    a, b = Fraction(a), Fraction(b)
+    if a == 0 or b == 0:
+        raise ZeroInput("quaternion algebra with zero parameter")
+    ram = {v for v in _places(a, b) if hilbert_symbol(a, b, v) == -1}
+    assert len(ram) % 2 == 0, "product formula violated"
+    return ram
+
+
+def product_formula_holds(a, b) -> bool:
+    "Direct check that prod_v (a,b)_v = 1 over the support."
     prod = 1
-    for v in support:
+    for v in _places(Fraction(a), Fraction(b)):
         prod *= hilbert_symbol(a, b, v)
     return prod == 1
 

@@ -29,7 +29,8 @@ class CommutingPair:
         self.h2_gens = dict(h2_gens)
         for a in self.h1_gens.values():
             for b in self.h2_gens.values():
-                assert a * b == b * a, "the two actions do not commute"
+                if a * b != b * a:
+                    raise IdentityFailure("the two actions do not commute")
 
     def h1_elements(self):
         "Full list of H1 matrices: the closure mirrored on the trivial 1 x 1 pi1."
@@ -83,9 +84,11 @@ def isotypic_projector(pair: CommutingPair, pi1_gens):
         e = e + gv.scale(chi)
     scale = field.from_int(d1) * (field.from_int(eps * size)).inv()
     e = e.scale(scale)
-    assert e * e == e, "projector is not idempotent"
+    if e * e != e:
+        raise IdentityFailure("projector is not idempotent")
     for g in list(pair.h1_gens.values()) + list(pair.h2_gens.values()):
-        assert e * g == g * e, "projector is not central for the pair"
+        if e * g != g * e:
+            raise IdentityFailure("projector is not central for the pair")
     return e
 
 
@@ -100,7 +103,8 @@ def isotypic_quotient(pair: CommutingPair, pi1_gens):
     e = isotypic_projector(pair, pi1_gens)
     image = _column_space_basis(e)
     kernel = e.nullspace()
-    assert len(image) + len(kernel) == pair.dim
+    if len(image) + len(kernel) != pair.dim:
+        raise IdentityFailure("isotypic image and kernel do not span V")
     return {
         "projector": e,
         "isotypic_dim": len(image),
@@ -174,18 +178,18 @@ def theta_lift(pair: CommutingPair, pi1_gens) -> ThetaLift:
                 for i in range(d1):
                     vec[t * d1 + i] = vec[t * d1 + i] - d.rows[i][j]
                 out = ev.mul_vec(vec)
-                assert all(c.is_zero() for c in out), "ev does not kill relations"
+                if not all(c.is_zero() for c in out):
+                    raise IdentityFailure("ev does not kill relations")
                 rel_count += 1
     rank = ev.rank()
-    assert rank == quot["isotypic_dim"], "tensor factorization rank mismatch"
+    if rank != quot["isotypic_dim"]:
+        raise IdentityFailure("tensor factorization rank mismatch")
     for name, g2 in pair.h2_gens.items():
-        lhs = g2 * ev
-        rhs = ev * theta_images[name].kron(Matrix.identity(field, d1))
-        assert lhs == rhs, "H2-equivariance of the factorization fails"
+        if g2 * ev != ev * theta_images[name].kron(Matrix.identity(field, d1)):
+            raise IdentityFailure("H2-equivariance of the factorization fails")
     for name in names:
-        lhs = pair.h1_gens[name] * ev
-        rhs = ev * Matrix.identity(field, T).kron(pi1_gens[name])
-        assert lhs == rhs, "H1-equivariance of the factorization fails"
+        if pair.h1_gens[name] * ev != ev * Matrix.identity(field, T).kron(pi1_gens[name]):
+            raise IdentityFailure("H1-equivariance of the factorization fails")
     checks.update(
         {
             "isotypic_dim": quot["isotypic_dim"],

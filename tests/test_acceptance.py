@@ -21,8 +21,8 @@ from weildescent.descent import (
     odd_obstruction_check,
     realise_even,
     realise_full,
+    realise_modular,
     realise_odd,
-    realise_odd_modular,
 )
 from weildescent.fields import (
     GaloisAut,
@@ -292,7 +292,7 @@ def test_criterion_8_theta_suite():
 
 
 def test_criterion_9_modular_mode():
-    res, info = realise_odd_modular(5, 1, 1, 7)
+    res, info = realise_modular(5, 1, 1, 7, "odd")
     Km = res.rep.field
     ok = Km.char == 7 and Km.degree == 4
     ok = ok and res.target.stabilizer == frozenset({1, 4})  # F_49, the char field

@@ -271,6 +271,9 @@ def test_build_output_parses_back(tmp_path):
 
 
 ONE = {"n": 3, "char": 0, "coeffs": ["1", "0"]}
+ZERO = {"n": 3, "char": 0, "coeffs": ["0", "0"]}
+ZETA = {"n": 3, "char": 0, "coeffs": ["0", "1"]}
+ZETA2 = {"n": 3, "char": 0, "coeffs": ["-1", "-1"]}
 
 
 def _pair_file(**changes):
@@ -307,6 +310,12 @@ PAIR_SHAPES = {
     "pi1-not-list": _pair_file(pi1={"label": "trivial"}),
     "pi1-gens-mismatch": _pair_file(pi1=[{"label": "a", "gens": {"d": [[ONE]]}}]),
     "pi1-ragged": _pair_file(pi1=[{"gens": {"c": [[ONE], [ONE, ONE]]}}]),
+    # H1 the Fourier matrix of F_3, H2 the diagonal clock: they do not commute
+    "not-commuting": _pair_file(
+        dim=3,
+        h1={"c": [[ONE, ONE, ONE], [ONE, ZETA, ZETA2], [ONE, ZETA2, ZETA]]},
+        h2={"t": [[ONE, ZERO, ZERO], [ZERO, ZETA, ZERO], [ZERO, ZERO, ZETA2]]},
+    ),
 }
 
 
@@ -325,9 +334,13 @@ def test_pair_file_base_is_valid(tmp_path):
         ["theta", "--pair", "{tmp}/malformed.json"],
         ["hilbert", "1", "1", "-v", "x"],
         ["hilbert", "1", "1", "-v", "4"],
+        ["norm-solve", "--n", "20", "--top", "2", "--bottom", "3"],
+        ["norm-solve", "--n", "20", "--top", "3", "--bottom", "9"],
+        ["end-algebra", "--p", "5", "--part", "even", "--subfield", "5"],
     ]
     + [["theta", "--pair", "{tmp}/shape-%s.json" % name] for name in PAIR_SHAPES],
     ids=["table-p", "theta-missing", "theta-malformed", "hilbert-place-x", "hilbert-place-4"]
+    + ["norm-top-not-unit", "norm-top-outside-bottom", "end-subfield-not-unit"]
     + ["theta-shape-" + name for name in PAIR_SHAPES],
 )
 def test_malformed_input_exits_2(argv, tmp_path):

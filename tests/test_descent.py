@@ -5,18 +5,17 @@ import pytest
 
 from weildescent.descent import (
     DescentDatum,
+    _odd_part_exponents,
+    _square_stabilizer,
     build_weil,
-    descent_datum_even,
-    descent_datum_weil,
+    descent_datum,
     fixed_points,
     odd_obstruction_check,
     realise_even,
     realise_full,
     realise_modular,
     realise_odd,
-    realise_odd_modular,
     solve_norm_equation,
-    solve_norm_minus_one,
     sqrt_minus_p,
 )
 from weildescent.errors import DatumInvalid, NotFoundWithinBound, RankDeficiency
@@ -34,31 +33,43 @@ from weildescent.rationality import iso_test
 from weildescent.weil import even_odd_split
 
 
+def _full_datum(rep):
+    "The datum of realise_full: the 2'-part target, no norm search."
+    target = SubfieldTag(rep.field, _odd_part_exponents(rep.field))
+    return descent_datum(rep, target, 0)[0]
+
+
+def _square_datum(block):
+    "The datum of realise_even and of the q = 3 mod 4 odd part."
+    target = SubfieldTag(block.field, _square_stabilizer(block))
+    return descent_datum(block, target, 0)[0]
+
+
 def test_weil_datum_gamma_structure():
     # p = 3: trivial 2'-part; p = 7: |Gamma| = 3 and L = Q[sqrt(-7)];
     # p = 13: |Gamma| = 3 and [L : Q] = 4
     _, _, rep3 = build_weil(3, 1, 1)
-    d3 = descent_datum_weil(rep3)
+    d3 = _full_datum(rep3)
     assert set(d3.entries) == {1}
     _, _, rep7 = build_weil(7, 1, 1)
-    d7 = descent_datum_weil(rep7)
+    d7 = _full_datum(rep7)
     assert set(d7.entries) == {1, 2, 4}
     assert d7.target.degree_over_prime() == 2
     _, _, rep13 = build_weil(13, 1, 1)
-    d13 = descent_datum_weil(rep13)
+    d13 = _full_datum(rep13)
     assert len(d13.entries) == 3
     assert d13.target.degree_over_prime() == 4
 
 
 def test_weil_datum_validates(model5):
-    datum = descent_datum_weil(model5["weil"])
+    datum = _full_datum(model5["weil"])
     datum.validate()
 
 
 def test_datum_invalid_detected():
     # p = 7 has a nontrivial 2'-part; tampering an entry must be caught
     _, _, rep7 = build_weil(7, 1, 1)
-    datum = descent_datum_weil(rep7)
+    datum = _full_datum(rep7)
     K = rep7.field
     datum.entries[2] = datum.entries[2].scale(K.zeta())
     with pytest.raises(DatumInvalid):
@@ -67,7 +78,7 @@ def test_datum_invalid_detected():
 
 def test_even_datum_q5(model5):
     even = model5["even"]
-    datum = descent_datum_even(even)
+    datum = _square_datum(even)
     assert sorted(datum.entries) == [1, 4]
     res = fixed_points(datum)
     assert res.target.stabilizer == frozenset({1, 4})
@@ -166,7 +177,7 @@ def test_norm_solver_solvable_tower():
     K20 = field_make(RATIONAL, 20)
     top = SubfieldTag(K20, [9])
     bottom = SubfieldTag(K20, [3])  # Q[sqrt(-5)]
-    lam, tr = solve_norm_minus_one(K20, top, bottom, 20)
+    lam, tr = solve_norm_equation(K20, top, bottom, K20.from_int(-1), 20)
     gen = tr["tower_generator"]
     assert lam * apply_aut(GaloisAut(K20, gen), lam) == K20.from_int(-1)
 
@@ -176,7 +187,7 @@ def test_norm_solver_cm_tower_fails():
     top = SubfieldTag(K20, [9])
     bottom = SubfieldTag(K20, [11, 9])  # Q[sqrt 5], totally real
     with pytest.raises(NotFoundWithinBound) as exc:
-        solve_norm_minus_one(K20, top, bottom, 20)
+        solve_norm_equation(K20, top, bottom, K20.from_int(-1), 20)
     assert exc.value.args[0]["definite_obstruction"]
 
 
@@ -184,7 +195,7 @@ def test_norm_solver_cyclotomic_cm_tower_fails():
     # Q(zeta_5) / Q[sqrt 5]: the motivating CM failure
     K5 = field_make(RATIONAL, 5)
     with pytest.raises(NotFoundWithinBound) as exc:
-        solve_norm_minus_one(K5, K5.top_tag(), SubfieldTag(K5, [4]), 20)
+        solve_norm_equation(K5, K5.top_tag(), SubfieldTag(K5, [4]), K5.from_int(-1), 20)
     assert exc.value.args[0]["definite_obstruction"]
 
 
@@ -192,7 +203,7 @@ def test_norm_solver_modular_always_succeeds():
     Km = field_make(MODULAR, 5, 7)
     top = Km.top_tag()
     bottom = SubfieldTag(Km, [4])  # F_49 inside F_7(zeta_5)
-    lam, tr = solve_norm_minus_one(Km, top, bottom, 20)
+    lam, tr = solve_norm_equation(Km, top, bottom, Km.from_int(-1), 20)
     gen = tr["tower_generator"]
     assert lam * apply_aut(GaloisAut(Km, gen), lam) == Km.from_int(-1)
 
@@ -207,7 +218,7 @@ def test_norm_solver_target_plus_one():
 
 
 def test_realise_odd_modular():
-    res, info = realise_odd_modular(5, 1, 1, 7)
+    res, info = realise_modular(5, 1, 1, 7, "odd")
     assert res.rep.dim == 2
     assert res.target.stabilizer == frozenset({1, 4})
     assert res.transcript["round_trip_isomorphism"]
@@ -216,6 +227,53 @@ def test_realise_odd_modular():
         for row in res.images[tok].rows:
             for e in row:
                 assert subfield_membership(e, res.target)
+
+
+def _closed_form_entries(rep):
+    """The 2'-part datum in closed form: R_u = omega(m_gamma), gamma the
+    unique odd-order square root of 1/u in F_p, i.e. (1/u)^((k+1)/2) for k
+    the (odd) multiplicative order of 1/u."""
+    from weildescent.finite import token_m
+
+    fq = rep.space.fq
+    p = fq.p
+    out = {}
+    for u in _odd_part_exponents(rep.field):
+        uinv = pow(u, -1, p)
+        k = 1
+        while pow(uinv, k, p) != 1:
+            k += 1
+        assert k % 2 == 1
+        gamma = pow(uinv, (k + 1) // 2, p)
+        assert gamma * gamma % p == uinv
+        a = Matrix.identity(fq, rep.space.m).scale(fq.from_int(gamma))
+        out[u] = rep.image(token_m(a))
+    return out
+
+
+@pytest.mark.parametrize(
+    "p,part", [(7, "full"), (13, "full"), (11, "even"), (11, "odd")]
+)
+def test_datum_matches_closed_form(p, part):
+    # the chain R_{gen^(j+1)} = R_{gen^j} . sigma_{gen^j}(R_gen) from the
+    # odd-order root reproduces the closed form entry by entry
+    block = _weil_part(p, part)
+    if part == "full":
+        datum = _full_datum(block)
+    else:
+        # q = 11 = 3 mod 4: the square stabilizer is the 2'-part
+        assert sorted(_square_stabilizer(block)) == _odd_part_exponents(block.field)
+        datum = _square_datum(block)
+    assert datum.entries == _closed_form_entries(block)
+
+
+def test_modular_even_p11_needs_no_norm():
+    # ord = 5: the odd-order root has alpha^5 = 1, so r0^5 = Id and the
+    # datum needs no norm repair
+    res, info = realise_modular(11, 1, 1, 3, "even")
+    assert info["norm_lambda"] == res.rep.field.one().to_json()
+    assert info["norm_transcript"] is None
+    assert res.transcript["round_trip_isomorphism"]
 
 
 def _weil_part(p, part, ell=None):

@@ -347,8 +347,9 @@ def test_hom_check_detects_corrupted_exponent(model3, monkeypatch):
 OPTIMIZED_SCRIPT = """
 import sys
 from weildescent import weil
-from weildescent.descent import build_weil, odd_obstruction_check, sqrt_minus_p
-from weildescent.errors import IdentityFailure
+from weildescent.descent import DescentDatum, build_weil, odd_obstruction_check, sqrt_minus_p
+from weildescent.errors import DatumInvalid, IdentityFailure
+from weildescent.theta import CommutingPair, isotypic_projector
 from weildescent.fields import MODULAR, RATIONAL, CoeffField, cyclotomic_poly, field_make
 from weildescent.finite import SpElement, SymplecticSpace, TOKEN_W, fq_field, psi_standard, token_n
 from weildescent.linalg import Matrix
@@ -410,6 +411,22 @@ expect("r-tau-power", lambda: odd_obstruction_check(odd5))
 
 # zeta_40^5 is a primitive 8th root of unity, not i
 expect("sqrt-minus-one", lambda: sqrt_minus_p(field_make(RATIONAL, 40), 5))
+
+# a datum on {1, 4} given over the stabilizer {1, 2, 3, 4}
+K5 = w5.field
+expect(
+    "datum-entries",
+    lambda: DescentDatum(odd5, {4: Matrix.identity(K5, odd5.dim)}, K5.full_tag()),
+    DatumInvalid,
+)
+
+# the parity pair with H2 swapped after construction: the projector onto
+# the trivial isotypic part no longer commutes with H2
+K3 = psi.coeff
+flip = Matrix(K3, [[K3.one(), K3.zero()], [K3.zero(), K3.from_int(-1)]])
+pair = CommutingPair(K3, 2, {"c": flip}, {"t": Matrix.identity(K3, 2)})
+pair.h2_gens = {"t": Matrix(K3, [[K3.zero(), K3.one()], [K3.one(), K3.zero()]])}
+expect("projector-central", lambda: isotypic_projector(pair, {"c": Matrix.identity(K3, 1)}))
 """
 
 
@@ -432,5 +449,6 @@ def test_certificates_raise_under_optimize():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [
         "rho-exponent", "parity-leak", "generation", "symplectic", "zero-inverse",
-        "norm-outside", "r-tau-power", "sqrt-minus-one",
+        "norm-outside", "r-tau-power", "sqrt-minus-one", "datum-entries",
+        "projector-central",
     ]
