@@ -32,8 +32,8 @@ from .fields import (
     field_make,
     is_prime,
 )
-from .finite import sp_enumerate, sp_order, sp_order_within
-from .linalg import Matrix
+from .finite import sp_enumerate, sp_order, sp_order_within, sp_sample
+from .linalg import Matrix, intertwiner_space
 from .rationality import DEFAULT_SP_BOUND, character_field, endomorphism_algebra
 from .descent import (
     build_weil,
@@ -139,11 +139,11 @@ def _transcript(report, name, ok, detail=None):
 
 
 def _cocycle_pairs(space, rng, exhaustive, npairs):
-    "All pairs of elements of Sp(W), or npairs pairs drawn with rng."
-    els = list(sp_enumerate(space, DEFAULT_SP_BOUND))
+    "All pairs of elements of Sp(W), or npairs pairs of uniform draws with rng."
     if exhaustive:
+        els = list(sp_enumerate(space, DEFAULT_SP_BOUND))
         return [(a, b) for a in els for b in els]
-    return [(rng.choice(els), rng.choice(els)) for _ in range(npairs)]
+    return [(sp_sample(space, rng), sp_sample(space, rng)) for _ in range(npairs)]
 
 
 def cmd_build(args, report):
@@ -153,7 +153,11 @@ def cmd_build(args, report):
     exhaustive = sp_order(m, p**f) <= 30
     pairs = _cocycle_pairs(space, rng, exhaustive, args.pairs)
     mode = "exhaustive" if exhaustive else f"{args.pairs} seeded pairs"
-    cert = cocycle_certificate(rep, pairs)
+    # the premises (a) and (b) of the column certificate
+    hrep = heisenberg_rep(psi, space)
+    intertwining_check(rep, hrep)
+    comm = intertwiner_space(hrep.gens_images(), hrep.gens_images())
+    cert = cocycle_certificate(rep, pairs, len(comm))
     _transcript(report, "cocycle_values_pm1", cert.all_pm_one(), cert.summary())
     out = rep.to_json()
     out["cocycle"] = {"mode": mode, **cert.summary()}
@@ -173,8 +177,6 @@ def cmd_verify(args, report):
     npairs = heisenberg_hom_check(hrep, exhaustive_h, rng=rng, samples=args.pairs)
     _transcript(report, "heisenberg_homomorphism", True, {"pairs": npairs})
 
-    from .linalg import intertwiner_space
-
     comm = intertwiner_space(hrep.gens_images(), hrep.gens_images())
     _transcript(report, "stone_von_neumann_commutant", len(comm) == 1, {"dim": len(comm)})
     # heisenberg_hom_check certified that the centre acts by the scalar psi(t),
@@ -191,7 +193,8 @@ def cmd_verify(args, report):
     _transcript(report, "weil_intertwines_heisenberg", True)
 
     exhaustive = args.exhaustive or sp_order(m, q) <= 30
-    cert = cocycle_certificate(rep, _cocycle_pairs(space, rng, exhaustive, args.pairs))
+    pairs = _cocycle_pairs(space, rng, exhaustive, args.pairs)
+    cert = cocycle_certificate(rep, pairs, len(comm))
     _transcript(report, "cocycle_values_pm1", cert.all_pm_one(), cert.summary())
 
     for u in K.galois_exponents():

@@ -607,56 +607,75 @@ def sp_enumerate(space: SymplecticSpace, bound: int):
     """Every element of Sp(W) exactly once, in the deterministic order given
     by enumerating symplectic bases (e'_1, f'_1, e'_2, f'_2, ...)."""
     sp_order_within(space, bound)
-    fq = space.fq
-    dim = space.dim
+    q = space.fq.q
+    # digit tuples (c_0, c_1, ...) in counting order: c_0 varies fastest
+    yield from _symplectic_bases(
+        space, lambda k: (ds[::-1] for ds in product(range(q), repeat=k))
+    )
 
-    def pairing_row(v):
-        "Coefficients of w -> <v, w>."
-        m = space.m
-        row = []
-        for j in range(m):
-            row.append(-v[m + j])
-        for j in range(m):
-            row.append(v[j])
-        return row
 
-    def span_enum(kernel_basis, particular=None):
-        k = len(kernel_basis)
-        for idx in range(fq.q**k):
-            v = list(particular) if particular else [fq.zero()] * dim
-            for i in range(k):
-                c = fq.element((idx // fq.q**i) % fq.q)
-                if not c.is_zero():
-                    v = [a + c * b for a, b in zip(v, kernel_basis[i])]
+def sp_sample(space: SymplecticSpace, rng) -> SpElement:
+    """A uniform element of Sp(W) drawn with rng, without listing the group:
+    symplectic Gram-Schmidt with a uniform nonzero e'_1, a uniform f'_1 with
+    <e'_1, f'_1> = 1, then the same on their orthogonal complement.  The
+    number of choices at each step does not depend on the earlier ones, and
+    symplectic bases correspond one to one to elements of Sp(W)."""
+    q = space.fq.q
+
+    def draws(k):
+        while True:
+            yield [rng.randrange(q) for _ in range(k)]
+
+    return next(_symplectic_bases(space, draws))
+
+
+def _pairing_row(space: SymplecticSpace, v):
+    "Coefficients of w -> <v, w>."
+    m = space.m
+    return [-c for c in v[m:]] + list(v[:m])
+
+
+def _symplectic_bases(space: SymplecticSpace, digits):
+    """The elements of Sp(W) whose columns are symplectic bases
+    (e'_1, f'_1, e'_2, f'_2, ...): each e'_i a nonzero vector orthogonal to
+    the earlier pairs, each f'_i one of those with <e'_i, f'_i> = 1.  The
+    candidates for a vector are particular + sum_i c_i basis_i over a basis
+    of its (affine) solution space, with (c_0, c_1, ...) the F_q indices
+    that digits(len(basis)) yields, in its order."""
+    fq, dim = space.fq, space.dim
+    zero = space.zero_vector()
+
+    def combinations(basis, particular):
+        for ds in digits(len(basis)):
+            v = list(particular)
+            for d, b in zip(ds, basis):
+                if d:
+                    c = fq.elems[d]
+                    v = [a + c * x for a, x in zip(v, b)]
             yield tuple(v)
 
     def rec(chosen):
         if len(chosen) == dim:
-            m = space.m
-            cols = [chosen[2 * i] for i in range(m)] + [
-                chosen[2 * i + 1] for i in range(m)
-            ]
+            cols = chosen[0::2] + chosen[1::2]
             mat = Matrix(fq, [[c[i] for c in cols] for i in range(dim)])
             yield SpElement(space, mat, _checked=True)
             return
-        constraints = [pairing_row(v) for v in chosen]
-        if not constraints:
-            kernel = [list(space.basis_vector(i)) for i in range(dim)]
+        constraints = [_pairing_row(space, v) for v in chosen]
+        if constraints:
+            kernel = Matrix(fq, constraints).nullspace()
         else:
-            kernel = [
-                list(v) for v in Matrix(fq, constraints).nullspace()
-            ]
-        for e in span_enum(kernel):
-            if all(c.is_zero() for c in e):
+            kernel = [list(space.basis_vector(i)) for i in range(dim)]
+        for e in combinations(kernel, zero):
+            if e == zero:
                 continue
-            rowsys = constraints + [pairing_row(e)]
+            rowsys = constraints + [_pairing_row(space, e)]
             rhs = [fq.zero()] * len(constraints) + [fq.one()]
             part, ker2 = _solve_affine(fq, rowsys, rhs)
             assert part is not None
-            for f in span_enum(ker2, part):
+            for f in combinations(ker2, part):
                 yield from rec(chosen + [e, f])
 
-    yield from rec([])
+    return rec([])
 
 
 def _solve_affine(fq, rows, rhs):

@@ -301,6 +301,25 @@ def _monomial_data(m: Matrix):
     return pi, alpha
 
 
+def vector_op(m: Matrix):
+    """The map v -> m v.  A monomial m acts as a permutation plus one entry
+    per column, in O(n) and with one multiplication per nonzero entry of v;
+    any other m by mul_vec."""
+    if not m.is_monomial():
+        return m.mul_vec
+    rows, vals = _monomial_data(m)
+    z = m.field.zero()
+
+    def apply(v):
+        out = [z] * m.nrows
+        for r, a, x in zip(rows, vals, v):
+            if not x.is_zero():
+                out[r] = a * x
+        return out
+
+    return apply
+
+
 def intertwiner_space(gens_a, gens_b):
     """Basis of {T : T A_i = B_i T} for invertible generator images A_i of a
     source rep and B_i of a target rep (T maps source to target).  Uses the

@@ -17,7 +17,12 @@ auxiliary fourth root of unity.
 
 omega~(g) is defined through the canonical factorization word of g; it is a
 genuine representation only up to the +-1 metaplectic cocycle, which is
-measured (never assumed) by cocycle_certificate."""
+measured (never assumed) by cocycle_certificate.  By Schur's lemma one
+column decides each value: when every token image intertwines rho (a),
+the commutant of rho is K (b) and each word evaluates to its element (c),
+omega~(g) omega~(h) omega~(gh)^-1 commutes with rho and so is a scalar
+lambda, read off omega~(g) omega~(h) e_0 = lambda omega~(gh) e_0 with
+omega~(gh) e_0 != 0 (d)."""
 
 from __future__ import annotations
 
@@ -32,6 +37,7 @@ from .finite import (
     TOKEN_W,
     char_galois,
     char_twist,
+    eval_word,
     legendre,
     sp_factor,
     sp_order_within,
@@ -39,7 +45,7 @@ from .finite import (
     token_n,
     token_to_sp,
 )
-from .linalg import Matrix
+from .linalg import Matrix, vector_op
 
 
 class MarkedRep:
@@ -68,7 +74,6 @@ class MarkedRep:
         self.psi = psi
         self._make = make
         self._images = {}
-        self._ops = {}  # weil_op cache: matrix key of g -> omega~(g)
 
     def image(self, key) -> Matrix:
         if key not in self._images:
@@ -283,14 +288,11 @@ def weil_rep(psi: AdditiveCharacter, space: SymplecticSpace) -> MarkedRep:
 
 
 def weil_op(rep: MarkedRep, g: SpElement) -> Matrix:
-    "Canonical omega~(g): product of generator images along sp_factor(g)."
-    key = g.mat.to_key()
-    if key not in rep._ops:
-        out = Matrix.identity(rep.field, rep.dim)
-        for tok in sp_factor(g):
-            out = out * rep.image(tok)
-        rep._ops[key] = out
-    return rep._ops[key]
+    "Canonical omega~(g): the dense product of the token images along sp_factor(g)."
+    out = Matrix.identity(rep.field, rep.dim)
+    for tok in sp_factor(g):
+        out = out * rep.image(tok)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -374,60 +376,161 @@ class CocycleCert:
         }
 
 
-def _scalar_ratio(t, tprime):
-    "lam with t = lam * tprime, or None."
-    K = t.field
-    for i in range(t.nrows):
-        for j in range(t.ncols):
-            if not tprime.rows[i][j].is_zero():
-                lam = t.rows[i][j] * tprime.rows[i][j].inv()
-                if t == tprime.scale(lam):
-                    return lam
-                return None
-    return None
+class _Columns:
+    """omega~(g) applied to vectors along the word sp_factor(g), each token
+    image as a vector_op: a permutation plus one entry per column for the
+    monomial M and N images, one matrix-vector product for W0.  Caches the
+    word of every element, its column omega~(g) e_0 and the operator of
+    every token."""
+
+    def __init__(self, rep: MarkedRep):
+        self.rep = rep
+        self.declared = set(rep.gen_names)
+        self.rho_gens = None  # made for the first undeclared token
+        self.words = {}  # matrix key of g -> sp_factor(g)
+        self.cols = {}  # matrix key of g -> omega~(g) e_0
+        self.ops = {}  # token -> v -> image(token) v
+        K = rep.field
+        self.e0 = [K.one()] + [K.zero()] * (rep.dim - 1)
+
+    def _op(self, tok):
+        rep = self.rep
+        if tok not in self.declared:
+            # premise (a) for a token outside the declared generators: at
+            # m >= 2, sp_factor uses M(a) and N(b) for every a and b
+            if self.rho_gens is None:
+                keys = heisenberg_rep(rep.psi, rep.space).gen_names
+                self.rho_gens = _rho_generators(rep.psi, rep.space, keys)
+            _check_intertwines(rep, rep.psi, tok, self.rho_gens)
+        return vector_op(rep.image(tok))
+
+    def apply(self, g: SpElement, v):
+        "omega~(g) v."
+        key = g.mat.to_key()
+        if key not in self.words:
+            word = sp_factor(g)
+            if eval_word(self.rep.space, word) != g:  # premise (c)
+                raise IdentityFailure(f"sp_factor gives a word for another element than {g!r}")
+            self.words[key] = word
+        for tok in reversed(self.words[key]):
+            if tok not in self.ops:
+                self.ops[tok] = self._op(tok)
+            v = self.ops[tok](v)
+        return v
+
+    def column(self, g: SpElement):
+        "omega~(g) e_0."
+        key = g.mat.to_key()
+        if key not in self.cols:
+            self.cols[key] = self.apply(g, self.e0)
+        return self.cols[key]
+
+    def value(self, g: SpElement, h: SpElement) -> int:
+        u = self.column(g * h)
+        nonzero = [i for i, e in enumerate(u) if not e.is_zero()]
+        if not nonzero:  # premise (d)
+            raise IdentityFailure(f"omega~(gh) e_0 = 0 at g = {g!r}, h = {h!r}")
+        w = self.apply(g, self.column(h))
+        if w == u:
+            return 1
+        if w == [-e for e in u]:
+            return -1
+        i = nonzero[0]
+        raise CocycleViolation(
+            f"omega~(g) omega~(h) e_0 = lambda omega~(gh) e_0 fails for lambda = +-1"
+            f" (entry {i} gives {w[i] / u[i]!r})"
+        )
 
 
 def cocycle_value(rep: MarkedRep, g: SpElement, h: SpElement) -> int:
-    """lam(g,h) = omega~(g) omega~(h) omega~(gh)^-1, must be +-1.
+    """lam(g,h) = omega~(g) omega~(h) omega~(gh)^-1, which must be +-1, read
+    off the column e_0: +1 when omega~(g) omega~(h) e_0 = omega~(gh) e_0,
+    -1 when it is the negative, CocycleViolation otherwise.
+
+    The reading is a certificate under Schur's lemma, given four premises:
+    (a) every token image intertwines rho, omega(s) rho(v) = rho(s.v)
+    omega(s) (intertwining_check on the declared generators; the tokens
+    outside them, which sp_factor uses at m >= 2, are checked here as they
+    first appear); (b) the commutant of rho is K (cocycle_certificate
+    requires it); (c) each word sp_factor(g) evaluates to g over F_q,
+    checked here by eval_word; (d) omega~(gh) e_0 != 0, checked here.  Then
+    omega~(g) omega~(h) omega~(gh)^-1 commutes with rho (rho being a
+    representation of H, as heisenberg_hom_check certifies), so it is a
+    scalar lambda, and one nonzero column decides lambda.  (c) and (d) raise
+    IdentityFailure.
 
     Empirically this section measures identically +1 on every finite
     group tested (exhaustively on Sp(2,F_3) and Sp(2,F_5)): the double
     cover of a finite symplectic group splits, and the canonical word
     section lands on the linear model.  Nothing downstream relies on
     that; everything treats omega~ as projective and keeps measuring."""
-    t = weil_op(rep, g) * weil_op(rep, h)
-    tprime = weil_op(rep, g * h)
-    if t == tprime:
-        return 1
-    if t == -tprime:
-        return -1
-    lam = _scalar_ratio(t, tprime)
-    raise CocycleViolation(f"lambda(g, h) = {lam!r} not in {{+1, -1}}")
+    return _Columns(rep).value(g, h)
 
 
-def cocycle_certificate(rep: MarkedRep, pairs) -> CocycleCert:
-    return CocycleCert([(g, h, cocycle_value(rep, g, h)) for g, h in pairs])
+def cocycle_certificate(rep: MarkedRep, pairs, commutant_dim: int) -> CocycleCert:
+    """lam(g, h) for every pair, as cocycle_value reads it, with the column
+    and word of each element computed once.  commutant_dim is the dimension
+    of the commutant of rho that the caller solved (premise (b)); the caller
+    has also run intertwining_check (premise (a)).  Unless commutant_dim is 1,
+    Schur's lemma does not apply and no column is read: IdentityFailure."""
+    if commutant_dim != 1:
+        raise IdentityFailure(
+            f"the commutant of rho has dimension {commutant_dim}, not 1: no column decides lambda"
+        )
+    cols = _Columns(rep)
+    return CocycleCert([(g, h, cols.value(g, h)) for g, h in pairs])
 
 
 # ---------------------------------------------------------------------------
 # Property checks (exact identities from the model)
 
 
-def intertwining_check(wrep: MarkedRep, hrep: MarkedRep):
-    """omega~(g) rho(h) omega~(g)^-1 = rho(g.h) for declared Weil generators
-    g and Heisenberg generators h, exactly."""
+def _rho_generators(psi: AdditiveCharacter, space: SymplecticSpace, keys):
+    "(key, h, rho_monomial(h)) for the Heisenberg generator keys."
+    out = []
+    for hk in keys:
+        h = _heis_from_key(space, hk)
+        out.append((hk, h, rho_monomial(psi, space, h)))
+    return out
+
+
+def _check_intertwines(wrep: MarkedRep, psi: AdditiveCharacter, tok, rho_gens):
+    """omega~(tok) rho(h) = rho(g.h) omega~(tok) for g = token_to_sp(tok) and
+    every h of rho_gens (from _rho_generators), and omega~(tok) != 0; raises
+    IdentityFailure.  Compared column by column on the nonzero entries of
+    omega = omega~(tok), with rho in monomial form: column j of omega rho(h)
+    is psi-value times column perm[j] of omega, and column j of
+    rho(g.h) omega is column j of omega moved and scaled by rho(g.h).  A
+    monomial omega (M, N) costs O(n) per h, a dense one (W0) O(n^2)."""
     space = wrep.space
-    for tok in wrep.gen_names:
-        g = token_to_sp(space, tok)
-        omega = wrep.image(tok)
-        omega_inv = omega.inverse()
-        for hk in hrep.gen_names:
-            h = _heis_from_key(space, hk)
-            lhs = omega * hrep.image(hk) * omega_inv
-            gh = HeisElem(space, g.apply(h.w), h.t)
-            rhs = rho_matrix(hrep.psi, space, gh)
+    g = token_to_sp(space, tok)
+    omega = wrep.image(tok)
+    cols = [
+        [(i, e) for i, e in enumerate(omega.col(j)) if not e.is_zero()]
+        for j in range(omega.ncols)
+    ]
+    if not any(cols):
+        raise IdentityFailure(f"the image of {tok} is 0")
+    zeta = psi.values
+    for hk, h, (perm, exps) in rho_gens:
+        perm2, exps2 = rho_monomial(psi, space, HeisElem(space, g.apply(h.w), h.t))
+        for j, col in enumerate(cols):
+            lhs = {i: zeta[exps[j]] * e for i, e in cols[perm[j]]}
+            rhs = {perm2[i]: zeta[exps2[i]] * e for i, e in col}
             if lhs != rhs:
                 raise IdentityFailure(f"intertwining fails at {tok}, {hk}")
+
+
+def intertwining_check(wrep: MarkedRep, hrep: MarkedRep):
+    """omega~(g) rho(h) = rho(g.h) omega~(g), with omega~(g) != 0, for the
+    declared Weil generators g and Heisenberg generators h, exactly.
+
+    No inverse is taken.  When the commutant of rho is K, rho and rho o g^-1
+    are irreducible, so by Schur's lemma a nonzero intertwiner between them
+    is invertible, and omega~(g) rho(h) omega~(g)^-1 = rho(g.h) follows."""
+    rho_gens = _rho_generators(hrep.psi, hrep.space, hrep.gen_names)
+    for tok in wrep.gen_names:
+        _check_intertwines(wrep, hrep.psi, tok, rho_gens)
     return True
 
 

@@ -211,16 +211,21 @@ def test_criterion_5_stone_von_neumann():
 def test_criterion_6_weil_property_suite():
     ok = True
     # cocycle: exhaustive on Sp(2,F_3)
-    _, sp3, rep3 = build_weil(3, 1, 1)
+    # (the column certificate takes the dimension of the commutant of rho)
+    psi3, sp3, rep3 = build_weil(3, 1, 1)
+    rho3 = heisenberg_rep(psi3, sp3)
+    comm3 = len(intertwiner_space(rho3.gens_images(), rho3.gens_images()))
     els3 = list(sp_enumerate(sp3, 100))
-    cert3 = cocycle_certificate(rep3, [(a, b) for a in els3 for b in els3])
+    cert3 = cocycle_certificate(rep3, [(a, b) for a in els3 for b in els3], comm3)
     ok = ok and cert3.all_pm_one() and cert3.summary()["pairs"] == 576
     # cocycle: 200 seeded pairs in Sp(2,F_5)
     psi5, sp5, rep5 = build_weil(5, 1, 1)
+    rho5 = heisenberg_rep(psi5, sp5)
+    comm5 = len(intertwiner_space(rho5.gens_images(), rho5.gens_images()))
     els5 = list(sp_enumerate(sp5, 1000))
     rng = random.Random(0)
     pairs = [(rng.choice(els5), rng.choice(els5)) for _ in range(200)]
-    ok = ok and cocycle_certificate(rep5, pairs).all_pm_one()
+    ok = ok and cocycle_certificate(rep5, pairs, comm5).all_pm_one()
     # intertwining on generators x spanning h
     for psi, sp, rep in (
         (psi5, sp5, rep5),

@@ -136,6 +136,36 @@ def test_descend_odd_rank_2(model, target, prime_dim, tmp_path):
     assert res["transcript"]["fixed_space_prime_dim"] == prime_dim
 
 
+@pytest.mark.parametrize("verb, pairs", [("build", 50), ("verify", 200)])
+def test_cocycle_rank_2_p5(verb, pairs, tmp_path):
+    # |Sp(4, F_5)| = 9360000 is never listed: the pairs are sampled
+    code, rep = run_json([verb, "--p", "5", "--m", "2"], tmp_path)
+    assert code == 0
+    assert all(t["pass"] for t in rep["transcript"])
+    census = [t["detail"] for t in rep["transcript"] if t["check"] == "cocycle_values_pm1"]
+    assert census == [{"pairs": pairs, "plus": pairs, "minus": 0}]
+
+
+@pytest.mark.parametrize("verb", ["build", "verify"])
+def test_scaled_w_image_fails_the_cocycle(verb, tmp_path, monkeypatch):
+    # zeta_p . W0 still intertwines rho, so only the cocycle certificate sees it
+    from weildescent import weil
+    from weildescent.finite import TOKEN_W
+
+    honest = weil.weil_generator_image
+
+    def scaled(psi, space, token):
+        img = honest(psi, space, token)
+        return img.scale(psi.values[1]) if token == TOKEN_W else img
+
+    monkeypatch.setattr(weil, "weil_generator_image", scaled)
+    code, rep = run_json([verb, "--p", "5"], tmp_path)
+    assert code == 1
+    assert rep["error"]["kind"] == "CocycleViolation"
+    if verb == "verify":
+        assert rep["transcript"][-1] == {"check": "weil_intertwines_heisenberg", "pass": True}
+
+
 def test_end_algebra_refuses_before_working(tmp_path, monkeypatch):
     # |Sp(4, F_5)| is past the bound of the End-dimension sweep, so the
     # character field and the Hom solves must not run first

@@ -22,6 +22,7 @@ from weildescent.finite import (
     sp_enumerate,
     sp_factor,
     sp_order,
+    sp_sample,
     token_m,
     token_n,
     token_to_sp,
@@ -165,6 +166,32 @@ def test_sp_enumerate_too_large():
     sp = SymplecticSpace(fq_field(5, 1), 1)
     with pytest.raises(TooLarge):
         list(sp_enumerate(sp, 10))
+
+
+def test_sp_sample_uniform_and_seeded():
+    sp = SymplecticSpace(fq_field(3, 1), 1)
+    rng = random.Random(7)
+    draws = [sp_sample(sp, rng).mat for _ in range(2400)]
+    for mat in draws:
+        SpElement(sp, mat)  # rechecks the symplectic relation
+    keys = [mat.to_key() for mat in draws]
+    counts = {k: keys.count(k) for k in set(keys)}
+    assert set(counts) == {g.mat.to_key() for g in sp_enumerate(sp, 100)}
+    assert all(50 <= c <= 150 for c in counts.values())  # 100 expected each
+    again = random.Random(7)
+    assert [sp_sample(sp, again).mat.to_key() for _ in range(2400)] == keys
+
+
+def test_sp_sample_rank_2_without_listing():
+    # |Sp(4, F_5)| = 9360000: sampling never lists it
+    sp = SymplecticSpace(fq_field(5, 1), 2)
+    rng1, rng2 = random.Random(8), random.Random(8)
+    first = [sp_sample(sp, rng1) for _ in range(30)]
+    for g in first:
+        SpElement(sp, g.mat)
+        assert eval_word(sp, sp_factor(g)) == g
+    assert [sp_sample(sp, rng2) for _ in range(30)] == first
+    assert len({g.mat.to_key() for g in first}) == 30
 
 
 def test_sp_factor_identity_and_generators():

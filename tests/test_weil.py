@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from weildescent.errors import IdentityFailure
+from weildescent.errors import CocycleViolation, IdentityFailure
 from weildescent.fields import GaloisAut, field_make, MODULAR, RATIONAL
 from weildescent.finite import (
     HeisElem,
@@ -16,7 +16,10 @@ from weildescent.finite import (
     fq_field,
     psi_standard,
     sp_enumerate,
+    sp_sample,
     token_m,
+    token_n,
+    token_to_sp,
 )
 from weildescent.linalg import Matrix, intertwiner_space
 from weildescent.weil import (
@@ -114,10 +117,16 @@ def test_stone_von_neumann_commutant(model3, model5, model9):
         assert len(comm) == 1
 
 
+def _commutant_dim(hrep):
+    "Dimension of the commutant of rho: premise (b) of the column certificate."
+    return len(intertwiner_space(hrep.gens_images(), hrep.gens_images()))
+
+
 def test_cocycle_exhaustive_sp2f3(model3):
     sp = model3["space"]
     els = list(sp_enumerate(sp, 100))
-    cert = cocycle_certificate(model3["weil"], [(a, b) for a in els for b in els])
+    pairs = [(a, b) for a in els for b in els]
+    cert = cocycle_certificate(model3["weil"], pairs, _commutant_dim(model3["heis"]))
     assert cert.all_pm_one()
     assert cert.summary()["pairs"] == 576
 
@@ -127,7 +136,7 @@ def test_cocycle_seeded_sp2f5(model5):
     els = list(sp_enumerate(sp, 1000))
     rng = random.Random(0)
     pairs = [(rng.choice(els), rng.choice(els)) for _ in range(200)]
-    cert = cocycle_certificate(model5["weil"], pairs)
+    cert = cocycle_certificate(model5["weil"], pairs, _commutant_dim(model5["heis"]))
     assert cert.all_pm_one()
 
 
@@ -150,9 +159,128 @@ def test_cocycle_deterministic(model5):
     rng1, rng2 = random.Random(5), random.Random(5)
     p1 = [(rng1.choice(els), rng1.choice(els)) for _ in range(30)]
     p2 = [(rng2.choice(els), rng2.choice(els)) for _ in range(30)]
-    c1 = cocycle_certificate(model5["weil"], p1)
-    c2 = cocycle_certificate(model5["weil"], p2)
+    dim = _commutant_dim(model5["heis"])
+    c1 = cocycle_certificate(model5["weil"], p1, dim)
+    c2 = cocycle_certificate(model5["weil"], p2, dim)
     assert [x[2] for x in c1.pairs] == [x[2] for x in c2.pairs]
+
+
+def _dense_lambda(rep, ops, g, h):
+    """lambda with omega~(g) omega~(h) = lambda omega~(gh) from the dense
+    products of weil_op (cached in ops by matrix key), or None."""
+
+    def op(x):
+        key = x.mat.to_key()
+        if key not in ops:
+            ops[key] = weil_op(rep, x)
+        return ops[key]
+
+    t, tprime = op(g) * op(h), op(g * h)
+    for lam in (1, -1):
+        if t == tprime.scale(rep.field.from_int(lam)):
+            return lam
+    return None
+
+
+def _oracle_case(case):
+    "(rep, pairs) on which the column reading meets the dense oracle."
+    fq3, fq5 = fq_field(3, 1), fq_field(5, 1)
+    if case == "Sp(2,F_3)":
+        sp = SymplecticSpace(fq3, 1)
+        els = list(sp_enumerate(sp, 100))
+        return weil_rep(psi_standard(fq3, field_make(RATIONAL, 3)), sp), [
+            (a, b) for a in els for b in els
+        ]
+    if case == "Sp(4,F_3)":
+        sp, K, seed, npairs = SymplecticSpace(fq3, 2), field_make(RATIONAL, 3), 12, 20
+    elif case == "Sp(2,F_5)":
+        sp, K, seed, npairs = SymplecticSpace(fq5, 1), field_make(RATIONAL, 5), 11, 200
+    else:  # the modular model over F_7[zeta_5]
+        sp, K, seed, npairs = SymplecticSpace(fq5, 1), field_make(MODULAR, 5, 7), 13, 60
+    rng = random.Random(seed)
+    pairs = [(sp_sample(sp, rng), sp_sample(sp, rng)) for _ in range(npairs)]
+    return weil_rep(psi_standard(sp.fq, K), sp), pairs
+
+
+@pytest.mark.parametrize("case", ["Sp(2,F_3)", "Sp(2,F_5)", "Sp(4,F_3)", "F_7[zeta_5]"])
+def test_column_cocycle_matches_dense_oracle(case):
+    rep, pairs = _oracle_case(case)
+    ops = {}
+    for g, h in pairs:
+        assert cocycle_value(rep, g, h) == _dense_lambda(rep, ops, g, h)
+
+
+def test_scaled_w_intertwines_but_fails_the_cocycle(model5):
+    # zeta_p . W0 still intertwines rho, but omega~(W0) omega~(W0) = zeta_p^2
+    # omega~(-1) is no longer +-omega~(W0^2)
+    sp, psi, heis = model5["space"], model5["psi"], model5["heis"]
+    w = weil_rep(psi, sp)
+    w._images[TOKEN_W] = w.image(TOKEN_W).scale(psi.values[1])
+    assert intertwining_check(w, heis)
+    w0 = token_to_sp(sp, TOKEN_W)
+    rng = random.Random(14)
+    pairs = [(sp_sample(sp, rng), sp_sample(sp, rng)) for _ in range(5)] + [(w0, w0)]
+    with pytest.raises(CocycleViolation):
+        cocycle_certificate(w, pairs, _commutant_dim(heis))
+    with pytest.raises(CocycleViolation):
+        cocycle_value(w, w0, w0)
+
+
+def test_cocycle_checks_the_word_of_each_element(model5, monkeypatch):
+    from weildescent import weil
+
+    sp = model5["space"]
+    w0 = token_to_sp(sp, TOKEN_W)
+    honest = weil.sp_factor
+    monkeypatch.setattr(weil, "sp_factor", lambda g: honest(g * w0))
+    with pytest.raises(IdentityFailure, match="word"):
+        cocycle_certificate(model5["weil"], [(w0, w0)], _commutant_dim(model5["heis"]))
+
+
+def test_cocycle_needs_a_nonzero_column(model5):
+    # an N(1) image with a zero entry at e_0: omega~(g) e_0 = 0 on both sides,
+    # which would read as lambda = +1 without premise (d)
+    sp, psi = model5["space"], model5["psi"]
+    fq = sp.fq
+    w = weil_rep(psi, sp)
+    tok = token_n(Matrix(fq, [[fq.one()]]))
+    bad = w.image(tok).copy()
+    bad.rows[0][0] = psi.coeff.zero()
+    w._images[tok] = bad
+    g = token_to_sp(sp, tok)
+    with pytest.raises(IdentityFailure, match="e_0 = 0"):
+        cocycle_value(w, g, g * g.inverse())
+
+
+def test_cocycle_needs_a_scalar_commutant(model5, monkeypatch):
+    # with a larger commutant Schur's lemma says nothing: no column is read
+    from weildescent import weil
+
+    def unread(g):
+        raise AssertionError("a column was read")
+
+    monkeypatch.setattr(weil, "sp_factor", unread)
+    w0 = token_to_sp(model5["space"], TOKEN_W)
+    with pytest.raises(IdentityFailure, match="commutant"):
+        cocycle_certificate(model5["weil"], [(w0, w0)], 2)
+
+
+def test_undeclared_tokens_are_checked_at_rank_2():
+    # at m = 2, sp_factor uses M(a) and N(b) outside the declared generators;
+    # a wrong image of one of them is caught before its column is used
+    fq = fq_field(3, 1)
+    sp = SymplecticSpace(fq, 2)
+    psi = psi_standard(fq, field_make(RATIONAL, 3))
+    w = weil_rep(psi, sp)
+    one = fq.one()
+    tok = token_m(Matrix(fq, [[one, one], [one, fq.from_int(2)]]))
+    assert tok not in w.gen_names
+    g = token_to_sp(sp, tok)
+    assert cocycle_value(w, g, g) == 1
+    w._images[tok] = Matrix.identity(psi.coeff, w.dim)
+    assert intertwining_check(w, heisenberg_rep(psi, sp))  # declared generators only
+    with pytest.raises(IdentityFailure, match="intertwining fails"):
+        cocycle_value(w, g, g)
 
 
 @pytest.mark.parametrize(
@@ -241,7 +369,7 @@ def test_modular_model_q5_ell7():
     els = list(sp_enumerate(sp, 1000))
     rng = random.Random(3)
     pairs = [(rng.choice(els), rng.choice(els)) for _ in range(40)]
-    assert cocycle_certificate(w, pairs).all_pm_one()
+    assert cocycle_certificate(w, pairs, _commutant_dim(h)).all_pm_one()
     even, odd = even_odd_split(w)
     assert (even.dim, odd.dim) == (3, 2)
 
@@ -263,7 +391,7 @@ def test_weil_m2_small():
         els.append(next(gen))
     rng = random.Random(4)
     pairs = [(rng.choice(els), rng.choice(els)) for _ in range(10)]
-    assert cocycle_certificate(w, pairs).all_pm_one()
+    assert cocycle_certificate(w, pairs, _commutant_dim(h)).all_pm_one()
 
 
 def test_marked_rep_images_invertible(model5):
@@ -348,11 +476,13 @@ OPTIMIZED_SCRIPT = """
 import sys
 from weildescent import weil
 from weildescent.descent import DescentDatum, build_weil, odd_obstruction_check, sqrt_minus_p
-from weildescent.errors import DatumInvalid, IdentityFailure
+from weildescent.errors import CocycleViolation, DatumInvalid, IdentityFailure
 from weildescent.theta import CommutingPair, isotypic_projector
 from weildescent.fields import MODULAR, RATIONAL, CoeffField, cyclotomic_poly, field_make
-from weildescent.finite import SpElement, SymplecticSpace, TOKEN_W, fq_field, psi_standard, token_n
-from weildescent.linalg import Matrix
+from weildescent.finite import (
+    SpElement, SymplecticSpace, TOKEN_W, fq_field, psi_standard, token_n, token_to_sp,
+)
+from weildescent.linalg import Matrix, intertwiner_space
 
 if sys.flags.optimize < 1:
     sys.exit("not optimized")
@@ -427,6 +557,36 @@ flip = Matrix(K3, [[K3.one(), K3.zero()], [K3.zero(), K3.from_int(-1)]])
 pair = CommutingPair(K3, 2, {"c": flip}, {"t": Matrix.identity(K3, 2)})
 pair.h2_gens = {"t": Matrix(K3, [[K3.zero(), K3.one()], [K3.one(), K3.zero()]])}
 expect("projector-central", lambda: isotypic_projector(pair, {"c": Matrix.identity(K3, 1)}))
+
+# zeta_3 . W0 still intertwines rho, but omega~(W0)^2 = zeta_3^2 omega~(W0^2)
+heis = weil.heisenberg_rep(psi, sp)
+comm = len(intertwiner_space(heis.gens_images(), heis.gens_images()))
+w0 = token_to_sp(sp, TOKEN_W)
+wz = weil.weil_rep(psi, sp)
+wz._images[TOKEN_W] = wz.image(TOKEN_W).scale(psi.values[1])
+weil.intertwining_check(wz, heis)
+expect("cocycle-column", lambda: weil.cocycle_certificate(wz, [(w0, w0)], comm), CocycleViolation)
+
+# a factorization word that evaluates to another element
+honest_factor = weil.sp_factor
+weil.sp_factor = lambda g: honest_factor(g * w0)
+expect("word-element", lambda: weil.cocycle_certificate(weil.weil_rep(psi, sp), [(w0, w0)], comm))
+weil.sp_factor = honest_factor
+
+expect("commutant", lambda: weil.cocycle_certificate(weil.weil_rep(psi, sp), [(w0, w0)], 2))
+
+# omega~(N(1)) e_0 = 0: both sides of the column test vanish
+wcol = weil.weil_rep(psi, sp)
+n1 = token_n(Matrix(fq, [[fq.one()]]))
+zcol = wcol.image(n1).copy()
+zcol.rows[0][0] = psi.coeff.zero()
+wcol._images[n1] = zcol
+g1 = token_to_sp(sp, n1)
+expect("zero-column", lambda: weil.cocycle_certificate(wcol, [(g1, g1 * g1.inverse())], comm))
+
+wzero = weil.weil_rep(psi, sp)
+wzero._images[TOKEN_W] = Matrix.zeros(psi.coeff, 3, 3)
+expect("zero-image", lambda: weil.intertwining_check(wzero, heis))
 """
 
 
@@ -450,5 +610,6 @@ def test_certificates_raise_under_optimize():
     assert proc.stdout.split() == [
         "rho-exponent", "parity-leak", "generation", "symplectic", "zero-inverse",
         "norm-outside", "r-tau-power", "sqrt-minus-one", "datum-entries",
-        "projector-central",
+        "projector-central", "cocycle-column", "word-element", "commutant", "zero-column",
+        "zero-image",
     ]
