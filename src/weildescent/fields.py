@@ -390,10 +390,10 @@ class CycloNum:
     # --- predicates
 
     def is_zero(self):
-        return all(c == 0 for c in self.nums)
+        return not any(self.nums)
 
     def is_rational(self):
-        return all(c == 0 for c in self.nums[1:])
+        return not any(self.nums[1:])
 
     def as_fraction(self) -> Fraction:
         assert self.is_rational()

@@ -1,8 +1,8 @@
 """Finite fields F_q of odd characteristic, additive characters valued in a
 cyclotomic coefficient field, symplectic spaces with the standard
-polarisation, the Heisenberg group, and factorization of symplectic
+polarisation, the Heisenberg group, factorization of symplectic
 matrices into the Siegel-parabolic generators M(a), N(b) and the fixed
-Weyl element W0.
+Weyl element W0, and the conjugacy classes of Sp(W).
 
 An FqElem is an index in counting order, and F_q arithmetic is lookup in
 the add, neg, mul (log/antilog) and inv tables its FqField builds once;
@@ -689,3 +689,121 @@ def _solve_affine(fq, rows, rhs):
     for r, p in enumerate(pivots):
         part[p] = red.rows[r][ncols]
     return part, _rref_kernel(red, pivots, ncols)
+
+
+# ---------------------------------------------------------------------------
+# Conjugacy classes
+
+
+class SpClasses:
+    """The conjugacy classes of Sp(W) with a spanning tree of the Cayley
+    graph of the generating tokens.  Element i is a row-major tuple of F_q
+    indices, elements[0] is the identity and the ids are in breadth-first
+    order, so a tree path is as short as any word in the tokens.
+
+    elements[i] = elements[parent[i]] . token_to_sp(tokens[via[i]]);
+    right[i * len(tokens) + t] is the id of elements[i] . token_to_sp(tokens[t]);
+    inverse[i] is the id of elements[i]^-1; class_of[i] is the index of the
+    class of element i in classes, a list of (representative, size) with
+    the least id of the class as representative."""
+
+    def __init__(self, tokens, elements, parent, via, right, inverse, class_of, classes):
+        self.tokens = tokens
+        self.elements = elements
+        self.parent = parent
+        self.via = via
+        self.right = right
+        self.inverse = inverse
+        self.class_of = class_of
+        self.classes = classes
+
+
+def _right_multiplier(fq: FqField, s, n: int):
+    """x -> x . s on row-major index tuples of n x n matrices over F_q.
+    Entry (i, j) of x . s sums x_ik s_kj over the nonzero s_kj of column j.
+    Layer d takes the d-th nonzero of every column (0 where a column has
+    fewer), so the product is one mul-table lookup per entry and layer,
+    summed by the add table."""
+    cols = [[(k, s[k * n + j]) for k in range(n) if s[k * n + j]] for j in range(n)]
+    layers = [
+        [
+            (i * n + col[d][0], fq.mul[col[d][1]]) if d < len(col) else (0, fq.mul[0])
+            for i in range(n)
+            for col in cols
+        ]
+        for d in range(max(map(len, cols)))
+    ]
+    first, rest = layers[0], layers[1:]
+    add = fq.add
+
+    def times(x):
+        out = [row[x[pos]] for pos, row in first]
+        for layer in rest:
+            out = [add[a][row[x[pos]]] for a, (pos, row) in zip(out, layer)]
+        return tuple(out)
+
+    return times
+
+
+def sp_classes(space: SymplecticSpace, tokens, bound: int) -> SpClasses:
+    """Every element of Sp(W) and its conjugacy class, from the tokens that
+    generate it, on row-major tuples of F_q indices: no SpElement is made.
+
+    A breadth-first walk of the Cayley graph multiplies each element on the
+    right by each token (the add and mul tables of F_q), and records the
+    spanning tree and the right-multiplication table.  Reaching fewer than
+    |Sp| elements raises IdentityFailure: the tokens do not generate.  The
+    inverse is the block formula g^-1 = [[D^T, -B^T], [-C^T, A^T]] of a
+    symplectic g = [[A, B], [C, D]], an index shuffle plus the neg table.
+    Conjugation by a token s needs no further product,
+    s^-1 g s = inv(R_s(inv(R_s(g)))) with R_s(g) = g s, and the orbits under
+    conjugation by the generating tokens are the conjugacy classes.
+    Refuses (TooLarge) when |Sp| exceeds bound, before walking."""
+    total = sp_order_within(space, bound)
+    fq, m, n = space.fq, space.m, space.dim
+    tokens = tuple(tokens)
+    movers = [
+        _right_multiplier(fq, [e.idx for row in token_to_sp(space, t).mat.rows for e in row], n)
+        for t in tokens
+    ]
+    ident = tuple(int(i == j) for i in range(n) for j in range(n))
+    elements, parent, via, right = [ident], [None], [None], []
+    index = {ident: 0}
+    for i, x in enumerate(elements):  # elements grows while it is walked
+        for t, times in enumerate(movers):
+            y = times(x)
+            k = index.get(y)
+            if k is None:
+                k = index[y] = len(elements)
+                elements.append(y)
+                parent.append(i)
+                via.append(t)
+            right.append(k)
+    if len(elements) != total:
+        raise IdentityFailure(f"generators reach {len(elements)} of the {total} elements of Sp")
+    # entry (i, j) of g^-1 is entry (j + m, i + m) of g (indices mod 2m),
+    # negated off the diagonal blocks
+    neg = fq.neg
+    shuffle = [
+        ((j + m) % n * n + (i + m) % n, (i < m) != (j < m)) for i in range(n) for j in range(n)
+    ]
+    inverse = [
+        index[tuple([neg[x[pos]] if flip else x[pos] for pos, flip in shuffle])]
+        for x in elements
+    ]
+    T = len(tokens)
+    class_of = [None] * len(elements)
+    classes = []
+    for g in range(len(elements)):
+        if class_of[g] is not None:
+            continue
+        c = class_of[g] = len(classes)
+        orbit = [g]
+        for x in orbit:  # orbit grows while it is walked
+            for t in range(T):
+                y = inverse[right[inverse[right[x * T + t]] * T + t]]
+                if class_of[y] is None:
+                    class_of[y] = c
+                    orbit.append(y)
+        classes.append((g, len(orbit)))
+    return SpClasses(tokens, elements, parent, via, right, inverse, class_of, classes)

@@ -11,7 +11,11 @@ each summand being a small exact intertwiner solve, instead of one dense
 nullspace in (dim . [K:Q])^2 unknowns.  Completeness of the resulting basis
 is certified independently by the character dimension formula
 dim End = (1/|G|) sum tr(g) tr(g^-1), evaluated exactly (in its
-section-independent form for the metaplectic sweeps)."""
+section-independent form for the metaplectic sweeps).  For Sp both the
+character field and this formula read one trace per conjugacy class, the
+formula weighting each class by its size (weil.trace_values and
+weil.end_dimension_over_subfield); the Heisenberg group is still summed
+element by element."""
 
 from __future__ import annotations
 
@@ -39,7 +43,9 @@ DEFAULT_SP_BOUND = 10**5
 
 
 class TraceProfile:
-    "Exact traces over an enumerated group (or its metaplectic section)."
+    """Exact traces of a representation: for Sp (through the metaplectic
+    section, each up to sign) one value per conjugacy class, for the
+    Heisenberg group one value per element."""
 
     def __init__(self, rep, values, exhaustive):
         self.rep = rep
@@ -72,9 +78,11 @@ def _heis_trace(psi, space, h):
 
 
 def character_field(rep: MarkedRep, bound: int = DEFAULT_SP_BOUND) -> SubfieldTag:
-    """Subfield generated by the trace values.  For the Weil section the
-    per-element sign ambiguity is harmless: both +-tr occur as traces of the
-    two metaplectic preimages, and sign flips do not move the stabilizer.
+    """Subfield generated by the trace values, one per conjugacy class of
+    Sp.  For the Weil section the per-element sign ambiguity is harmless:
+    both +-tr occur as traces of the two metaplectic preimages, and sign
+    flips do not move the stabilizer; conjugates have the same trace up to
+    sign, so the class representatives generate the whole field.
 
     Groups larger than the bound fall back to seeded random words plus an
     exact certification of every Galois exponent by iso_test (which, for
@@ -112,7 +120,11 @@ def _character_field_sampled(rep: MarkedRep, seed: int = 0, words: int = 200):
     ]
     certified = SubfieldTag(K, fixing)
     # sampled traces only ever see a subfield of the certified one
-    assert certified.stabilizer <= sampled.stabilizer
+    if not certified.stabilizer <= sampled.stabilizer:
+        raise IdentityFailure(
+            f"iso_test fixes {sorted(certified.stabilizer)}, outside the stabilizer"
+            f" {sorted(sampled.stabilizer)} of the sampled traces"
+        )
     return certified
 
 
@@ -356,14 +368,15 @@ def endomorphism_algebra(
 
 def _heis_end_dimension(rep, tag):
     space, psi = rep.space, rep.psi
-    pairs = [
+    terms = [
         (
             trace_to_subfield(_heis_trace(psi, space, h), tag),
             trace_to_subfield(_heis_trace(psi, space, h.inverse()), tag),
+            1,
         )
         for h in heis_enumerate(space)
     ]
-    return _trace_pair_dimension(rep.field, pairs)
+    return _trace_pair_dimension(rep.field, terms)
 
 
 def quaternion_scalar(alg: EndAlgebra):

@@ -77,8 +77,8 @@ def isotypic_projector(pair: CommutingPair, pi1_gens):
     d1 = mirrored[0][1].nrows
     # chi(h) = tr pi1(h^-1), read off the closure: pi1 is a homomorphism
     chis = [pi_index[gv.inverse().to_key()].trace() for gv, _ in mirrored]
-    pairs = [(gp.trace(), chi) for (_, gp), chi in zip(mirrored, chis)]
-    eps = _trace_pair_dimension(field, pairs)
+    terms = [(gp.trace(), chi, 1) for (_, gp), chi in zip(mirrored, chis)]
+    eps = _trace_pair_dimension(field, terms)
     e = Matrix.zeros(field, pair.dim, pair.dim)
     for (gv, _), chi in zip(mirrored, chis):
         e = e + gv.scale(chi)

@@ -32,6 +32,7 @@ from .finite import (
     AdditiveCharacter,
     FqElem,
     HeisElem,
+    SpClasses,
     SpElement,
     SymplecticSpace,
     TOKEN_W,
@@ -39,8 +40,8 @@ from .finite import (
     char_twist,
     eval_word,
     legendre,
+    sp_classes,
     sp_factor,
-    sp_order_within,
     token_m,
     token_n,
     token_to_sp,
@@ -610,7 +611,7 @@ def weil_twist_check(psi: AdditiveCharacter, space: SymplecticSpace, gamma: FqEl
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive sweeps (traces, cocycle tables)
+# Sweeps (the Heisenberg group, the conjugacy classes of Sp)
 
 
 def _monomial_product(a, b, p):
@@ -656,66 +657,81 @@ def heisenberg_hom_check(rep: MarkedRep, exhaustive: bool, rng=None, samples=200
     return len(pairs)
 
 
-def bfs_matrices(rep: MarkedRep, bound: int):
-    """omega~-matrices (up to a +-1 per element) for every g in Sp, one
-    matrix product per element, walking the Cayley graph of the declared
-    generators.  Returns dict: matrix-key of g -> (SpElement, Matrix)."""
-    space = rep.space
-    total = sp_order_within(space, bound)
-    gens = [(tok, token_to_sp(space, tok), rep.image(tok)) for tok in rep.gen_names]
-    ident = SpElement(space, Matrix.identity(space.fq, space.dim), _checked=True)
-    out = {ident.mat.to_key(): (ident, Matrix.identity(rep.field, rep.dim))}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            gmat = out[g.mat.to_key()][1]
-            for _, sgen, img in gens:
-                h = g * sgen
-                k = h.mat.to_key()
-                if k not in out:
-                    out[k] = (h, gmat * img)
-                    nxt.append(h)
-        frontier = nxt
-    if len(out) != total:
-        raise IdentityFailure(f"generators reach {len(out)} of the {total} elements of Sp")
-    return out
+def _tree_images(rep: MarkedRep, classes: SpClasses):
+    """image(i): omega~ of element i of classes, up to sign, as the product
+    of the token images along its tree path.  Each prefix of a path is
+    multiplied once per call and shared by the paths through it."""
+    images = {0: Matrix.identity(rep.field, rep.dim)}
+
+    def image(i):
+        path = []
+        while i not in images:
+            path.append(i)
+            i = classes.parent[i]
+        mat = images[i]
+        for j in reversed(path):
+            mat = images[j] = mat * rep.image(classes.tokens[classes.via[j]])
+        return mat
+
+    return image
 
 
 def trace_values(rep: MarkedRep, bound: int):
-    "All traces of omega~(g) over Sp (each up to sign; fine for field tags)."
-    mats = bfs_matrices(rep, bound)
-    return [mat.trace() for _, mat in mats.values()]
+    """tr omega~(g) for one g per conjugacy class of Sp, each up to sign.
+
+    omega~ is projective with a +-1 cocycle (the premise the cocycle
+    certificate measures), so omega~(x g x^-1) = +-omega~(x) omega~(g)
+    omega~(x)^-1 and tr omega~(x g x^-1) = +-tr omega~(g).  A Galois
+    automorphism fixes t exactly when it fixes -t, so the traces of the
+    class representatives generate the same field as the traces of every
+    element.  This holds for any conjugation orbit: it does not need the
+    orbits of sp_classes to be whole classes."""
+    classes = sp_classes(rep.space, rep.gen_names, bound)
+    image = _tree_images(rep, classes)
+    return [image(g).trace() for g, _ in classes.classes]
 
 
 def end_dimension_over_subfield(rep: MarkedRep, tag, bound: int):
     """dim over the tagged subfield R of End_{R[Mp]}(rep restricted to R),
     by the section-independent trace formula
-    (1/|Sp|) sum_g Tr(omega~(g)) Tr(omega~(g)^-1)."""
+    (1/|Sp|) sum_g T(tr omega~(g)) T(tr omega~(g)^-1), T = Tr_{K/R},
+    summed over the conjugacy classes of Sp with their sizes as weights.
+
+    omega~(g)^-1 = c_g^-1 omega~(g^-1), with c_g the scalar of
+    omega~(g) omega~(g^-1) = c_g Id.  The term is the same on every element
+    of a conjugation orbit, exactly: the image of x g x^-1 is
+    e A omega~(g) A^-1 with A = omega~(x) and e = +-1 (the cocycle), its
+    inverse e^-1 A omega~(g)^-1 A^-1, and T is linear over R, which
+    contains e, so the two signs cancel.  As for trace_values, the orbits
+    need not be whole classes."""
     from .fields import trace_to_subfield
 
-    mats = bfs_matrices(rep, bound)
+    classes = sp_classes(rep.space, rep.gen_names, bound)
+    image = _tree_images(rep, classes)
     K = rep.field
-    pairs = []
-    for g, mat in mats.values():
-        minv = mats[g.inverse().mat.to_key()][1]
+    terms = []
+    for g, size in classes.classes:
+        mat, minv = image(g), image(classes.inverse[g])
         # mat * minv = c * Id with c a scalar: read entry (0,0)
         c = K.zero()
         for k in range(mat.ncols):
             c = c + mat.rows[0][k] * minv.rows[k][0]
         t1 = trace_to_subfield(mat.trace(), tag)
         t2 = trace_to_subfield(c.inv() * minv.trace(), tag)
-        pairs.append((t1, t2))
-    return _trace_pair_dimension(K, pairs)
+        terms.append((t1, t2, size))
+    return _trace_pair_dimension(K, terms)
 
 
-def _trace_pair_dimension(K, pairs):
-    """dim End = (1/|G|) sum_g tr(g) tr(g^-1) from the pairs (tr(g), tr(g^-1)),
-    one per element of G; raises IdentityFailure unless it is an integer."""
-    total = K.zero()
-    for t1, t2 in pairs:
-        total = total + t1 * t2
-    dim = total / len(pairs)
+def _trace_pair_dimension(K, terms):
+    """dim End = (1/|G|) sum_g tr(g) tr(g^-1) from the terms
+    (tr(g), tr(g^-1), weight): weight elements of G for each term, so that
+    |G| is the sum of the weights; raises IdentityFailure unless it is an
+    integer."""
+    total, order = K.zero(), 0
+    for t1, t2, weight in terms:
+        total = total + t1 * t2 * weight
+        order += weight
+    dim = total / order
     if not dim.is_rational() or dim.as_fraction().denominator != 1:
         raise IdentityFailure(f"End-algebra dimension {dim!r} is not an integer")
     return int(dim.as_fraction())

@@ -56,6 +56,18 @@ def test_character_field_verb(tmp_path):
     assert rep["results"]["name"] == "Q(sqrt(5))"
 
 
+def test_character_field_rank_2(tmp_path):
+    # the class sweep of Sp(4, F_3): 34 classes for 51,840 elements
+    code, rep = run_json(
+        ["character-field", "--p", "3", "--m", "2", "--part", "odd"], tmp_path
+    )
+    assert code == 0
+    r = rep["results"]
+    assert r["name"] == "Q(sqrt(-3))"
+    assert r["degree_over_prime"] == 2
+    assert r["tag"] == {"n": 3, "stabilizer_gens": [1]}
+
+
 def test_end_algebra_verb(tmp_path):
     code, rep = run_json(
         [

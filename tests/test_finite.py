@@ -19,6 +19,7 @@ from weildescent.finite import (
     legendre,
     psi_standard,
     sp_act_heis,
+    sp_classes,
     sp_enumerate,
     sp_factor,
     sp_order,
@@ -28,6 +29,7 @@ from weildescent.finite import (
     token_to_sp,
 )
 from weildescent.linalg import Matrix
+from weildescent.weil import _gl_generator_tokens
 
 
 def test_fq_modulus_deterministic():
@@ -267,3 +269,62 @@ def test_sp_factor_singular_c_repair_path():
     assert not C.is_zero() and C.det().is_zero()
     word = sp_factor(g)
     assert eval_word(sp, word) == g
+
+
+def _sp_element(space, flat):
+    "The SpElement of a row-major tuple of F_q indices (rechecked symplectic)."
+    fq, n = space.fq, space.dim
+    rows = [[fq.elems[flat[i * n + j]] for j in range(n)] for i in range(n)]
+    return SpElement(space, Matrix(fq, rows))
+
+
+@pytest.mark.parametrize(
+    "p, f, m, count", [(3, 1, 1, 7), (5, 1, 1, 9), (7, 1, 1, 11), (3, 2, 1, 13), (3, 1, 2, 34)]
+)
+def test_sp_classes_count(p, f, m, count):
+    # Sp(2, F_q) has q + 4 classes, Sp(4, F_q) q^2 + 5q + 10 (Srinivasan 1968)
+    space = SymplecticSpace(fq_field(p, f), m)
+    classes = sp_classes(space, _gl_generator_tokens(space), 10**5)
+    assert len(classes.classes) == count
+    assert sum(size for _, size in classes.classes) == sp_order(m, p**f)
+    assert len(set(classes.elements)) == len(classes.elements) == sp_order(m, p**f)
+    for c, (g, size) in enumerate(classes.classes):
+        assert classes.class_of[g] == c
+        assert classes.class_of.count(c) == size
+        assert all(classes.class_of[i] != c for i in range(g))  # least id
+
+
+def test_sp_classes_tables_match_sp_element():
+    space = SymplecticSpace(fq_field(5, 1), 1)
+    tokens = _gl_generator_tokens(space)
+    classes = sp_classes(space, tokens, 10**4)
+    els = [_sp_element(space, x) for x in classes.elements]
+    gens = [token_to_sp(space, t) for t in tokens]
+    T = len(gens)
+    assert els[0].is_identity()
+    for i, g in enumerate(els):
+        if i:
+            assert classes.parent[i] < i
+            assert els[classes.parent[i]] * gens[classes.via[i]] == g
+        assert els[classes.inverse[i]] == g.inverse()
+        for t, s in enumerate(gens):
+            assert els[classes.right[i * T + t]] == g * s
+
+
+def test_sp_classes_are_conjugacy_classes():
+    # brute force over Sp(2, F_3): x g x^-1 for every x and g
+    space = SymplecticSpace(fq_field(3, 1), 1)
+    classes = sp_classes(space, _gl_generator_tokens(space), 100)
+    els = [_sp_element(space, x) for x in classes.elements]
+    ids = {g.mat.to_key(): i for i, g in enumerate(els)}
+    brute = [
+        {ids[(x * g * x.inverse()).mat.to_key()] for x in els} for g in els
+    ]
+    for i, orbit in enumerate(brute):
+        assert orbit == {j for j, c in enumerate(classes.class_of) if c == classes.class_of[i]}
+
+
+def test_sp_classes_refuse_before_walking():
+    space = SymplecticSpace(fq_field(5, 1), 1)
+    with pytest.raises(TooLarge):
+        sp_classes(space, _gl_generator_tokens(space), 100)

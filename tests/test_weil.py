@@ -10,11 +10,13 @@ from weildescent.errors import CocycleViolation, IdentityFailure
 from weildescent.fields import GaloisAut, field_make, MODULAR, RATIONAL
 from weildescent.finite import (
     HeisElem,
+    SpElement,
     SymplecticSpace,
     TOKEN_W,
     char_twist,
     fq_field,
     psi_standard,
+    sp_classes,
     sp_enumerate,
     sp_sample,
     token_m,
@@ -23,6 +25,7 @@ from weildescent.finite import (
 )
 from weildescent.linalg import Matrix, intertwiner_space
 from weildescent.weil import (
+    _tree_images,
     cocycle_certificate,
     cocycle_value,
     even_odd_split,
@@ -32,6 +35,7 @@ from weildescent.weil import (
     parity_matrix,
     rho_matrix,
     semilinearity_check,
+    trace_values,
     weil_op,
     weil_rep,
     weil_twist_check,
@@ -411,18 +415,43 @@ def test_intertwining_detects_wrong_model(model3):
         intertwining_check(w, model3["heis"])
 
 
-def test_bfs_matches_canonical_up_to_sign(model5):
-    from weildescent.weil import bfs_matrices
+def _sp_element(space, flat):
+    "The SpElement of a row-major tuple of F_q indices (rechecked symplectic)."
+    fq, n = space.fq, space.dim
+    rows = [[fq.elems[flat[i * n + j]] for j in range(n)] for i in range(n)]
+    return SpElement(space, Matrix(fq, rows))
 
+
+def test_bfs_matches_canonical_up_to_sign(model5):
+    # the tree-path images the class sweeps use, against the dense canonical
+    # product: every class representative, its inverse, and 12 seeded elements
     w = model5["weil"]
-    mats = bfs_matrices(w, 10**4)
-    rng = random.Random(9)
-    keys = rng.sample(list(mats), 12)  # BFS insertion order is deterministic
-    K = w.field
-    for key in keys:
-        g, bfs_mat = mats[key]
-        canonical = weil_op(w, g)
-        assert bfs_mat == canonical or bfs_mat == canonical.scale(K.from_int(-1))
+    classes = sp_classes(w.space, w.gen_names, 10**4)
+    image = _tree_images(w, classes)
+    reps = [g for g, _ in classes.classes]
+    ids = reps + [classes.inverse[g] for g in reps]
+    ids += random.Random(9).sample(range(len(classes.elements)), 12)
+    minus = w.field.from_int(-1)
+    for i in ids:
+        canonical = weil_op(w, _sp_element(w.space, classes.elements[i]))
+        assert image(i) == canonical or image(i) == canonical.scale(minus)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_class_traces_cover_every_element(p):
+    # exhaustively: the dense trace of every element is +- the trace of its
+    # orbit's representative, so the representatives generate the field of
+    # all traces
+    fq = fq_field(p, 1)
+    space = SymplecticSpace(fq, 1)
+    w = weil_rep(psi_standard(fq, field_make(RATIONAL, p)), space)
+    classes = sp_classes(space, w.gen_names, 10**4)
+    image = _tree_images(w, classes)
+    rep_traces = [image(g).trace() for g, _ in classes.classes]
+    assert trace_values(w, 10**4) == rep_traces
+    for flat, c in zip(classes.elements, classes.class_of):
+        t = weil_op(w, _sp_element(space, flat)).trace()
+        assert t in (rep_traces[c], -rep_traces[c])
 
 
 def _dense(psi, form):
@@ -474,13 +503,14 @@ def test_hom_check_detects_corrupted_exponent(model3, monkeypatch):
 # Run with python -O: every check below must still raise IdentityFailure.
 OPTIMIZED_SCRIPT = """
 import sys
-from weildescent import weil
+from weildescent import rationality, weil
 from weildescent.descent import DescentDatum, build_weil, odd_obstruction_check, sqrt_minus_p
 from weildescent.errors import CocycleViolation, DatumInvalid, IdentityFailure
 from weildescent.theta import CommutingPair, isotypic_projector
 from weildescent.fields import MODULAR, RATIONAL, CoeffField, cyclotomic_poly, field_make
 from weildescent.finite import (
-    SpElement, SymplecticSpace, TOKEN_W, fq_field, psi_standard, token_n, token_to_sp,
+    SpElement, SymplecticSpace, TOKEN_W, fq_field, psi_standard, sp_classes, token_n,
+    token_to_sp,
 )
 from weildescent.linalg import Matrix, intertwiner_space
 
@@ -520,9 +550,8 @@ leak.rows[1][1] = psi.coeff.zeta_pow(2) * leak.rows[1][1]
 w._images[tok] = leak
 expect("parity-leak", lambda: even.image(tok))
 
-borel = weil.weil_rep(psi, sp)
-borel.gen_names = tuple(t for t in borel.gen_names if t != TOKEN_W)
-expect("generation", lambda: weil.bfs_matrices(borel, 10**4))
+borel = [t for t in weil.weil_rep(psi, sp).gen_names if t != TOKEN_W]
+expect("generation", lambda: sp_classes(sp, borel, 10**4))
 
 o, z = fq.one(), fq.zero()
 expect("symplectic", lambda: SpElement(sp, Matrix(fq, [[o, o], [z, fq.from_int(2)]])))
@@ -587,6 +616,12 @@ expect("zero-column", lambda: weil.cocycle_certificate(wcol, [(g1, g1 * g1.inver
 wzero = weil.weil_rep(psi, sp)
 wzero._images[TOKEN_W] = Matrix.zeros(psi.coeff, 3, 3)
 expect("zero-image", lambda: weil.intertwining_check(wzero, heis))
+
+# an iso_test that finds every Galois conjugate isomorphic: the certified
+# field Q is not inside the field Q(sqrt(-3)) of the sampled traces
+odd3 = weil.even_odd_split(weil.weil_rep(psi, sp))[1]
+rationality.iso_test = lambda rep1, rep2: True
+expect("sampled-field", lambda: rationality._character_field_sampled(odd3))
 """
 
 
@@ -611,5 +646,5 @@ def test_certificates_raise_under_optimize():
         "rho-exponent", "parity-leak", "generation", "symplectic", "zero-inverse",
         "norm-outside", "r-tau-power", "sqrt-minus-one", "datum-entries",
         "projector-central", "cocycle-column", "word-element", "commutant", "zero-column",
-        "zero-image",
+        "zero-image", "sampled-field",
     ]
