@@ -237,8 +237,14 @@ def cmd_end_algebra(args, report):
     elif args.subfield != "char":
         tag = _tag_arg(K, args.subfield, "--subfield")
     if target.group == "sp":
-        # the End dimension of an Sp-rep sweeps the whole group: refuse first
-        sp_order_within(space, DEFAULT_SP_BOUND)
+        # the End dimension of an Sp-rep sweeps the whole group and divides
+        # by its order: refuse first
+        order = sp_order_within(space, DEFAULT_SP_BOUND)
+        if K.char and order % K.char == 0:
+            raise ConfigInvalid(
+                f"ell = {K.char} divides |Sp| = {order}: the End dimension"
+                " formula divides by |Sp|"
+            )
     if args.subfield == "char":
         tag = character_field(target)
     alg = endomorphism_algebra(target, tag)

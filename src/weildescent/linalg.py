@@ -8,12 +8,15 @@ Heisenberg, M(a), N(b) and parity images) costs O(n^2).  Pivoting is
 deterministic (leftmost column, topmost row), so ranks, nullspace bases
 and inverses are reproducible.
 
-Intertwiner systems T*A_i = B_i*T get a dedicated solver: when every
-generator is monomial (exactly one nonzero per row and column, which covers
-all Heisenberg images and the M-type Weil images) the system is solved by
-weighted union-find over entry positions instead of dense elimination --
-the q^2m x q^2m commutant systems of the Stone-von Neumann checks would be
-far too big for Gauss."""
+Intertwiner systems T*A_i = B_i*T get a dedicated solver.  The generator
+pairs whose images are both monomial (exactly one nonzero per row and
+column: the Heisenberg, M(a), N(b) and parity images) tie the entries of T
+into weighted classes by union-find -- the q^2m-entry commutant systems of
+the Stone-von Neumann checks would be far too big for Gauss.  The other
+pairs (the Fourier image) give one elimination whose unknowns are the live
+classes, not the entries.  The basis returned is the reduced-echelon kernel
+basis of the dense system in every entry, which _dense_intertwiners keeps
+as the oracle."""
 
 from __future__ import annotations
 
@@ -285,6 +288,14 @@ def _rref_kernel(red, pivots, ncols):
     return basis
 
 
+def kernel_basis(field, rows, ncols):
+    """Deterministic basis of the right kernel of the given rows of length
+    ncols: the unit vectors when there are no rows."""
+    if not rows:
+        return Matrix.identity(field, ncols).rows
+    return Matrix(field, rows).nullspace()
+
+
 # ---------------------------------------------------------------------------
 # Intertwiner systems
 
@@ -322,71 +333,113 @@ def vector_op(m: Matrix):
 
 def intertwiner_space(gens_a, gens_b):
     """Basis of {T : T A_i = B_i T} for invertible generator images A_i of a
-    source rep and B_i of a target rep (T maps source to target).  Uses the
-    monomial fast path when possible."""
+    source rep and B_i of a target rep (T maps source to target).
+
+    The pairs whose images are both monomial tie the entries of T into
+    weighted classes by union-find; the remaining pairs give one elimination
+    whose unknowns are the live classes, not the entries of T.  Each class is
+    scaled to 1 at its last entry (row-major) and the classes are ordered by
+    that entry, so the kernel basis of the elimination is the rref kernel
+    basis of the dense system in every entry: the basis is the one
+    _dense_intertwiners returns, matrix for matrix."""
     assert len(gens_a) == len(gens_b) and gens_a
     na, nb = gens_a[0].nrows, gens_b[0].nrows
     field = gens_a[0].field
-    if all(g.is_monomial() for g in gens_a) and all(
-        g.is_monomial() for g in gens_b
-    ):
-        return _monomial_intertwiners(gens_a, gens_b, na, nb, field)
-    return _dense_intertwiners(gens_a, gens_b, na, nb, field)
-
-
-def _monomial_intertwiners(gens_a, gens_b, na, nb, field):
-    # T[tau(r), pi(c)] = (beta_r / alpha_c) T[r, c] for each generator pair,
-    # where A columns are (pi, alpha) and B columns are (tau, beta).
-    parent = {}
-    weight = {}
-    dead = set()
-
-    def findw(p):
-        root = p
-        w = field.one()
-        while parent.get(root, root) != root:
-            w = weight[root] * w
-            root = parent[root]
-        return root, w
-
-    def union(a, b, w):
-        # meaning T[b] = w * T[a]
-        ra, wa = findw(a)
-        rb, wb = findw(b)
-        if ra == rb:
-            if wb != w * wa:
-                dead.add(ra)
-            return
-        # T[rb] = wb^-1 w wa * T[ra]
-        parent[rb] = ra
-        weight[rb] = wb.inv() * w * wa
-        if rb in dead:
-            dead.discard(rb)
-            dead.add(ra)
-
+    monomial, dense = [], []
     for A, B in zip(gens_a, gens_b):
-        pi, alpha = _monomial_data(A)
-        tau, beta = _monomial_data(B)
-        for r in range(nb):
-            br = beta[r]
-            tr = tau[r]
-            for c in range(na):
-                union((r, c), (tr, pi[c]), br * alpha[c].inv())
-
-    classes = {}
-    for r in range(nb):
-        for c in range(na):
-            root, w = findw((r, c))
-            if root in dead:
-                continue
-            classes.setdefault(root, []).append(((r, c), w))
+        (monomial if A.is_monomial() and B.is_monomial() else dense).append((A, B))
+    var, coef, k = _monomial_classes(monomial, na, nb, field)
+    if not k:
+        return []
     basis = []
-    for root in sorted(classes):
+    for y in kernel_basis(field, _class_equations(dense, var, coef, k, na, nb, field), k):
         T = Matrix.zeros(field, nb, na)
-        for (r, c), w in classes[root]:
-            T.rows[r][c] = w
+        for x, (v, w) in enumerate(zip(var, coef)):
+            if v >= 0 and not y[v].is_zero():
+                T.rows[x // na][x % na] = w * y[v]
         basis.append(T)
     return basis
+
+
+def _monomial_classes(pairs, na, nb, field):
+    """Weighted union-find over the entries x = r * na + c of an nb x na
+    matrix T under the monomial pairs: for A with column c nonzero at row
+    pi(c), value alpha_c, and B with column r at tau(r), value beta_r, each
+    pair says T[tau(r), pi(c)] = (beta_r / alpha_c) T[r, c].  Returns
+    (var, coef, k): T[x] = coef[x] * y[var[x]] for the k class unknowns y,
+    numbered by the last entry of their class, where coef is 1; var[x] = -1
+    for an entry forced to 0 (a cycle of weights other than 1)."""
+    one = field.one()
+    n = na * nb
+    root = list(range(n))
+    wt = [one] * n  # T[x] = wt[x] * T[root[x]]
+    members = [[x] for x in range(n)]
+    dead = [False] * n
+
+    def union(a, b, w):
+        # T[b] = w * T[a]
+        ra, rb = root[a], root[b]
+        if ra == rb:
+            if wt[b] != w * wt[a]:
+                dead[ra] = True
+            return
+        # T[rb] = f * T[ra]
+        f = w * wt[a] if wt[b] == one else w * wt[a] * wt[b].inv()
+        if len(members[ra]) < len(members[rb]):
+            ra, rb, f = rb, ra, f.inv()
+        for y in members[rb]:
+            root[y] = ra
+            wt[y] = wt[y] * f
+        members[ra].extend(members[rb])
+        members[rb] = []
+        dead[ra] = dead[ra] or dead[rb]
+
+    for A, B in pairs:
+        pi, alpha = _monomial_data(A)
+        tau, beta = _monomial_data(B)
+        alpha_inv = [a.inv() for a in alpha]
+        for r in range(nb):
+            br, tr = beta[r], tau[r]
+            for c in range(na):
+                union(r * na + c, tr * na + pi[c], br * alpha_inv[c])
+
+    live = sorted(
+        max(members[x]) for x in range(n) if root[x] == x and not dead[x]
+    )
+    var, coef = [-1] * n, [None] * n
+    for v, last in enumerate(live):
+        scale = one if wt[last] == one else wt[last].inv()
+        for y in members[root[last]]:
+            var[y] = v
+            coef[y] = wt[y] if scale is one else wt[y] * scale
+    return var, coef, len(live)
+
+
+def _class_equations(pairs, var, coef, k, na, nb, field):
+    """The nonzero rows, in the k class unknowns, of (T A - B T)[i, j] = 0
+    for the given pairs."""
+    z = field.zero()
+    rows = []
+    for A, B in pairs:
+        acols = [
+            [(l, A.rows[l][j]) for l in range(na) if not A.rows[l][j].is_zero()]
+            for j in range(na)
+        ]
+        brows = [[(l, b) for l, b in enumerate(r) if not b.is_zero()] for r in B.rows]
+        for i in range(nb):
+            for j in range(na):
+                row = [z] * k
+                for l, a in acols[j]:
+                    x = i * na + l
+                    if var[x] >= 0:
+                        row[var[x]] = row[var[x]] + coef[x] * a
+                for l, b in brows[i]:
+                    x = l * na + j
+                    if var[x] >= 0:
+                        row[var[x]] = row[var[x]] - b * coef[x]
+                if any(not e.is_zero() for e in row):
+                    rows.append(row)
+    return rows
 
 
 def _dense_intertwiners(gens_a, gens_b, na, nb, field):

@@ -15,7 +15,9 @@ section-independent form for the metaplectic sweeps).  For Sp both the
 character field and this formula read one trace per conjugacy class, the
 formula weighting each class by its size (weil.trace_values and
 weil.end_dimension_over_subfield); the Heisenberg group is still summed
-element by element."""
+element by element.  The centre is the commutant of the algebra generators
+theta Id and A_{u,t} sigma_u, which is also how commutativity is read
+(Z(A) = A); the full structure-constant table is an oracle only."""
 
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ from .fields import (
     trace_to_subfield,
 )
 from .descent import _subfield_q_basis
-from .linalg import Matrix, intertwiner_space, invertible_element, ldl_psd
+from .linalg import Matrix, intertwiner_space, invertible_element, kernel_basis, ldl_psd
 from .weil import (
     MarkedRep,
     _trace_pair_dimension,
@@ -172,7 +174,8 @@ class RestrictionBasis:
         vec = [apply_aut(s, x) for s in self.auts]
         r = self.Vinv.mul_vec(vec)
         for c in r:
-            assert subfield_membership(c, self.tag)
+            if not subfield_membership(c, self.tag):
+                raise IdentityFailure(f"coefficient {c!r} of {x!r} is outside {self.tag!r}")
         return r
 
 
@@ -249,8 +252,8 @@ class EndAlgebra:
         "Coordinates of an algebra element over the basis (entries in R)."
         K = self.rep.field
         for w, M in elem.items():
-            if w not in self.hom_bases:
-                assert M.is_zero(), "product escaped the Hom support"
+            if w not in self.hom_bases and not M.is_zero():
+                raise IdentityFailure(f"product escaped the Hom support at sigma_{w}")
         coords = [K.zero()] * self.dim
         pos = 0
         for u in sorted(self.hom_bases):
@@ -282,21 +285,32 @@ class EndAlgebra:
         return self._structure
 
     def is_commutative(self):
-        s = self.structure_constants()
-        return all(s[i][k] == s[k][i] for i in range(self.dim) for k in range(self.dim))
+        "Z(A) = A exactly when A is commutative."
+        return self.n == self.dim
+
+    def generators(self):
+        """theta Id and the A_{u,t} sigma_u: every basis element
+        theta^j A_{u,t} sigma_u is the product (theta Id)^j (A_{u,t} sigma_u),
+        so they generate the algebra over R."""
+        K = self.rep.field
+        theta = {1: Matrix.identity(K, self.rep.dim).scale(self.rb.theta)}
+        return [theta] + [{u: A} for u in sorted(self.hom_bases) for A in self.hom_bases[u]]
 
     def center_basis(self):
-        "Basis (coordinate vectors over R) of the centre."
+        """Basis (coordinate vectors over R) of the centre: the x with
+        x g = g x for every generator g."""
         if self._center is None:
-            s = self.structure_constants()
-            K = self.rep.field
+            basis = [self.basis_element(i) for i in range(self.dim)]
             rows = []
-            for k in range(self.dim):
-                for coord in range(self.dim):
-                    rows.append(
-                        [s[i][k][coord] - s[k][i][coord] for i in range(self.dim)]
-                    )
-            self._center = Matrix(K, rows).nullspace()
+            for g in self.generators():
+                cols = []
+                for b in basis:
+                    comm = self.multiply(b, g)
+                    for w, M in self.multiply(g, b).items():
+                        comm[w] = comm[w] - M if w in comm else -M
+                    cols.append(self.expand(comm))
+                rows.extend(list(r) for r in zip(*cols) if any(not c.is_zero() for c in r))
+            self._center = kernel_basis(self.rep.field, rows, self.dim)
         return self._center
 
     @property
@@ -305,11 +319,12 @@ class EndAlgebra:
 
     @property
     def m(self):
-        m2 = self.dim // self.n
+        m2, rest = divmod(self.dim, self.n)
         m = 1
         while m * m < m2:
             m += 1
-        assert m * m == m2, "dimension is not m^2 n"
+        if rest or m * m != m2:
+            raise IdentityFailure(f"dimension {self.dim} is not m^2 n for n = {self.n}")
         return m
 
     def to_json(self):
@@ -335,7 +350,8 @@ def _expand_in_span(basis_mats, M):
     aug = Matrix(K, [list(col) + [r] for col, r in zip(zip(*cols), rhs)])
     red, pivots = aug.rref()
     k = len(basis_mats)
-    assert k not in pivots, "matrix outside the span"
+    if k in pivots:
+        raise IdentityFailure("matrix outside the span")
     out = [K.zero()] * k
     for r, p in enumerate(pivots):
         out[p] = red.rows[r][k]

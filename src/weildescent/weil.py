@@ -26,7 +26,7 @@ omega~(gh) e_0 != 0 (d)."""
 
 from __future__ import annotations
 
-from .errors import CocycleViolation, IdentityFailure
+from .errors import CocycleViolation, IdentityFailure, InvalidCharacteristic
 from .fields import CoeffField, GaloisAut, apply_aut
 from .finite import (
     AdditiveCharacter,
@@ -725,12 +725,14 @@ def end_dimension_over_subfield(rep: MarkedRep, tag, bound: int):
 def _trace_pair_dimension(K, terms):
     """dim End = (1/|G|) sum_g tr(g) tr(g^-1) from the terms
     (tr(g), tr(g^-1), weight): weight elements of G for each term, so that
-    |G| is the sum of the weights; raises IdentityFailure unless it is an
-    integer."""
+    |G| is the sum of the weights; raises InvalidCharacteristic when |G| is
+    0 in K, and IdentityFailure unless the quotient is an integer."""
     total, order = K.zero(), 0
     for t1, t2, weight in terms:
         total = total + t1 * t2 * weight
         order += weight
+    if K.from_int(order).is_zero():
+        raise InvalidCharacteristic(f"|G| = {order} is 0 in {K!r}")
     dim = total / order
     if not dim.is_rational() or dim.as_fraction().denominator != 1:
         raise IdentityFailure(f"End-algebra dimension {dim!r} is not an integer")

@@ -197,6 +197,53 @@ def test_end_algebra_refuses_before_working(tmp_path, monkeypatch):
     }
 
 
+def test_end_algebra_refuses_ell_dividing_the_group_order(tmp_path, monkeypatch):
+    # |Sp(2, F_13)| = 2184 = 0 mod 3: the End dimension formula divides by it
+    from weildescent import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("ran before the characteristic refusal")
+
+    monkeypatch.setattr(cli, "character_field", never)
+    monkeypatch.setattr(cli, "endomorphism_algebra", never)
+    argv = ["end-algebra", "--p", "13", "--part", "even", "--subfield", "char", "--ell", "3"]
+    code, rep = run_json(argv, tmp_path)
+    assert code == 2
+    assert rep["error"]["kind"] == "config-invalid"
+    assert "ell = 3" in rep["error"]["message"] and "|Sp| = 2184" in rep["error"]["message"]
+
+
+def test_character_field_rank_2_sampled(tmp_path):
+    # |Sp(4, F_5)| is past the sweep bound: sampled traces plus one
+    # intertwiner solve (144 entries) per Galois exponent
+    argv = ["character-field", "--p", "5", "--m", "2", "--part", "odd"]
+    code, rep = run_json(argv, tmp_path)
+    assert code == 0
+    assert rep["results"] == {
+        "degree_over_prime": 2,
+        "name": "Q(sqrt(5))",
+        "part": "odd",
+        "tag": {"n": 5, "stabilizer_gens": [1, 4]},
+    }
+
+
+def test_end_algebra_p11_odd(tmp_path):
+    argv = ["end-algebra", "--p", "11", "--part", "odd", "--subfield", "char"]
+    code, rep = run_json(argv, tmp_path)
+    assert code == 0
+    assert rep["transcript"] == []
+    assert rep["results"] == {
+        "center_dim": 1,
+        "commutative": False,
+        "dim_over_R": 25,
+        "field_tag": {"n": 11, "stabilizer_gens": [1, 3, 4, 5, 9]},
+        "is_division": None,
+        "m": 5,
+        "n": 1,
+        "subfield_name": "Q(sqrt(-11))",
+    }
+
+
 def test_norm_solve_verb_and_exit_codes(tmp_path):
     code, rep = run_json(
         ["norm-solve", "--n", "20", "--top", "9", "--bottom", "3"], tmp_path

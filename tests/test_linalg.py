@@ -1,10 +1,13 @@
-"""Exact linear algebra: elimination, nullspaces, the monomial intertwiner
-solver against the dense one, and the rational PSD certificate."""
+"""Exact linear algebra: elimination, nullspaces, the intertwiner solver
+against the dense one, and the rational PSD certificate."""
 
 import random
 from fractions import Fraction
 
-from weildescent.fields import RATIONAL, field_make, prime_field
+import pytest
+
+from weildescent.descent import build_weil
+from weildescent.fields import MODULAR, RATIONAL, GaloisAut, field_make, prime_field
 from weildescent.linalg import (
     Matrix,
     intertwiner_space,
@@ -12,6 +15,7 @@ from weildescent.linalg import (
     ldl_psd,
     _dense_intertwiners,
 )
+from weildescent.weil import even_odd_split
 
 Q = prime_field(0)
 
@@ -65,19 +69,9 @@ def test_monomial_solver_matches_dense():
 
         gens_a = [monomial() for _ in range(2)]
         gens_b = [monomial() for _ in range(2)]
-        fast = intertwiner_space(gens_a, gens_b)
-        slow = _dense_intertwiners(gens_a, gens_b, n, n, K)
-        # same solution space: equal dimension and containment both ways
-        assert len(fast) == len(slow)
-        if fast:
-            stack = Matrix(
-                K,
-                [
-                    [t.rows[i][j] for i in range(n) for j in range(n)]
-                    for t in fast + slow
-                ],
-            )
-            assert stack.rank() == len(fast)
+        assert intertwiner_space(gens_a, gens_b) == _dense_intertwiners(
+            gens_a, gens_b, n, n, K
+        )
 
 
 def test_intertwiner_space_is_equivalence_on_conjugates():
@@ -90,6 +84,103 @@ def test_intertwiner_space_is_equivalence_on_conjugates():
     assert T is not None
     for g, h in zip(base, conj):
         assert T * g == h * T
+
+
+FIELDS = [(RATIONAL, 5, None), (RATIONAL, 7, None), (MODULAR, 5, 7), (MODULAR, 7, 11)]
+
+
+def _monomial(K, n, rng):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    m = Matrix.zeros(K, n, n)
+    for j, i in enumerate(perm):
+        z = K.zeta_pow(rng.randrange(K.n))
+        m.rows[i][j] = z if rng.randrange(2) else -z
+    return m
+
+
+def _dense(K, n, rng):
+    return Matrix(
+        K,
+        [
+            [K.from_int(rng.randint(-2, 2)) + K.zeta_pow(rng.randrange(K.n)) for _ in range(n)]
+            for _ in range(n)
+        ],
+    )
+
+
+def _block_sum(K, blocks):
+    n = sum(b.nrows for b in blocks)
+    out = Matrix.zeros(K, n, n)
+    pos = 0
+    for b in blocks:
+        for i in range(b.nrows):
+            out.rows[pos + i][pos : pos + b.ncols] = b.rows[i]
+        pos += b.nrows
+    return out
+
+
+def _generator_sets(K, rng):
+    """(name, gens_a, gens_b) with A_i = X_i + X_i + Y_i and B_i = P A_i P^-1:
+    every image monomial, every image dense, one generator of each kind,
+    and two with no intertwiner but 0."""
+    kinds = {
+        "monomial": (_monomial, _monomial),
+        "dense": (_dense, _dense),
+        "mixed": (_monomial, _dense),
+    }
+    for name, makers in kinds.items():
+        gens_a = []
+        for make in makers:
+            x, y = make(K, 2, rng), make(K, 1, rng)
+            gens_a.append(_block_sum(K, [x, x, y]))
+        P = _monomial(K, 5, rng) if name != "dense" else _dense(K, 5, rng)
+        while not P.is_invertible():
+            P = _dense(K, 5, rng)
+        Pinv = P.inverse()
+        yield name, gens_a, [P * A * Pinv for A in gens_a]
+    # scalars 1 and 2 on a monomial generator kill every class
+    one = Matrix.identity(K, 3)
+    d = _dense(K, 3, rng)
+    yield "empty-classes", [one, d], [one.scale(K.from_int(2)), d]
+    # unrelated dense images: the elimination leaves no kernel
+    yield "empty-dense", [_monomial(K, 3, rng), _dense(K, 3, rng)], [
+        _monomial(K, 3, rng),
+        _dense(K, 3, rng),
+    ]
+
+
+@pytest.mark.parametrize("kind,n,ell", FIELDS)
+def test_intertwiner_space_is_the_dense_basis(kind, n, ell):
+    K = field_make(kind, n, ell)
+    rng = random.Random(n * 100 + (ell or 0))
+    seen = {}
+    for name, gens_a, gens_b in _generator_sets(K, rng):
+        dim = gens_a[0].nrows
+        fast = intertwiner_space(gens_a, gens_b)
+        assert fast == _dense_intertwiners(gens_a, gens_b, dim, dim, K), name
+        for T in fast:
+            for A, B in zip(gens_a, gens_b):
+                assert T * A == B * T
+        seen[name] = len(fast)
+    # X + X + Y has commutant M_2(K) + K when X and Y are irreducible
+    assert seen["monomial"] >= 5 and seen["dense"] >= 5 and seen["mixed"] >= 5
+    assert seen["empty-classes"] == seen["empty-dense"] == 0
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_intertwiner_space_galois_conjugates_odd_part(p):
+    _, _, rep = build_weil(p, 1, 1)
+    odd = even_odd_split(rep)[1]
+    K = odd.field
+    dims = []
+    for u in K.galois_exponents():
+        conj = odd.conjugate(GaloisAut(K, u)).gens_images()
+        fast = intertwiner_space(conj, odd.gens_images())
+        assert fast == _dense_intertwiners(conj, odd.gens_images(), odd.dim, odd.dim, K)
+        dims.append(len(fast))
+    # Hom(^u V, V) is a line for u in the character field's stabilizer, else 0
+    assert sorted(set(dims)) == [0, 1] and dims[0] == 1
 
 
 def qmat_like(K, rows):

@@ -8,11 +8,13 @@ from weildescent.errors import NotFoundWithinBound, NotIrreducible
 from weildescent.fields import (
     GaloisAut,
     MODULAR,
+    RATIONAL,
     SubfieldTag,
     field_make,
     subfield_membership,
 )
 from weildescent.finite import SymplecticSpace, fq_field, psi_standard
+from weildescent.linalg import Matrix
 from weildescent.rationality import (
     certify_division_quaternion,
     character_field,
@@ -325,3 +327,42 @@ def test_orbit_idempotents_central_in_commutant(model3):
     for P in orb.idempotents:
         for T in commutant:
             assert P * T == T * P
+
+
+def _center_from_table(alg):
+    "The centre and commutativity read off the full structure-constant table."
+    s = alg.structure_constants()
+    rows = [
+        [s[i][k][c] - s[k][i][c] for i in range(alg.dim)]
+        for k in range(alg.dim)
+        for c in range(alg.dim)
+    ]
+    commutative = all(s[i][k] == s[k][i] for i in range(alg.dim) for k in range(alg.dim))
+    return Matrix(alg.rep.field, rows).nullspace(), commutative
+
+
+def _odd_part(p, ell=None):
+    fq = fq_field(p, 1)
+    psi = psi_standard(fq, field_make(MODULAR if ell else RATIONAL, p, ell))
+    return even_odd_split(weil_rep(psi, SymplecticSpace(fq, 1)))[1]
+
+
+@pytest.mark.parametrize(
+    "part,subfield",
+    [
+        ((5, None), "Q"),
+        ((5, None), "char"),
+        ((7, None), "Q"),
+        ((7, None), "char"),
+        ((5, 7), "char"),
+        ("heisenberg", "Q"),
+    ],
+)
+def test_generator_centre_matches_structure_constants(model3, part, subfield):
+    rep = model3["heis"] if part == "heisenberg" else _odd_part(*part)
+    tag = rep.field.full_tag() if subfield == "Q" else character_field(rep)
+    alg = endomorphism_algebra(rep, tag)
+    center, commutative = _center_from_table(alg)
+    assert alg.center_basis() == center
+    assert alg.is_commutative() == commutative
+    assert alg.m**2 * alg.n == alg.dim

@@ -622,6 +622,25 @@ expect("zero-image", lambda: weil.intertwining_check(wzero, heis))
 odd3 = weil.even_odd_split(weil.weil_rep(psi, sp))[1]
 rationality.iso_test = lambda rep1, rep2: True
 expect("sampled-field", lambda: rationality._character_field_sampled(odd3))
+
+# diag(1, -1) is not a multiple of Id
+expect("span", lambda: rationality._expand_in_span([Matrix.identity(K3, 2)], flip))
+
+# End of the odd part at p = 3 over Q: Hom(^sigma_2 V, V) = 0, so an element
+# at sigma_2 has no coordinates
+alg3 = rationality.endomorphism_algebra(odd3, K3.full_tag())
+expect("hom-support", lambda: alg3.expand({2: Matrix.identity(K3, odd3.dim)}))
+
+# a resolvent inverse replaced by Id: the coefficients of zeta are its
+# conjugates, which are not rational
+rb3 = rationality.RestrictionBasis(K3.full_tag())
+rb3.Vinv = Matrix.identity(K3, rb3.d)
+expect("subfield-coefficient", lambda: rb3.expand(K3.zeta()))
+
+# a dimension of 3 n is not m^2 n
+alg3.center_basis()
+alg3.dim = 3 * alg3.n
+expect("m-squared-n", lambda: alg3.m)
 """
 
 
@@ -646,5 +665,16 @@ def test_certificates_raise_under_optimize():
         "rho-exponent", "parity-leak", "generation", "symplectic", "zero-inverse",
         "norm-outside", "r-tau-power", "sqrt-minus-one", "datum-entries",
         "projector-central", "cocycle-column", "word-element", "commutant", "zero-column",
-        "zero-image", "sampled-field",
+        "zero-image", "sampled-field", "span", "hom-support", "subfield-coefficient",
+        "m-squared-n",
     ]
+
+
+def test_trace_pair_dimension_refuses_order_zero_in_k():
+    from weildescent.errors import InvalidCharacteristic
+    from weildescent.fields import MODULAR, field_make
+    from weildescent.weil import _trace_pair_dimension
+
+    K = field_make(MODULAR, 13, 3)
+    with pytest.raises(InvalidCharacteristic):
+        _trace_pair_dimension(K, [(K.one(), K.one(), 2184)])
