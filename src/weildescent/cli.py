@@ -34,7 +34,7 @@ from .fields import (
 )
 from .finite import sp_enumerate, sp_order, sp_order_within, sp_sample
 from .linalg import Matrix, intertwiner_space
-from .rationality import DEFAULT_SP_BOUND, character_field, endomorphism_algebra
+from .rationality import DEFAULT_SP_BOUND, character_field, endomorphism_algebra, trace_field
 from .descent import (
     build_weil,
     realise_even,
@@ -55,6 +55,7 @@ from .symbols import (
 )
 from .theta import CommutingPair, theta_lift, theta_unitarity
 from .weil import (
+    class_traces,
     cocycle_certificate,
     even_odd_split,
     heisenberg_hom_check,
@@ -245,9 +246,11 @@ def cmd_end_algebra(args, report):
                 f"ell = {K.char} divides |Sp| = {order}: the End dimension"
                 " formula divides by |Sp|"
             )
+    # one sweep gives both the character field and the End dimension
+    terms = class_traces(target, DEFAULT_SP_BOUND)
     if args.subfield == "char":
-        tag = character_field(target)
-    alg = endomorphism_algebra(target, tag)
+        tag = trace_field(K, terms)
+    alg = endomorphism_algebra(target, tag, terms)
     report["results"] = alg.to_json()
     report["results"]["subfield_name"] = describe_subfield(tag)
     return EXIT_OK

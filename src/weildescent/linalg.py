@@ -192,6 +192,7 @@ class Matrix:
         "Reduced row echelon form; returns (rref matrix, pivot column list)."
         m = [list(r) for r in self.rows]
         nr, nc = self.nrows, self.ncols
+        one = self.field.one()
         pivots = []
         row = 0
         for col in range(nc):
@@ -203,8 +204,9 @@ class Matrix:
             if sel is None:
                 continue
             m[row], m[sel] = m[sel], m[row]
-            inv = m[row][col].inv()
-            m[row] = [inv * e for e in m[row]]
+            if m[row][col] != one:
+                inv = m[row][col].inv()
+                m[row] = [inv * e for e in m[row]]
             for i in range(nr):
                 if i != row and not m[i][col].is_zero():
                     c = m[i][col]

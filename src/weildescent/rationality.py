@@ -11,17 +11,18 @@ each summand being a small exact intertwiner solve, instead of one dense
 nullspace in (dim . [K:Q])^2 unknowns.  Completeness of the resulting basis
 is certified independently by the character dimension formula
 dim End = (1/|G|) sum tr(g) tr(g^-1), evaluated exactly (in its
-section-independent form for the metaplectic sweeps).  For Sp both the
-character field and this formula read one trace per conjugacy class, the
-formula weighting each class by its size (weil.trace_values and
-weil.end_dimension_over_subfield); the Heisenberg group is still summed
-element by element.  The centre is the commutant of the algebra generators
-theta Id and A_{u,t} sigma_u, which is also how commutativity is read
-(Z(A) = A); the full structure-constant table is an oracle only."""
+section-independent form for the metaplectic sweeps).  The character field
+and this formula read one table, weil.class_traces: the terms
+(tr g, tr g^-1, weight), one per conjugacy class of Sp weighted by its size,
+or one per element of the Heisenberg group.  In characteristic ell the
+formula gives the dimension only mod ell, so End algebras of dimension at
+least ell are refused.  The centre is the commutant of the algebra
+generators theta Id and A_{u,t} sigma_u, which is also how commutativity is
+read (Z(A) = A); the full structure-constant table is an oracle only."""
 
 from __future__ import annotations
 
-from .errors import IdentityFailure, NotIrreducible, TooLarge
+from .errors import ConfigInvalid, IdentityFailure, NotIrreducible, TooLarge
 from .fields import (
     GaloisAut,
     SubfieldTag,
@@ -32,59 +33,16 @@ from .fields import (
 )
 from .descent import _subfield_q_basis
 from .linalg import Matrix, intertwiner_space, invertible_element, kernel_basis, ldl_psd
-from .weil import (
-    MarkedRep,
-    _trace_pair_dimension,
-    end_dimension_over_subfield,
-    trace_values,
-)
-from .finite import heis_enumerate
+from .weil import MarkedRep, _trace_pair_dimension, class_traces
 
 
 DEFAULT_SP_BOUND = 10**5
 
 
-class TraceProfile:
-    """Exact traces of a representation: for Sp (through the metaplectic
-    section, each up to sign) one value per conjugacy class, for the
-    Heisenberg group one value per element."""
-
-    def __init__(self, rep, values, exhaustive):
-        self.rep = rep
-        self.values = values
-        self.exhaustive = exhaustive
-
-    def field_tag(self) -> SubfieldTag:
-        return subfield_of_values(list(self.values) + [self.rep.field.one()])
-
-
-def trace_profile(rep: MarkedRep, bound: int = DEFAULT_SP_BOUND) -> TraceProfile:
-    if rep.group == "sp":
-        return TraceProfile(rep, trace_values(rep, bound), True)
-    vals = [_heis_trace(rep.psi, rep.space, h) for h in heis_enumerate(rep.space)]
-    return TraceProfile(rep, vals, True)
-
-
-def _heis_trace(psi, space, h):
-    "tr rho(w,t): q^m psi(t) at w in the centre direction, else 0."
-    m = space.m
-    x, y = h.w[:m], h.w[m:]
-    if any(not c.is_zero() for c in y):
-        return psi.coeff.zero()
-    xw = tuple(x) + (space.fq.zero(),) * m
-    acc = psi.coeff.zero()
-    for y0 in space.y_points():
-        y0w = (space.fq.zero(),) * m + y0
-        acc = acc + psi(h.t + space.pairing(y0w, xw))
-    return acc
-
-
 def character_field(rep: MarkedRep, bound: int = DEFAULT_SP_BOUND) -> SubfieldTag:
-    """Subfield generated by the trace values, one per conjugacy class of
-    Sp.  For the Weil section the per-element sign ambiguity is harmless:
-    both +-tr occur as traces of the two metaplectic preimages, and sign
-    flips do not move the stabilizer; conjugates have the same trace up to
-    sign, so the class representatives generate the whole field.
+    """Subfield generated by the traces of class_traces, one per conjugacy
+    class of Sp (class_traces says why they generate the field of all
+    traces, signs of the Weil section included).
 
     Groups larger than the bound fall back to seeded random words plus an
     exact certification of every Galois exponent by iso_test (which, for
@@ -92,11 +50,17 @@ def character_field(rep: MarkedRep, bound: int = DEFAULT_SP_BOUND) -> SubfieldTa
     fallback itself refuses when the matrices are too big for its dense
     intertwiner solves: exactness at desk scale is the contract."""
     try:
-        return trace_profile(rep, bound).field_tag()
+        terms = class_traces(rep, bound)
     except TooLarge:
         if rep.dim > 32:
             raise
         return _character_field_sampled(rep)
+    return trace_field(rep.field, terms)
+
+
+def trace_field(K, terms) -> SubfieldTag:
+    "Subfield of K generated by the traces t of a class_traces table."
+    return subfield_of_values([t for t, _, _ in terms] + [K.one()])
 
 
 def _character_field_sampled(rep: MarkedRep, seed: int = 0, words: int = 200):
@@ -139,8 +103,6 @@ def iso_test(rep1: MarkedRep, rep2: MarkedRep):
     if rep1.dim != rep2.dim:
         return None
     basis = intertwiner_space(rep1.gens_images(), rep2.gens_images())
-    if not basis:
-        return None
     return invertible_element(basis)
 
 
@@ -358,10 +320,11 @@ def _expand_in_span(basis_mats, M):
     return out
 
 
-def endomorphism_algebra(
-    rep: MarkedRep, tag: SubfieldTag, bound: int = DEFAULT_SP_BOUND
-) -> EndAlgebra:
-    "End of rep restricted to the tagged subfield, with certified dimension."
+def endomorphism_algebra(rep: MarkedRep, tag: SubfieldTag, terms) -> EndAlgebra:
+    """End of rep restricted to the tagged subfield, with its dimension
+    certified by the trace formula on terms, the class_traces table of rep.
+    Refuses (ConfigInvalid) in characteristic ell when the dimension is at
+    least ell, where the formula, evaluated in K, only gives it mod ell."""
     K = rep.field
     rb = RestrictionBasis(tag)
     hom_bases = {}
@@ -371,28 +334,18 @@ def endomorphism_algebra(
         if basis:
             hom_bases[u] = basis
     alg = EndAlgebra(rep, tag, hom_bases, rb)
-    if rep.group == "sp":
-        expected = end_dimension_over_subfield(rep, tag, bound)
-    else:
-        expected = _heis_end_dimension(rep, tag)
+    if K.char and alg.dim >= K.char:
+        raise ConfigInvalid(
+            f"semilinear basis dim {alg.dim} >= ell = {K.char}: the character"
+            " formula gives the End dimension only mod ell"
+        )
+    projected = [(trace_to_subfield(t, tag), trace_to_subfield(ti, tag), w) for t, ti, w in terms]
+    expected = _trace_pair_dimension(K, projected)
     if alg.dim != expected:
         raise IdentityFailure(
             f"semilinear basis dim {alg.dim} != character-formula dim {expected}"
         )
     return alg
-
-
-def _heis_end_dimension(rep, tag):
-    space, psi = rep.space, rep.psi
-    terms = [
-        (
-            trace_to_subfield(_heis_trace(psi, space, h), tag),
-            trace_to_subfield(_heis_trace(psi, space, h.inverse()), tag),
-            1,
-        )
-        for h in heis_enumerate(space)
-    ]
-    return _trace_pair_dimension(rep.field, terms)
 
 
 def quaternion_scalar(alg: EndAlgebra):
@@ -504,7 +457,8 @@ def orbit_decomposition(rep: MarkedRep, tag: SubfieldTag) -> OrbitDecomposition:
         classes.append(cls)
     n = len(classes)
     m = len(H)
-    assert m * n == len(exps)
+    if m * n != len(exps):
+        raise IdentityFailure(f"m n = {m} . {n} != [K:R] = {len(exps)}")
 
     restricted = restrict_scalars(rep, tag)
     rb = RestrictionBasis(tag)
@@ -527,7 +481,8 @@ def orbit_decomposition(rep: MarkedRep, tag: SubfieldTag) -> OrbitDecomposition:
         for g in rep.gen_names:
             lhs = phis[u] * restricted.image(g)
             rhs = rep.image(g).map(lambda c: apply_aut(su, c)) * phis[u]
-            assert lhs == rhs, "component map not equivariant"
+            if lhs != rhs:
+                raise IdentityFailure(f"component map Phi_{u} not equivariant at {g}")
     transcript["component_maps_equivariant"] = True
     idempotents = []
     total = Matrix.zeros(K, N * d, N * d)
@@ -541,16 +496,20 @@ def orbit_decomposition(rep: MarkedRep, tag: SubfieldTag) -> OrbitDecomposition:
             P = P + stacked_inv * inj * phis[u]
         idempotents.append(P)
         total = total + P
-        assert P * P == P
+        if P * P != P:
+            raise IdentityFailure(f"block projector of {cls} is not idempotent")
         for g in rep.gen_names:
-            assert P * restricted.image(g) == restricted.image(g) * P
-    assert total.is_identity()
+            if P * restricted.image(g) != restricted.image(g) * P:
+                raise IdentityFailure(f"block projector of {cls} is not central at {g}")
+    if not total.is_identity():
+        raise IdentityFailure("block projectors do not sum to the identity")
     transcript["idempotents"] = "sum to identity, central, idempotent"
     # multiplicity: dim Hom(^u V, V|_R over K) = m for each class member
     for cls in classes:
         u = cls[0]
         conj = rep.conjugate(GaloisAut(K, u))
         hom = intertwiner_space(conj.gens_images(), restricted.gens_images())
-        assert len(hom) == m, f"multiplicity {len(hom)} != m = {m}"
+        if len(hom) != m:
+            raise IdentityFailure(f"multiplicity {len(hom)} of ^{u} V != m = {m}")
     transcript["block_multiplicities"] = m
     return OrbitDecomposition(rep, tag, m, n, classes, idempotents, transcript)

@@ -216,7 +216,7 @@ def theta_unitarity(lift1: ThetaLift, lift2: ThetaLift):
         [lift1.theta_images[n] for n in names],
         [lift2.theta_images[n] for n in names],
     )
-    T = invertible_element(basis) if basis else None
+    T = invertible_element(basis)
     return {"comparable": True, "isomorphic": T is not None}
 
 
@@ -249,7 +249,7 @@ def theta_galois_equivariance(rep_psi, rep_psi_sigma, sigma: GaloisAut):
             lift1.theta_images[n].map(lambda c: apply_aut(sigma, c)) for n in names
         ]
         basis = intertwiner_space(conj, [lift2.theta_images[n] for n in names])
-        T = invertible_element(basis) if basis else None
+        T = invertible_element(basis)
         out[label] = T is not None
     return out
 

@@ -22,7 +22,11 @@ column decides each value: when every token image intertwines rho (a),
 the commutant of rho is K (b) and each word evaluates to its element (c),
 omega~(g) omega~(h) omega~(gh)^-1 commutes with rho and so is a scalar
 lambda, read off omega~(g) omega~(h) e_0 = lambda omega~(gh) e_0 with
-omega~(gh) e_0 != 0 (d)."""
+omega~(gh) e_0 != 0 (d).
+
+class_traces gives the character data of a rep of Sp or H(W) as one table
+of terms (tr g, tr g^-1, weight), one per conjugacy class of Sp or per
+element of H(W); the character field and the End dimension both read it."""
 
 from __future__ import annotations
 
@@ -39,6 +43,7 @@ from .finite import (
     char_galois,
     char_twist,
     eval_word,
+    heis_enumerate,
     legendre,
     sp_classes,
     sp_factor,
@@ -635,8 +640,6 @@ def heisenberg_hom_check(rep: MarkedRep, exhaustive: bool, rng=None, samples=200
     exactly when the permutations agree and the exponents agree mod p.
     This is the same certificate as the dense comparison, with no
     coefficient-field arithmetic."""
-    from .finite import heis_enumerate
-
     space, psi = rep.space, rep.psi
     p = space.fq.p
     els = heis_enumerate(space)
@@ -676,36 +679,48 @@ def _tree_images(rep: MarkedRep, classes: SpClasses):
     return image
 
 
-def trace_values(rep: MarkedRep, bound: int):
-    """tr omega~(g) for one g per conjugacy class of Sp, each up to sign.
+def _heis_trace(psi: AdditiveCharacter, space: SymplecticSpace, h: HeisElem):
+    "tr rho(w,t): q^m psi(t) at w in the centre direction, else 0."
+    m = space.m
+    x, y = h.w[:m], h.w[m:]
+    if any(not c.is_zero() for c in y):
+        return psi.coeff.zero()
+    xw = tuple(x) + (space.fq.zero(),) * m
+    acc = psi.coeff.zero()
+    for y0 in space.y_points():
+        y0w = (space.fq.zero(),) * m + y0
+        acc = acc + psi(h.t + space.pairing(y0w, xw))
+    return acc
 
-    omega~ is projective with a +-1 cocycle (the premise the cocycle
-    certificate measures), so omega~(x g x^-1) = +-omega~(x) omega~(g)
-    omega~(x)^-1 and tr omega~(x g x^-1) = +-tr omega~(g).  A Galois
-    automorphism fixes t exactly when it fixes -t, so the traces of the
-    class representatives generate the same field as the traces of every
-    element.  This holds for any conjugation orbit: it does not need the
-    orbits of sp_classes to be whole classes."""
-    classes = sp_classes(rep.space, rep.gen_names, bound)
-    image = _tree_images(rep, classes)
-    return [image(g).trace() for g, _ in classes.classes]
 
+def class_traces(rep: MarkedRep, bound: int):
+    """The character data of rep as the terms (t, t_inv, weight) of the
+    trace formula _trace_pair_dimension: t = tr rep(g), t_inv = tr rep(g)^-1,
+    and weight elements of the group share the term, so the weights sum to
+    |G|.  The t generate the character field; projected to a subfield R,
+    the terms give dim End over R.
 
-def end_dimension_over_subfield(rep: MarkedRep, tag, bound: int):
-    """dim over the tagged subfield R of End_{R[Mp]}(rep restricted to R),
-    by the section-independent trace formula
-    (1/|Sp|) sum_g T(tr omega~(g)) T(tr omega~(g)^-1), T = Tr_{K/R},
-    summed over the conjugacy classes of Sp with their sizes as weights.
+    For Sp, one term per conjugacy class of sp_classes (refused by TooLarge
+    when |Sp| exceeds bound), weighted by its size: t = tr omega~(g) and
+    t_inv = c_g^-1 tr omega~(g^-1), with c_g the scalar of
+    omega~(g) omega~(g^-1) = c_g Id.  omega~ is projective with a +-1
+    cocycle (the premise the cocycle certificate measures), so the image of
+    x g x^-1 is e A omega~(g) A^-1 with A = omega~(x) and e = +-1, and its
+    inverse is e^-1 A omega~(g)^-1 A^-1.  Hence t is the same on the whole
+    orbit up to sign, and a Galois automorphism fixes t exactly when it
+    fixes -t: the representatives generate the field of all traces.  The
+    product T(t) T(t_inv), T = Tr_{K/R}, is the same on the whole orbit
+    exactly: T is linear over R, which contains e, so the signs cancel.
+    Neither needs the orbits of sp_classes to be whole classes.
 
-    omega~(g)^-1 = c_g^-1 omega~(g^-1), with c_g the scalar of
-    omega~(g) omega~(g^-1) = c_g Id.  The term is the same on every element
-    of a conjugation orbit, exactly: the image of x g x^-1 is
-    e A omega~(g) A^-1 with A = omega~(x) and e = +-1 (the cocycle), its
-    inverse e^-1 A omega~(g)^-1 A^-1, and T is linear over R, which
-    contains e, so the two signs cancel.  As for trace_values, the orbits
-    need not be whole classes."""
-    from .fields import trace_to_subfield
-
+    For H(W), one term of weight 1 per element, from the closed-form trace
+    of rho_psi."""
+    if rep.group == "heis":
+        space, psi = rep.space, rep.psi
+        return [
+            (_heis_trace(psi, space, h), _heis_trace(psi, space, h.inverse()), 1)
+            for h in heis_enumerate(space)
+        ]
     classes = sp_classes(rep.space, rep.gen_names, bound)
     image = _tree_images(rep, classes)
     K = rep.field
@@ -716,10 +731,8 @@ def end_dimension_over_subfield(rep: MarkedRep, tag, bound: int):
         c = K.zero()
         for k in range(mat.ncols):
             c = c + mat.rows[0][k] * minv.rows[k][0]
-        t1 = trace_to_subfield(mat.trace(), tag)
-        t2 = trace_to_subfield(c.inv() * minv.trace(), tag)
-        terms.append((t1, t2, size))
-    return _trace_pair_dimension(K, terms)
+        terms.append((mat.trace(), c.inv() * minv.trace(), size))
+    return terms
 
 
 def _trace_pair_dimension(K, terms):

@@ -41,6 +41,7 @@ from weildescent.finite import (
 )
 from weildescent.linalg import Matrix, intertwiner_space
 from weildescent.rationality import (
+    DEFAULT_SP_BOUND,
     character_field,
     endomorphism_algebra,
     iso_test,
@@ -62,6 +63,7 @@ from weildescent.theta import (
     theta_unitarity,
 )
 from weildescent.weil import (
+    class_traces,
     cocycle_certificate,
     even_odd_split,
     heisenberg_rep,
@@ -253,7 +255,7 @@ def test_criterion_7_scalar_extension_structure():
         K = field_make(RATIONAL, p)
         psi = psi_standard(fq, K)
         rho = heisenberg_rep(psi, sp)
-        alg = endomorphism_algebra(rho, K.full_tag())
+        alg = endomorphism_algebra(rho, K.full_tag(), class_traces(rho, DEFAULT_SP_BOUND))
         orb = orbit_decomposition(rho, K.full_tag())
         ok = ok and (orb.m, orb.n) == (1, expected_n) == (alg.m, alg.n)
         # blocks match the Galois orbit {rho_{psi^u}}: the u-component of
@@ -267,7 +269,7 @@ def test_criterion_7_scalar_extension_structure():
     _, _, rep5 = build_weil(5, 1, 1)
     _, odd5 = even_odd_split(rep5)
     K5 = rep5.field
-    alg = endomorphism_algebra(odd5, SubfieldTag(K5, [4]))
+    alg = endomorphism_algebra(odd5, SubfieldTag(K5, [4]), class_traces(odd5, DEFAULT_SP_BOUND))
     ok = ok and alg.dim == 4 and alg.m == 2 and not alg.is_commutative()
     report(7, "(m,n) = (1,p-1) for rho|_Q; quaternion End for odd q=5", ok)
 

@@ -186,6 +186,7 @@ def test_end_algebra_refuses_before_working(tmp_path, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("ran before the size refusal")
 
+    monkeypatch.setattr(cli, "class_traces", never)
     monkeypatch.setattr(cli, "character_field", never)
     monkeypatch.setattr(cli, "endomorphism_algebra", never)
     argv = ["end-algebra", "--p", "5", "--m", "2", "--part", "odd", "--subfield", "char"]
@@ -204,6 +205,7 @@ def test_end_algebra_refuses_ell_dividing_the_group_order(tmp_path, monkeypatch)
     def never(*args, **kwargs):
         raise AssertionError("ran before the characteristic refusal")
 
+    monkeypatch.setattr(cli, "class_traces", never)
     monkeypatch.setattr(cli, "character_field", never)
     monkeypatch.setattr(cli, "endomorphism_algebra", never)
     argv = ["end-algebra", "--p", "13", "--part", "even", "--subfield", "char", "--ell", "3"]
@@ -211,6 +213,52 @@ def test_end_algebra_refuses_ell_dividing_the_group_order(tmp_path, monkeypatch)
     assert code == 2
     assert rep["error"]["kind"] == "config-invalid"
     assert "ell = 3" in rep["error"]["message"] and "|Sp| = 2184" in rep["error"]["message"]
+
+
+def test_end_algebra_refuses_dimension_reaching_ell(tmp_path):
+    # over F_5[zeta_7] the End algebra has dimension 9, and the trace
+    # formula evaluated in K gives it only mod 5 (9 = 4 mod 5)
+    argv = ["end-algebra", "--p", "7", "--ell", "5", "--part", "odd", "--subfield", "char"]
+    code, rep = run_json(argv, tmp_path)
+    assert code == 2
+    assert rep["error"]["kind"] == "config-invalid"
+    assert "ell = 5" in rep["error"]["message"] and "dim 9" in rep["error"]["message"]
+
+
+def test_end_algebra_modular_below_ell(tmp_path):
+    # dimension 4 < ell = 7: the trace formula certifies it
+    argv = ["end-algebra", "--p", "5", "--ell", "7", "--part", "odd", "--subfield", "char"]
+    code, rep = run_json(argv, tmp_path)
+    assert code == 0
+    assert rep["results"] == {
+        "center_dim": 1,
+        "commutative": False,
+        "dim_over_R": 4,
+        "field_tag": {"n": 5, "stabilizer_gens": [1, 4]},
+        "is_division": None,
+        "m": 2,
+        "n": 1,
+        "subfield_name": "F_7^2",
+    }
+
+
+def test_end_algebra_walks_sp_once(tmp_path, monkeypatch):
+    # --subfield char reads the character field and the End dimension off
+    # one class_traces table: one walk of the Cayley graph of Sp
+    from weildescent import weil
+
+    calls = []
+    honest = weil.sp_classes
+
+    def counted(*args):
+        calls.append(args)
+        return honest(*args)
+
+    monkeypatch.setattr(weil, "sp_classes", counted)
+    argv = ["end-algebra", "--p", "5", "--part", "odd", "--subfield", "char"]
+    code, rep = run_json(argv, tmp_path)
+    assert code == 0 and rep["results"]["dim_over_R"] == 4
+    assert len(calls) == 1
 
 
 def test_character_field_rank_2_sampled(tmp_path):

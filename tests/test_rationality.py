@@ -16,23 +16,30 @@ from weildescent.fields import (
 from weildescent.finite import SymplecticSpace, fq_field, psi_standard
 from weildescent.linalg import Matrix
 from weildescent.rationality import (
+    DEFAULT_SP_BOUND,
     certify_division_quaternion,
     character_field,
     endomorphism_algebra,
     iso_test,
     orbit_decomposition,
     restrict_scalars,
-    trace_profile,
+    trace_field,
 )
-from weildescent.weil import even_odd_split, parity_data, weil_rep
+from weildescent.weil import class_traces, even_odd_split, parity_data, weil_rep
 
 
-def test_trace_profile_heisenberg(model3):
-    prof = trace_profile(model3["heis"])
+def _end(rep, tag):
+    "End of rep over the tagged subfield, certified by its class_traces table."
+    return endomorphism_algebra(rep, tag, class_traces(rep, DEFAULT_SP_BOUND))
+
+
+def test_class_traces_heisenberg(model3):
+    terms = class_traces(model3["heis"], DEFAULT_SP_BOUND)
     K = model3["heis"].field
-    assert prof.values.count(K.from_int(3)) == 1  # only the identity
+    assert len(terms) == 27 and all(w == 1 for _, _, w in terms)
+    assert [t for t, _, _ in terms].count(K.from_int(3)) == 1  # only the identity
     # character field of rho_psi is all of K (Stone-von Neumann rigidity)
-    assert prof.field_tag().stabilizer == frozenset({1})
+    assert trace_field(K, terms).stabilizer == frozenset({1})
 
 
 def test_character_fields_intro_table(model3, model5, model9):
@@ -135,7 +142,7 @@ def test_end_algebra_heisenberg_restriction(model3, model5):
     # D = K acting by scalars: n = [K:Q], m = 1, commutative
     for model, n in ((model3, 2), (model5, 4)):
         rho = model["heis"]
-        alg = endomorphism_algebra(rho, rho.field.full_tag())
+        alg = _end(rho, rho.field.full_tag())
         assert alg.dim == n
         assert alg.n == n and alg.m == 1
         assert alg.is_commutative()
@@ -145,7 +152,7 @@ def test_end_algebra_completeness_guard(model3):
     # the certified dimension equals the semilinear count; for the full
     # field tag (no descent) End = K and dim over K-as-itself is 1
     rho = model3["heis"]
-    alg = endomorphism_algebra(rho, rho.field.top_tag())
+    alg = _end(rho, rho.field.top_tag())
     assert alg.dim == 1 and alg.m == 1 and alg.n == 1
 
 
@@ -153,7 +160,7 @@ def test_end_algebra_odd_q5_quaternion(model5):
     odd = model5["odd"]
     K = odd.field
     tag = SubfieldTag(K, [4])  # Q[sqrt 5], the character field
-    alg = endomorphism_algebra(odd, tag)
+    alg = _end(odd, tag)
     assert alg.dim == 4
     assert alg.n == 1 and alg.m == 2
     assert not alg.is_commutative()
@@ -173,7 +180,7 @@ def test_end_algebra_even_q5_is_split_scalar(model5):
     even = model5["even"]
     K = even.field
     tag = SubfieldTag(K, [4])
-    alg = endomorphism_algebra(even, tag)
+    alg = _end(even, tag)
     # even part descends to its character field: En over Q[sqrt5] has the
     # split structure M_2-like dimension 4 but with a norm solution
     assert alg.dim == 4 and alg.m == 2 and alg.n == 1
@@ -204,7 +211,7 @@ def test_orbit_decomposition_odd_q5_over_Q(model5):
     # over Q: two iso classes {psi, psi^4} and {psi^2, psi^3}, multiplicity 2
     assert orb.n == 2 and orb.m == 2
     assert sorted(map(tuple, orb.classes)) == [(1, 4), (2, 3)]
-    alg = endomorphism_algebra(odd, K.full_tag())
+    alg = _end(odd, K.full_tag())
     assert alg.dim == orb.m * orb.m * orb.n == 8
 
 
@@ -298,7 +305,7 @@ def test_character_field_sampled_route_agrees(model5):
 
 def test_heis_traces_are_class_functions(model3):
     from weildescent.finite import heis_enumerate
-    from weildescent.rationality import _heis_trace
+    from weildescent.weil import _heis_trace
 
     sp, psi = model3["space"], model3["psi"]
     els = heis_enumerate(sp)
@@ -361,7 +368,7 @@ def _odd_part(p, ell=None):
 def test_generator_centre_matches_structure_constants(model3, part, subfield):
     rep = model3["heis"] if part == "heisenberg" else _odd_part(*part)
     tag = rep.field.full_tag() if subfield == "Q" else character_field(rep)
-    alg = endomorphism_algebra(rep, tag)
+    alg = _end(rep, tag)
     center, commutative = _center_from_table(alg)
     assert alg.center_basis() == center
     assert alg.is_commutative() == commutative

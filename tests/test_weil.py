@@ -7,7 +7,7 @@ import random
 import pytest
 
 from weildescent.errors import CocycleViolation, IdentityFailure
-from weildescent.fields import GaloisAut, field_make, MODULAR, RATIONAL
+from weildescent.fields import GaloisAut, apply_aut, field_make, MODULAR, RATIONAL
 from weildescent.finite import (
     HeisElem,
     SpElement,
@@ -18,6 +18,7 @@ from weildescent.finite import (
     psi_standard,
     sp_classes,
     sp_enumerate,
+    sp_order,
     sp_sample,
     token_m,
     token_n,
@@ -26,6 +27,7 @@ from weildescent.finite import (
 from weildescent.linalg import Matrix, intertwiner_space
 from weildescent.weil import (
     _tree_images,
+    class_traces,
     cocycle_certificate,
     cocycle_value,
     even_odd_split,
@@ -35,7 +37,6 @@ from weildescent.weil import (
     parity_matrix,
     rho_matrix,
     semilinearity_check,
-    trace_values,
     weil_op,
     weil_rep,
     weil_twist_check,
@@ -448,10 +449,32 @@ def test_class_traces_cover_every_element(p):
     classes = sp_classes(space, w.gen_names, 10**4)
     image = _tree_images(w, classes)
     rep_traces = [image(g).trace() for g, _ in classes.classes]
-    assert trace_values(w, 10**4) == rep_traces
+    assert [t for t, _, _ in class_traces(w, 10**4)] == rep_traces
     for flat, c in zip(classes.elements, classes.class_of):
         t = weil_op(w, _sp_element(space, flat)).trace()
         assert t in (rep_traces[c], -rep_traces[c])
+
+
+@pytest.mark.parametrize("p,f,m", [(3, 1, 1), (5, 1, 1), (7, 1, 1), (3, 2, 1), (3, 1, 2)])
+def test_class_traces_howe_gerardin(p, f, m):
+    # every term of the full Weil rep, exactly in Q(zeta_p): the section is
+    # unitary, so tr omega~(g)^-1 is the complex conjugate sigma_-1 of
+    # t = tr omega~(g), and t sigma_-1(t) = q^dim ker(g - 1) (Howe; Gerardin,
+    # J. Algebra 46, 1977); the class sizes add up to |Sp|
+    fq = fq_field(p, f)
+    space = SymplecticSpace(fq, m)
+    w = weil_rep(psi_standard(fq, field_make(RATIONAL, p)), space)
+    K, n = w.field, space.dim
+    bar = GaloisAut(K, K.n - 1)
+    classes = sp_classes(space, w.gen_names, 10**5)
+    terms = class_traces(w, 10**5)
+    assert len(terms) == len(classes.classes)
+    assert sum(weight for _, _, weight in terms) == sp_order(m, fq.q)
+    eye = Matrix.identity(fq, n)
+    for (g, _), (t, t_inv, _) in zip(classes.classes, terms):
+        fixed = n - (_sp_element(space, classes.elements[g]).mat - eye).rank()
+        assert t * apply_aut(bar, t) == K.from_int(fq.q**fixed)
+        assert t_inv == apply_aut(bar, t)
 
 
 def _dense(psi, form):
@@ -623,12 +646,17 @@ odd3 = weil.even_odd_split(weil.weil_rep(psi, sp))[1]
 rationality.iso_test = lambda rep1, rep2: True
 expect("sampled-field", lambda: rationality._character_field_sampled(odd3))
 
+# the same iso_test over Q: the stabilizer {1, 2} claims multiplicity m = 2,
+# but Hom(V, V|_Q (x) K) is a line
+expect("orbit-multiplicity", lambda: rationality.orbit_decomposition(odd3, K3.full_tag()))
+
 # diag(1, -1) is not a multiple of Id
 expect("span", lambda: rationality._expand_in_span([Matrix.identity(K3, 2)], flip))
 
 # End of the odd part at p = 3 over Q: Hom(^sigma_2 V, V) = 0, so an element
 # at sigma_2 has no coordinates
-alg3 = rationality.endomorphism_algebra(odd3, K3.full_tag())
+terms3 = weil.class_traces(odd3, 10**4)
+alg3 = rationality.endomorphism_algebra(odd3, K3.full_tag(), terms3)
 expect("hom-support", lambda: alg3.expand({2: Matrix.identity(K3, odd3.dim)}))
 
 # a resolvent inverse replaced by Id: the coefficients of zeta are its
@@ -665,7 +693,7 @@ def test_certificates_raise_under_optimize():
         "rho-exponent", "parity-leak", "generation", "symplectic", "zero-inverse",
         "norm-outside", "r-tau-power", "sqrt-minus-one", "datum-entries",
         "projector-central", "cocycle-column", "word-element", "commutant", "zero-column",
-        "zero-image", "sampled-field", "span", "hom-support", "subfield-coefficient",
+        "zero-image", "sampled-field", "orbit-multiplicity", "span", "hom-support", "subfield-coefficient",
         "m-squared-n",
     ]
 
