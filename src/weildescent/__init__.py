@@ -2,7 +2,6 @@
 their Galois descent to the predicted number fields, character fields,
 endomorphism algebras, Schur indices and theta lifts."""
 
-from ._kernel import COMPILED
 from .fields import (
     CoeffField,
     CycloNum,
@@ -39,5 +38,7 @@ from .weil import (
     weil_rep,
     weil_twist_check,
 )
+
+COMPILED = False  # the kernel is pure Python; weilbench/run.py still records this flag
 
 __version__ = "0.1.0"

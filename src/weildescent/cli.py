@@ -203,7 +203,7 @@ def cmd_verify(args, report):
             semilinearity_check(psi, space, GaloisAut(K, u))
     _transcript(report, "galois_semilinearity", True)
 
-    twists = [g for g in space.fq.elements()[1:3] if not g.is_zero()]
+    twists = space.fq.elements()[1:3]  # q is odd: two nonzero elements
     for g in twists:
         weil_twist_check(psi, space, g)
     _transcript(report, "twisting_identities", True, {"twists": len(twists)})

@@ -52,7 +52,7 @@ from .fields import (
     RATIONAL,
 )
 from .finite import SymplecticSpace, fq_field, psi_standard, token_m
-from .linalg import Matrix, ldl_psd
+from .linalg import Matrix, kernel_basis, ldl_psd
 from .weil import MarkedRep, even_odd_split, weil_rep
 
 
@@ -144,23 +144,16 @@ def fixed_points(datum: DescentDatum) -> DescentResult:
         )
     transcript["fixed_space_prime_dim"] = len(null)
 
-    def fold(vec):
-        return [
-            K.from_coeffs([e.as_fraction() for e in vec[i * dk : (i + 1) * dk]])
-            for i in range(N)
-        ]
-
-    selected = []
-    for vec in null:
-        cand = fold(vec)
-        trial = selected + [cand]
-        if Matrix.from_cols(K, trial).rank() == len(trial):
-            selected.append(cand)
-            if len(selected) == N:
-                break
-    if len(selected) != N:
+    # column k: the k-th prime-field fixed vector, folded into K^N
+    folded = Matrix(K, [
+        [K.from_coeffs([e.as_fraction() for e in vec[i * dk : (i + 1) * dk]]) for vec in null]
+        for i in range(N)
+    ])
+    # the pivot columns are the folded vectors independent of those before them
+    pivots = folded.rref()[1]
+    if len(pivots) != N:
         raise RankDeficiency("fixed space does not span over K")
-    U = Matrix.from_cols(K, selected)
+    U = Matrix(K, [[row[j] for j in pivots] for row in folded.rows])
     Uinv = U.inverse()
     if not (U * Uinv).is_identity():
         raise IdentityFailure("fixed-space basis is not invertible")
@@ -213,9 +206,7 @@ def _fixed_space(K, N, entries):
                         block.rows[i * dk + a][j * dk + b] = piece.rows[a][b]
         eye = Matrix.identity(P, N * dk)
         rows.extend((block - eye).rows)
-    if not rows:
-        return Matrix.identity(P, N * dk).rows
-    return Matrix(P, rows).nullspace()
+    return kernel_basis(P, rows, N * dk)
 
 
 def _aut_matrix(K, sigma, P):

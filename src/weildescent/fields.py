@@ -599,7 +599,8 @@ def gauss_sum(p: int, field: CoeffField | None = None) -> CycloNum:
     for x in range(p):
         g = g + field.zeta_pow(shift * ((x * x) % p))
     p_star = p if p % 4 == 1 else -p
-    assert g * g == field.from_int(p_star)
+    if g * g != field.from_int(p_star):
+        raise IdentityFailure(f"Gauss sum does not square to p* = {p_star}")
     return g
 
 

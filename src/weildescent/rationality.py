@@ -360,7 +360,8 @@ def quaternion_scalar(alg: EndAlgebra):
     su = GaloisAut(K, u)
     sq = A * A.map(lambda c: apply_aut(su, c))
     c = sq.rows[0][0]
-    assert sq == Matrix.identity(K, sq.nrows).scale(c), "square is not scalar"
+    if sq != Matrix.identity(K, sq.nrows).scale(c):
+        raise IdentityFailure("(A . sigma)^2 is not a scalar")
     return u, c
 
 
@@ -374,8 +375,8 @@ def certify_division_quaternion(alg: EndAlgebra, norm_searcher=None):
     if norm_searcher is not None:
         lam = norm_searcher(u, c)
         if lam is not None:
-            prod = lam * apply_aut(GaloisAut(K, u), lam)
-            assert prod == c
+            if lam * apply_aut(GaloisAut(K, u), lam) != c:
+                raise IdentityFailure("split certificate: lambda sigma(lambda) != c")
             alg.division_certificate = False
             return False, ("split", lam)
     if u == (K.n - 1) % K.n and not _totally_positive(c, alg.tag):
@@ -400,7 +401,8 @@ def _totally_positive(c, tag):
         row = []
         for j in range(n):
             val = trace_to_subfield(c * basis[i] * basis[j], qtag)
-            assert val.is_rational()
+            if not val.is_rational():
+                raise IdentityFailure("trace-form entry is not rational")
             row.append(val.as_fraction())
         gram.append(row)
     return ldl_psd(gram)

@@ -287,10 +287,12 @@ def theta_scalar_extension_check(rho: MarkedRep, h1_key, h2_key, tag):
         for j in range(p):
             e_u = e_u + g_pows[j].scale(K.zeta_pow((-u * j) % p))
         e_u = e_u.scale(scale)
-        assert e_u * e_u == e_u
+        if e_u * e_u != e_u:
+            raise IdentityFailure(f"character block e_{u} is not idempotent")
         blocks[u] = e_u.rank()
         e_sum = e_sum + e_u
-    assert e_sum == e_Q, "sum of character blocks differs from the Q-projector"
+    if e_sum != e_Q:
+        raise IdentityFailure("sum of character blocks differs from the Q-projector")
     theta_dim = len(
         intertwiner_space([comp], [g1])
     )

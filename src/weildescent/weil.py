@@ -566,24 +566,19 @@ def weil_twist_check(psi: AdditiveCharacter, space: SymplecticSpace, gamma: FqEl
     rep = weil_rep(psi, space)
     repg = weil_rep(psig, space)
     report = {}
-    for a in ([fq.elements()[k] for k in (1, 2)] if fq.q > 2 else [fq.one()]):
-        if a.is_zero():
-            continue
-        tok = token_m(Matrix(fq, [[a]])) if m == 1 else None
-        if tok is None:
-            break
-        report["m_identity"] = rep.image(tok) == repg.image(tok)
-        if not report["m_identity"]:
-            raise IdentityFailure("M-image depends on psi")
-    for b in fq.elements()[1:3]:
-        tokb = token_n(Matrix(fq, [[b]])) if m == 1 else None
-        if tokb is None:
-            break
-        lhs = repg.image(tokb)
-        rhs = rep.image(token_n(Matrix(fq, [[gamma * b]])))
-        report["n_identity"] = lhs == rhs
-        if lhs != rhs:
-            raise IdentityFailure("N-twist identity fails")
+    if m == 1:
+        # q is odd, so the first two nonzero elements exist
+        units = fq.elements()[1:3]
+        for a in units:
+            tok = token_m(Matrix(fq, [[a]]))
+            if rep.image(tok) != repg.image(tok):
+                raise IdentityFailure("M-image depends on psi")
+        report["m_identity"] = True
+        for b in units:
+            lhs = repg.image(token_n(Matrix(fq, [[b]])))
+            if lhs != rep.image(token_n(Matrix(fq, [[gamma * b]]))):
+                raise IdentityFailure("N-twist identity fails")
+        report["n_identity"] = True
     ginv = gamma.inv()
     eye = Matrix.identity(fq, m)
     lhs = repg.image(TOKEN_W)

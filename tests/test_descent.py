@@ -276,6 +276,29 @@ def test_modular_even_p11_needs_no_norm():
     assert res.transcript["round_trip_isomorphism"]
 
 
+@pytest.mark.parametrize(
+    "p,part,ell", [(7, "full", None), (5, "even", None), (13, "even", 3)],
+    ids=["full-7", "even-5", "even-13-ell3"],
+)
+def test_fixed_points_basis_is_greedy_selection(p, part, ell):
+    # the oracle: walk the prime-field fixed vectors in order and keep each
+    # one whose fold into K^N is independent over K of those already kept
+    from weildescent.descent import _fixed_space
+
+    block = _weil_part(p, part, ell)
+    datum = _full_datum(block) if part == "full" else _square_datum(block)
+    K, N, dk = block.field, block.dim, block.field.degree
+    selected = []
+    for vec in _fixed_space(K, N, datum.entries):
+        cand = [
+            K.from_coeffs([e.as_fraction() for e in vec[i * dk : (i + 1) * dk]]) for i in range(N)
+        ]
+        if Matrix.from_cols(K, selected + [cand]).rank() == len(selected) + 1:
+            selected.append(cand)
+    assert len(selected) == N
+    assert fixed_points(datum).basis == Matrix.from_cols(K, selected)
+
+
 def _weil_part(p, part, ell=None):
     _, _, rep = build_weil(p, 1, 1, ell=ell)
     even, odd = even_odd_split(rep)

@@ -1,12 +1,12 @@
 """Property tests for the table-driven F_q against an independent reference:
 coefficient vectors multiplied as polynomials mod p and reduced by the
-field's modulus with the pure-Python kernel."""
+field's modulus with the arithmetic kernel."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weildescent._kernel_py import lpoly_mul, lpoly_rem
+from weildescent._kernel import lpoly_mul, lpoly_rem
 from weildescent.finite import FqField, fq_field, legendre
 
 FIELDS = [(3, 1), (3, 2), (3, 3), (5, 2), (7, 1), (11, 1), (13, 1)]

@@ -477,6 +477,33 @@ def test_class_traces_howe_gerardin(p, f, m):
         assert t_inv == apply_aut(bar, t)
 
 
+@pytest.mark.parametrize("p,f", [(11, 1), (13, 1), (5, 2)], ids=["q11", "q13", "q25"])
+def test_howe_gerardin_on_seeded_words(p, f):
+    # q^m > 9, where test_class_traces_howe_gerardin does not sweep the
+    # classes: the product of the generator images along a word is omega~(g)
+    # up to the +-1 cocycle, which t sigma_-1(t) does not see; W0 is drawn
+    # with probability 0.4, the Borel tokens otherwise
+    from weildescent.finite import eval_word
+
+    fq = fq_field(p, f)
+    space = SymplecticSpace(fq, 1)
+    w = weil_rep(psi_standard(fq, field_make(RATIONAL, p)), space)
+    K, n = w.field, space.dim
+    bar = GaloisAut(K, K.n - 1)
+    eye = Matrix.identity(fq, n)
+    rng = random.Random(p * f)
+    borel = [tok for tok in w.gen_names if tok != TOKEN_W]
+    for _ in range(8):
+        length = rng.randint(1, 7)
+        word = [rng.choice(borel) if rng.random() < 0.6 else TOKEN_W for _ in range(length)]
+        prod = Matrix.identity(K, w.dim)
+        for tok in word:
+            prod = prod * w.image(tok)
+        t = prod.trace()
+        fixed = n - (eval_word(space, word).mat - eye).rank()
+        assert t * apply_aut(bar, t) == K.from_int(fq.q**fixed), word
+
+
 def _dense(psi, form):
     "Dense matrix of a monomial exponent form (perm, exps)."
     perm, exps = form
@@ -526,11 +553,13 @@ def test_hom_check_detects_corrupted_exponent(model3, monkeypatch):
 # Run with python -O: every check below must still raise IdentityFailure.
 OPTIMIZED_SCRIPT = """
 import sys
-from weildescent import rationality, weil
+from weildescent import rationality, theta, weil
 from weildescent.descent import DescentDatum, build_weil, odd_obstruction_check, sqrt_minus_p
 from weildescent.errors import CocycleViolation, DatumInvalid, IdentityFailure
 from weildescent.theta import CommutingPair, isotypic_projector
-from weildescent.fields import MODULAR, RATIONAL, CoeffField, cyclotomic_poly, field_make
+from weildescent.fields import (
+    MODULAR, RATIONAL, CoeffField, SubfieldTag, cyclotomic_poly, field_make, gauss_sum,
+)
 from weildescent.finite import (
     SpElement, SymplecticSpace, TOKEN_W, fq_field, psi_standard, sp_classes, token_n,
     token_to_sp,
@@ -669,6 +698,51 @@ expect("subfield-coefficient", lambda: rb3.expand(K3.zeta()))
 alg3.center_basis()
 alg3.dim = 3 * alg3.n
 expect("m-squared-n", lambda: alg3.m)
+
+# End of the even part at p = 5 over Q(sqrt 5) is quaternion-shaped, with
+# one Hom line at sigma_4: a norm searcher that returns 0 is no split
+# certificate, and A + E_01 at sigma_4 does not square to a scalar
+even5 = weil.even_odd_split(w5)[0]
+tag5 = SubfieldTag(K5, [4])
+alg5 = rationality.endomorphism_algebra(even5, tag5, weil.class_traces(even5, 10**4))
+expect("split-certificate", lambda: rationality.certify_division_quaternion(alg5, lambda u, c: K5.zero()))
+bent = alg5.hom_bases[4][0].copy()
+bent.rows[0][1] = bent.rows[0][1] + K5.one()
+alg5.hom_bases[4] = [bent]
+expect("square-scalar", lambda: rationality.quaternion_scalar(alg5))
+
+# a trace to Q that returns its argument: the entries of the trace form of
+# Q(sqrt 5) are not rational
+honest_trace = rationality.trace_to_subfield
+rationality.trace_to_subfield = lambda x, tag: x
+expect("trace-form", lambda: rationality._totally_positive(K5.one(), tag5))
+rationality.trace_to_subfield = honest_trace
+
+# the translation H1 = <rho(f1, 0)> of the scalar-extension test, doubled
+# after the isotypic quotient is taken: e_u^2 != e_u; then the quotient's
+# projector replaced by 0: the blocks no longer sum to it
+honest_quotient = theta.isotypic_quotient
+
+
+def doubling_quotient(pair_, pi1):
+    quot = honest_quotient(pair_, pi1)
+    g = pair_.h1_gens["g"]
+    g.rows = [[e + e for e in r] for r in g.rows]
+    return quot
+
+
+def zero_quotient(pair_, pi1):
+    quot = honest_quotient(pair_, pi1)
+    return {**quot, "projector": Matrix.zeros(K3, pair_.dim, pair_.dim)}
+
+
+for name, quotient in (("block-idempotent", doubling_quotient), ("block-sum", zero_quotient)):
+    theta.isotypic_quotient = quotient
+    expect(name, lambda: theta.theta_scalar_extension_check(heis, ("Y", 0, 0), ("T",), K3.full_tag()))
+theta.isotypic_quotient = honest_quotient
+
+# F_3[z]/(z + 1) claims n = 5, but z = -1 is no 5th root of unity: g = 1
+expect("gauss-square", lambda: gauss_sum(5, CoeffField(MODULAR, 5, 3, (1, 1))))
 """
 
 
@@ -694,7 +768,8 @@ def test_certificates_raise_under_optimize():
         "norm-outside", "r-tau-power", "sqrt-minus-one", "datum-entries",
         "projector-central", "cocycle-column", "word-element", "commutant", "zero-column",
         "zero-image", "sampled-field", "orbit-multiplicity", "span", "hom-support", "subfield-coefficient",
-        "m-squared-n",
+        "m-squared-n", "split-certificate", "square-scalar", "trace-form", "block-idempotent",
+        "block-sum", "gauss-square",
     ]
 
 
