@@ -90,6 +90,8 @@ def _model_args(args, need_m=True):
         raise ConfigInvalid(f"ell = {ell} must be an odd prime different from p")
     if args.twist % p == 0:
         raise ConfigInvalid("twist must be a unit")
+    if getattr(args, "pairs", 1) < 1:
+        raise ConfigInvalid(f"--pairs {args.pairs} must be positive")
     return p, f, m, ell
 
 
@@ -169,6 +171,12 @@ def cmd_build(args, report):
 def cmd_verify(args, report):
     p, f, m, ell = _model_args(args)
     q = p**f
+    order = sp_order(m, q)
+    exhaustive = args.exhaustive or order <= 30
+    if exhaustive and order**2 > DEFAULT_SP_BOUND:  # refuse before any work
+        raise TooLarge(
+            f"the {order ** 2} pairs of |Sp| = {order} exceed bound {DEFAULT_SP_BOUND}"
+        )
     rng = random.Random(args.seed)
     psi, space, rep = build_weil(p, f, m, args.twist, ell=ell)
     hrep = heisenberg_rep(psi, space)
@@ -193,7 +201,6 @@ def cmd_verify(args, report):
     intertwining_check(rep, hrep)
     _transcript(report, "weil_intertwines_heisenberg", True)
 
-    exhaustive = args.exhaustive or sp_order(m, q) <= 30
     pairs = _cocycle_pairs(space, rng, exhaustive, args.pairs)
     cert = cocycle_certificate(rep, pairs, len(comm))
     _transcript(report, "cocycle_values_pm1", cert.all_pm_one(), cert.summary())
@@ -434,6 +441,8 @@ def cmd_p2(args, report):
 def cmd_table(args, report):
     ps = _int_list(args.p, "--p")
     fs = _int_list(args.f, "--f")
+    if any(f < 1 for f in fs):
+        raise ConfigInvalid(f"--f {args.f}: every exponent must be positive")
     rows = []
     for p in ps:
         if not (is_prime(p) and p % 2 == 1):

@@ -30,6 +30,8 @@ element of H(W); the character field and the End dimension both read it."""
 
 from __future__ import annotations
 
+from itertools import product
+
 from .errors import CocycleViolation, IdentityFailure, InvalidCharacteristic
 from .fields import CoeffField, GaloisAut, apply_aut
 from .finite import (
@@ -552,9 +554,10 @@ def semilinearity_check(psi: AdditiveCharacter, space: SymplecticSpace, sigma: G
 
 
 def weil_twist_check(psi: AdditiveCharacter, space: SymplecticSpace, gamma: FqElem):
-    """Exact finite-case forms of the twisting identities: the M-image is
-    psi-independent (the Hilbert symbol is trivial here), the N-image twists
-    into N(gamma b), the W0-image satisfies
+    """Exact finite-case forms of the twisting identities: on every declared
+    M(a) and N(b) token, the M-image is psi-independent (the Hilbert symbol
+    is trivial here) and omega_{psi^gamma}(N(b)) = omega_psi(N(gamma b)); the
+    W0-image satisfies
 
         omega_{psi^gamma}(W0) = omega_psi(W0) M(gamma^-1)
 
@@ -566,19 +569,16 @@ def weil_twist_check(psi: AdditiveCharacter, space: SymplecticSpace, gamma: FqEl
     rep = weil_rep(psi, space)
     repg = weil_rep(psig, space)
     report = {}
-    if m == 1:
-        # q is odd, so the first two nonzero elements exist
-        units = fq.elements()[1:3]
-        for a in units:
-            tok = token_m(Matrix(fq, [[a]]))
-            if rep.image(tok) != repg.image(tok):
-                raise IdentityFailure("M-image depends on psi")
-        report["m_identity"] = True
-        for b in units:
-            lhs = repg.image(token_n(Matrix(fq, [[b]])))
-            if lhs != rep.image(token_n(Matrix(fq, [[gamma * b]]))):
-                raise IdentityFailure("N-twist identity fails")
-        report["n_identity"] = True
+    for tok in rep.gen_names:
+        if tok[0] == "M" and rep.image(tok) != repg.image(tok):
+            raise IdentityFailure(f"M-image depends on psi at {tok}")
+    report["m_identity"] = True
+    for tok in rep.gen_names:
+        if tok[0] == "N":
+            gamma_b = token_n(Matrix(fq, [list(r) for r in tok[1]]).scale(gamma))
+            if repg.image(tok) != rep.image(gamma_b):
+                raise IdentityFailure(f"N-twist identity fails at {tok}")
+    report["n_identity"] = True
     ginv = gamma.inv()
     eye = Matrix.identity(fq, m)
     lhs = repg.image(TOKEN_W)
@@ -624,6 +624,8 @@ def _monomial_product(a, b, p):
 def heisenberg_hom_check(rep: MarkedRep, exhaustive: bool, rng=None, samples=200):
     """rho(h1 h2) = rho(h1) rho(h2) exactly: every pair when exhaustive,
     seeded samples otherwise.  Also the central character rho(0,t) = psi(t) Id.
+    Returns the number of pairs certified; every failure raises
+    IdentityFailure.
 
     Both are checked on the monomial exponent form of rho_monomial, of which
     rho_matrix is the dense expansion.  If column j of A sits in row pa[j]
@@ -634,25 +636,89 @@ def heisenberg_hom_check(rep: MarkedRep, exhaustive: bool, rng=None, samples=200
     ell != p), so k -> zeta_p^k is injective on Z/p: the matrices are equal
     exactly when the permutations agree and the exponents agree mod p.
     This is the same certificate as the dense comparison, with no
-    coefficient-field arithmetic."""
+    coefficient-field arithmetic.
+
+    Element i of H(W) is (w, t) with w = vecs[i // q], a tuple of F_q
+    indices, and t = i % q: the order of heis_enumerate.  Sums, products
+    and the form <w, w'> are lookups in the F_q tables.  The sampled branch
+    compares rho(a) rho(b) with rho(ab) on each drawn pair, making the forms
+    of those elements only.
+
+    The exhaustive branch holds the forms in a list indexed by element and
+    certifies all q^(2(2m+1)) pairs through the centre.  With
+    e(t) = psi.exponent(t), it checks
+    (C) e(a) + e(b) = e(a + b) mod p for all a, b in F_q;
+    (B) rho(w, 0) rho(w', 0) = rho(w + w', c) for all w, w', with
+        c = (1/2)<w, w'>: q^(4m) monomial products instead of q^(4m+2);
+    (A) rho(w, t) = psi(t) rho(w, 0) for every (w, t): the same
+        permutation, the exponents shifted by e(t).
+    Then for every pair, since (w, t)(w', t') = (w + w', t + t' + c),
+
+        rho(w, t) rho(w', t') = psi(t) psi(t') rho(w, 0) rho(w', 0)    (A)
+                              = psi(t) psi(t') rho(w + w', c)          (B)
+                              = psi(t) psi(t') psi(c) rho(w + w', 0)   (A)
+                              = psi(t + t' + c) rho(w + w', 0)         (C)
+                              = rho((w, t)(w', t'))                     (A)."""
     space, psi = rep.space, rep.psi
-    p = space.fq.p
-    els = heis_enumerate(space)
-    forms = {h: rho_monomial(psi, space, h) for h in els}
+    fq, m = space.fq, space.m
+    p, q, elems = fq.p, fq.q, fq.elems
+    add, mul, neg, half = fq.add, fq.mul, fq.neg, space.half.idx
+    vecs = [ds[::-1] for ds in product(range(q), repeat=space.dim)]
+    size = len(vecs) * q
+
+    def heis(i):
+        return HeisElem(space, [elems[c] for c in vecs[i // q]], elems[i % q])
+
+    def form(i):
+        return rho_monomial(psi, space, heis(i))
+
+    def times(i, j):
+        "The element (w, t)(w', t') = (w + w', t + t' + (1/2)<w, w'>) of elements i, j."
+        w, v = vecs[i // q], vecs[j // q]
+        pairing = 0
+        for k in range(m):
+            pairing = add[pairing][add[mul[w[k]][v[m + k]]][neg[mul[w[m + k]][v[k]]]]]
+        s = 0
+        for a, b in zip(reversed(w), reversed(v)):
+            s = s * q + add[a][b]
+        return s * q + add[add[i % q][j % q]][mul[half][pairing]]
+
+    ex = [psi.exponent(t) for t in elems]
     if exhaustive:
-        pairs = [(a, b) for a in els for b in els]
+        for a in range(q):  # (C)
+            for b in range(q):
+                if (ex[a] + ex[b]) % p != ex[add[a][b]]:
+                    raise IdentityFailure(
+                        f"heisenberg hom fails at t = {elems[a]!r}, {elems[b]!r}:"
+                        " psi(a) psi(b) != psi(a + b)"
+                    )
+        forms = [form(i) for i in range(size)]
+        for i in range(0, size, q):  # (B)
+            for j in range(0, size, q):
+                if _monomial_product(forms[i], forms[j], p) != forms[times(i, j)]:
+                    raise IdentityFailure(f"heisenberg hom fails at {heis(i)!r}, {heis(j)!r}")
+        for i, (perm, exps) in enumerate(forms):  # (A)
+            perm0, exps0 = forms[i - i % q]
+            e = ex[i % q]
+            if perm != perm0 or exps != [(x + e) % p for x in exps0]:
+                raise IdentityFailure(
+                    f"heisenberg hom fails at {heis(i)!r}: rho(w, t) != psi(t) rho(w, 0)"
+                )
+        npairs = size * size
     else:
         assert rng is not None
-        pairs = [(rng.choice(els), rng.choice(els)) for _ in range(samples)]
-    for a, b in pairs:
-        if _monomial_product(forms[a], forms[b], p) != forms[a * b]:
-            raise IdentityFailure(f"heisenberg hom fails at {a!r}, {b!r}")
+        ids = range(size)
+        for _ in range(samples):
+            i, j = rng.choice(ids), rng.choice(ids)
+            if _monomial_product(form(i), form(j), p) != form(times(i, j)):
+                raise IdentityFailure(f"heisenberg hom fails at {heis(i)!r}, {heis(j)!r}")
+        npairs = samples
     ident = list(range(rep.dim))
-    for t in space.fq.elements():
-        perm, exps = rho_monomial(psi, space, HeisElem(space, space.zero_vector(), t))
-        if perm != ident or exps != [psi.exponent(t)] * rep.dim:
-            raise IdentityFailure(f"central character fails at t = {t!r}")
-    return len(pairs)
+    for t in range(q):
+        perm, exps = form(t)
+        if perm != ident or exps != [ex[t]] * rep.dim:
+            raise IdentityFailure(f"central character fails at t = {elems[t]!r}")
+    return npairs
 
 
 def _tree_images(rep: MarkedRep, classes: SpClasses):

@@ -373,6 +373,29 @@ def test_reports_byte_identical(tmp_path):
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "argv, order",
+    [(["--p", "7"], 336), (["--p", "3", "--m", "2"], 51840)],
+    ids=["sp2-f7", "sp4-f3"],
+)
+def test_verify_exhaustive_refuses_too_many_pairs(argv, order, tmp_path, monkeypatch):
+    # |Sp|^2 cocycle pairs past the bound: refused before any check or listing
+    from weildescent import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("ran before the size refusal")
+
+    monkeypatch.setattr(cli, "heisenberg_hom_check", never)
+    monkeypatch.setattr(cli, "sp_enumerate", never)
+    code, rep = run_json(["verify", *argv, "--exhaustive"], tmp_path)
+    assert code == 3
+    assert rep["error"] == {
+        "kind": "too-large",
+        "message": f"the {order ** 2} pairs of |Sp| = {order} exceed bound 100000",
+    }
+    assert rep["transcript"] == []
+
+
 def test_timing_flag_adds_field(tmp_path):
     code, rep = run_json(["p2", "--timing"], tmp_path)
     assert code == 0 and "timing_seconds" in rep
@@ -474,10 +497,15 @@ def test_pair_file_base_is_valid(tmp_path):
         ["norm-solve", "--n", "20", "--top", "2", "--bottom", "3"],
         ["norm-solve", "--n", "20", "--top", "3", "--bottom", "9"],
         ["end-algebra", "--p", "5", "--part", "even", "--subfield", "5"],
+        ["verify", "--p", "5", "--pairs", "0"],
+        ["build", "--p", "5", "--pairs", "-3"],
+        ["table", "--p", "3", "--f", "0"],
+        ["table", "--p", "3", "--f", "1,-1"],
     ]
     + [["theta", "--pair", "{tmp}/shape-%s.json" % name] for name in PAIR_SHAPES],
     ids=["table-p", "theta-missing", "theta-malformed", "hilbert-place-x", "hilbert-place-4"]
     + ["norm-top-not-unit", "norm-top-outside-bottom", "end-subfield-not-unit"]
+    + ["verify-pairs-0", "build-pairs-negative", "table-f-0", "table-f-negative"]
     + ["theta-shape-" + name for name in PAIR_SHAPES],
 )
 def test_malformed_input_exits_2(argv, tmp_path):

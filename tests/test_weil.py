@@ -346,6 +346,39 @@ def test_twist_identities_q5(model5):
         assert all(report.values())
 
 
+@pytest.mark.parametrize("p, f", [(3, 1), (5, 1)])
+def test_twist_identities_m2(p, f):
+    fq = fq_field(p, f)
+    sp = SymplecticSpace(fq, 2)
+    psi = psi_standard(fq, field_make(RATIONAL, p))
+    for g in fq.elements()[1:]:
+        report = weil_twist_check(psi, sp, g)
+        assert report["m_identity"] and report["n_identity"] and all(report.values())
+
+
+def test_twist_check_catches_corrupted_n_image_m2(monkeypatch):
+    # only the twisted model psi^2 gets a wrong N image: neither the W0
+    # identity nor the square twist (through psi^4 = psi) reads it
+    from weildescent import weil
+
+    fq = fq_field(3, 1)
+    sp = SymplecticSpace(fq, 2)
+    psi = psi_standard(fq, field_make(RATIONAL, 3))
+    gamma = fq.from_int(2)
+    honest = weil.weil_generator_image
+
+    def corrupted(psi_, space, token):
+        out = honest(psi_, space, token)
+        if token[0] == "N" and psi_.twist == gamma:
+            out = out.copy()
+            out.rows[1][1] = psi_.coeff.zeta() * out.rows[1][1]
+        return out
+
+    monkeypatch.setattr(weil, "weil_generator_image", corrupted)
+    with pytest.raises(IdentityFailure, match="N-twist identity fails"):
+        weil_twist_check(psi, sp, gamma)
+
+
 def test_twist_identity_gamma_one(model3):
     psi, sp = model3["psi"], model3["space"]
     report = weil_twist_check(psi, sp, sp.fq.one())
@@ -550,6 +583,98 @@ def test_hom_check_detects_corrupted_exponent(model3, monkeypatch):
         heisenberg_hom_check(model3["heis"], exhaustive=True)
 
 
+def _all_pairs_hold(rep):
+    """The literal all-pairs loop, the oracle of heisenberg_hom_check:
+    rho(a) rho(b) = rho(ab) on the monomial forms, with HeisElem products,
+    and the central character rho(0, t) = psi(t) Id."""
+    from weildescent import weil
+    from weildescent.finite import heis_enumerate
+
+    sp, psi = rep.space, rep.psi
+    els = heis_enumerate(sp)
+    forms = {h: weil.rho_monomial(psi, sp, h) for h in els}
+    prods = all(
+        weil._monomial_product(forms[a], forms[b], sp.fq.p) == forms[a * b]
+        for a in els
+        for b in els
+    )
+    ident = list(range(rep.dim))
+    central = all(
+        forms[HeisElem(sp, sp.zero_vector(), t)] == (ident, [psi.exponent(t)] * rep.dim)
+        for t in sp.fq.elements()
+    )
+    return prods and central
+
+
+def _model(q, m):
+    fq = fq_field(*{3: (3, 1), 5: (5, 1), 9: (3, 2)}[q])
+    space = SymplecticSpace(fq, m)
+    return heisenberg_rep(psi_standard(fq, field_make(RATIONAL, fq.p)), space)
+
+
+@pytest.mark.parametrize("q, m", [(3, 1), (5, 1), (9, 1), (3, 2)])
+def test_hom_check_agrees_with_all_pairs_loop(q, m):
+    rep = _model(q, m)
+    assert _all_pairs_hold(rep)
+    assert heisenberg_hom_check(rep, exhaustive=True) == q ** (2 * (2 * m + 1))
+
+
+PAIR, SHIFT = r"H\(.*\), H\(", r"H\(.*\): rho\(w, t\) != psi\(t\)"
+
+
+@pytest.mark.parametrize(
+    "m, w, t, fault, match",
+    [
+        # rho(w, 0) alone: caught by the products (B)
+        (1, (1, 2), 0, "exponent", PAIR),
+        (2, (1, 0, 0, 0), 0, "exponent", PAIR),
+        (1, (1, 1), 0, "permutation", PAIR),
+        # the whole fiber of w shifted alike (t None): (A) holds, only (B) sees it
+        (1, (2, 0), None, "exponent", PAIR),
+        # rho(0, t) at t != 0 is no product of (B): caught by (A)
+        (1, (0, 0), 1, "exponent", SHIFT),
+        (1, (0, 1), 1, "permutation", ""),
+    ],
+    ids=["t0-exponent", "t0-exponent-m2", "t0-permutation", "fiber-exponent",
+         "central-exponent", "t1-permutation"],
+)
+def test_hom_check_catches_injected_faults(m, w, t, fault, match, monkeypatch):
+    # w and t are F_q indices of the corrupted elements (w, t)
+    from weildescent import weil
+
+    rep = _model(3, m)
+    honest = weil.rho_monomial
+
+    def corrupted(psi_, space, h):
+        perm, exps = honest(psi_, space, h)
+        if tuple(c.idx for c in h.w) == w and t in (None, h.t.idx):
+            if fault == "exponent":
+                exps = [(exps[0] + 1) % 3] + exps[1:]
+            else:
+                perm = [perm[1], perm[0]] + perm[2:]
+        return perm, exps
+
+    monkeypatch.setattr(weil, "rho_monomial", corrupted)
+    assert not _all_pairs_hold(rep)
+    with pytest.raises(IdentityFailure, match="heisenberg hom fails at " + match):
+        heisenberg_hom_check(rep, exhaustive=True)
+
+
+def test_hom_check_catches_non_additive_exponent(model3):
+    # psi(x) = zeta^(Tr(x)^2): e(1) + e(1) = 2 but e(2) = 1, so (C) fails
+    from weildescent.finite import AdditiveCharacter
+
+    class Bent(AdditiveCharacter):
+        def exponent(self, x):
+            return super().exponent(x) ** 2 % self.fq.p
+
+    sp, psi = model3["space"], model3["psi"]
+    rep = heisenberg_rep(Bent(sp.fq, psi.coeff, psi.twist), sp)
+    assert not _all_pairs_hold(rep)
+    with pytest.raises(IdentityFailure, match=r"psi\(a\) psi\(b\) != psi\(a \+ b\)"):
+        heisenberg_hom_check(rep, exhaustive=True)
+
+
 # Run with python -O: every check below must still raise IdentityFailure.
 OPTIMIZED_SCRIPT = """
 import sys
@@ -590,8 +715,17 @@ def corrupted(psi_, space, h):
     return perm, exps
 
 
+def corrupted_t0(psi_, space, h):
+    perm, exps = honest(psi_, space, h)
+    if h.t.is_zero() and h.w == (fq.one(), fq.zero()):
+        exps = [(exps[0] + 1) % 3] + exps[1:]
+    return perm, exps
+
+
 weil.rho_monomial = corrupted
 expect("rho-exponent", lambda: weil.heisenberg_hom_check(weil.heisenberg_rep(psi, sp), True))
+weil.rho_monomial = corrupted_t0
+expect("rho-t0-exponent", lambda: weil.heisenberg_hom_check(weil.heisenberg_rep(psi, sp), True))
 weil.rho_monomial = honest
 
 w = weil.weil_rep(psi, sp)
@@ -764,8 +898,8 @@ def test_certificates_raise_under_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [
-        "rho-exponent", "parity-leak", "generation", "symplectic", "zero-inverse",
-        "norm-outside", "r-tau-power", "sqrt-minus-one", "datum-entries",
+        "rho-exponent", "rho-t0-exponent", "parity-leak", "generation", "symplectic",
+        "zero-inverse", "norm-outside", "r-tau-power", "sqrt-minus-one", "datum-entries",
         "projector-central", "cocycle-column", "word-element", "commutant", "zero-column",
         "zero-image", "sampled-field", "orbit-multiplicity", "span", "hom-support", "subfield-coefficient",
         "m-squared-n", "split-certificate", "square-scalar", "trace-form", "block-idempotent",
