@@ -182,8 +182,7 @@ def cmd_verify(args, report):
     hrep = heisenberg_rep(psi, space)
     K = rep.field
 
-    exhaustive_h = args.exhaustive or q ** (2 * m + 1) <= 729
-    npairs = heisenberg_hom_check(hrep, exhaustive_h, rng=rng, samples=args.pairs)
+    npairs = heisenberg_hom_check(hrep)
     _transcript(report, "heisenberg_homomorphism", True, {"pairs": npairs})
 
     comm = intertwiner_space(hrep.gens_images(), hrep.gens_images())
@@ -207,7 +206,7 @@ def cmd_verify(args, report):
 
     for u in K.galois_exponents():
         if u != 1:
-            semilinearity_check(psi, space, GaloisAut(K, u))
+            semilinearity_check(rep, GaloisAut(K, u))
     _transcript(report, "galois_semilinearity", True)
 
     twists = space.fq.elements()[1:3]  # q is odd: two nonzero elements
@@ -302,10 +301,10 @@ def cmd_norm_solve(args, report):
 
 def _read_pair(path):
     """The pair file of `theta --pair`: the field, dim, generator objects h1
-    and h2 of dim x dim matrices, and pi1, a list of {"label", "gens"} with
-    one matrix per h1 generator, all pi1 matrices of one size.  Returns
-    (K, dim, h1, h2, [(label, gens)]), the label of pi1[i] defaulting to
-    "pi<i>"; a file of any other shape is ConfigInvalid."""
+    and h2 of invertible dim x dim matrices, and pi1, a list of {"label",
+    "gens"} with one invertible matrix per h1 generator, all pi1 matrices of
+    one size.  Returns (K, dim, h1, h2, [(label, gens)]), the label of
+    pi1[i] defaulting to "pi<i>"; a file of any other shape is ConfigInvalid."""
     try:
         with open(path) as fh:
             desc = json.load(fh)
@@ -360,7 +359,9 @@ def _read_pair(path):
             len(rows) == size and all(len(r) == size for r in rows),
             f"{what} must be {size} x {size}",
         )
-        return Matrix(K, [[entry(e, what) for e in r] for r in rows])
+        mat = Matrix(K, [[entry(e, what) for e in r] for r in rows])
+        need(not mat.det().is_zero(), f"{what} must be invertible")
+        return mat
 
     def gens(obj, size, what):
         need(isinstance(obj, dict) and obj, f"{what} must be a non-empty object of matrices")
@@ -506,12 +507,12 @@ def make_parser():
 
     sp = sub.add_parser("build", help="emit the Weil model as JSON")
     common(sp)
-    sp.add_argument("--pairs", type=int, default=50)
+    sp.add_argument("--pairs", type=int, default=50, help="seeded Sp pairs for the cocycle")
 
     sp = sub.add_parser("verify", help="run the exact property suite")
     common(sp)
-    sp.add_argument("--exhaustive", action="store_true")
-    sp.add_argument("--pairs", type=int, default=200)
+    sp.add_argument("--exhaustive", action="store_true", help="every Sp pair for the cocycle")
+    sp.add_argument("--pairs", type=int, default=200, help="seeded Sp pairs for the cocycle")
 
     sp = sub.add_parser("character-field", help="character field of a part")
     common(sp)

@@ -575,7 +575,7 @@ def apply_aut(sigma: GaloisAut, x: CycloNum) -> CycloNum:
         raise FieldMismatch("automorphism and element fields differ")
     f = x.field
     n, u = f.n, sigma.exponent
-    if u == 1:
+    if u == 1 or x.is_zero():
         return x
     v = [0] * n
     for i, c in enumerate(x.nums):

@@ -261,10 +261,11 @@ class AdditiveCharacter:
         self.twist = twist
         shift = coeff.n // fq.p
         self.values = [coeff.zeta_pow(shift * k) for k in range(fq.p)]
+        self.exponents = [fq.trace[c] for c in fq.mul[twist.idx]]
 
     def exponent(self, x: FqElem) -> int:
         "k in [0, p) with psi(x) = zeta_p^k."
-        return (self.twist * x).trace_to_prime()
+        return self.exponents[x.idx]
 
     def __call__(self, x: FqElem):
         return self.values[self.exponent(x)]

@@ -230,7 +230,8 @@ class Matrix:
         n = self.nrows
         aug = self.hstack(Matrix.identity(self.field, n))
         red, pivots = aug.rref()
-        assert pivots == list(range(n)), "matrix not invertible"
+        if pivots != list(range(n)):
+            raise ZeroDivisionError("matrix is not invertible")
         return Matrix(self.field, [r[n:] for r in red.rows])
 
     def det(self):

@@ -63,16 +63,16 @@ def trace_field(K, terms) -> SubfieldTag:
     return subfield_of_values([t for t, _, _ in terms] + [K.one()])
 
 
-def _character_field_sampled(rep: MarkedRep, seed: int = 0, words: int = 200):
+def _character_field_sampled(rep: MarkedRep):
     import random
 
     from .weil import weil_op
     from .finite import token_to_sp
 
-    rng = random.Random(seed)
+    rng = random.Random(0)
     gens = [token_to_sp(rep.space, t) for t in rep.gen_names]
     traces = [rep.field.one()]
-    for _ in range(words):
+    for _ in range(200):  # seeded random words
         g = gens[rng.randrange(len(gens))]
         for _ in range(rng.randrange(1, 6)):
             g = g * gens[rng.randrange(len(gens))]

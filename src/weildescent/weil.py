@@ -141,18 +141,23 @@ def _heis_from_key(space, key):
 
 def rho_monomial(psi: AdditiveCharacter, space: SymplecticSpace, h: HeisElem):
     """rho(h) in monomial exponent form (perm, exps): column col of rho(h)
-    has its one nonzero entry zeta_p^exps[col] in row perm[col]."""
-    m = space.m
-    zeros = (space.fq.zero(),) * m
-    x = h.w[:m]
-    y = h.w[m:]
-    xw = tuple(x) + zeros
-    base = h.t - space.half * space.pairing(zeros + tuple(y), xw)
-    perm, exps = [], []
-    for y0 in space.y_points():
-        perm.append(space.vector_index(tuple(a - b for a, b in zip(y0, y))))
-        exps.append(psi.exponent(base + space.pairing(zeros + y0, xw)))
-    return perm, exps
+    has its one nonzero entry zeta_p^exps[col] in row perm[col].  Computed
+    coordinate by coordinate of y0 on the F_q index tables."""
+    fq, m, q = space.fq, space.m, space.fq.q
+    add, mul, neg = fq.add, fq.mul, fq.neg
+    x = [c.idx for c in h.w[:m]]
+    y = [c.idx for c in h.w[m:]]
+    yx = 0
+    for a, b in zip(y, x):
+        yx = add[yx][mul[a][b]]
+    perm, dots = [0], [0]  # per column y0: the index of y0 - y, and -y0.x
+    for i in range(m):
+        step, ny, nx = q**i, neg[y[i]], mul[neg[x[i]]]
+        perm = [k + step * add[c][ny] for c in range(q) for k in perm]
+        dots = [add[d][nx[c]] for c in range(q) for d in dots]
+    base = add[add[h.t.idx][mul[space.half.idx][yx]]]  # adds t + (1/2) y.x
+    ex = psi.exponents
+    return perm, [ex[base[d]] for d in dots]
 
 
 def rho_matrix(psi: AdditiveCharacter, space: SymplecticSpace, h: HeisElem) -> Matrix:
@@ -542,13 +547,13 @@ def intertwining_check(wrep: MarkedRep, hrep: MarkedRep):
     return True
 
 
-def semilinearity_check(psi: AdditiveCharacter, space: SymplecticSpace, sigma: GaloisAut):
-    "sigma(omega~_psi(tok)) = omega~_{psi^sigma}(tok) on every declared token."
-    rep = weil_rep(psi, space)
-    rep2 = weil_rep(char_galois(sigma, psi), space)
+def semilinearity_check(rep: MarkedRep, sigma: GaloisAut):
+    """sigma(omega~_psi(tok)) = omega~_{psi^sigma}(tok) on every declared
+    token, for rep = weil_rep(psi, space)."""
+    conj = rep.conjugate(sigma)
+    rep2 = weil_rep(char_galois(sigma, rep.psi), rep.space)
     for tok in rep.gen_names:
-        lhs = rep.image(tok).map(lambda e: apply_aut(sigma, e))
-        if lhs != rep2.image(tok):
+        if conj.image(tok) != rep2.image(tok):
             raise IdentityFailure(f"semilinearity fails at {tok}")
     return True
 
@@ -621,50 +626,53 @@ def _monomial_product(a, b, p):
     return [pa[k] for k in pb], [(ea[k] + e) % p for k, e in zip(pb, eb)]
 
 
-def heisenberg_hom_check(rep: MarkedRep, exhaustive: bool, rng=None, samples=200):
-    """rho(h1 h2) = rho(h1) rho(h2) exactly: every pair when exhaustive,
-    seeded samples otherwise.  Also the central character rho(0,t) = psi(t) Id.
-    Returns the number of pairs certified; every failure raises
-    IdentityFailure.
+def heisenberg_hom_check(rep: MarkedRep):
+    """rho(h1 h2) = rho(h1) rho(h2) exactly for every pair of H(W), and the
+    central character rho(0, t) = psi(t) Id.  Returns the number of pairs
+    certified, q^(2(2m+1)); every failure raises IdentityFailure.
 
-    Both are checked on the monomial exponent form of rho_monomial, of which
-    rho_matrix is the dense expansion.  If column j of A sits in row pa[j]
-    as zeta^ea[j], and likewise B with (pb, eb), then column j of AB sits in
-    row pa[pb[j]] as zeta^(ea[pb[j]] + eb[j]).  A monomial matrix is
-    determined by its permutation and its entries, and zeta_p has exact
+    Everything is checked on the monomial exponent form of rho_monomial, of
+    which rho_matrix is the dense expansion.  If column j of A sits in row
+    pa[j] as zeta^ea[j], and likewise B with (pb, eb), then column j of AB
+    sits in row pa[pb[j]] as zeta^(ea[pb[j]] + eb[j]).  A monomial matrix
+    is determined by its permutation and its entries, and zeta_p has exact
     order p in the coefficient field (Q(zeta_p), or F_ell[zeta_p] with
     ell != p), so k -> zeta_p^k is injective on Z/p: the matrices are equal
     exactly when the permutations agree and the exponents agree mod p.
-    This is the same certificate as the dense comparison, with no
-    coefficient-field arithmetic.
 
-    Element i of H(W) is (w, t) with w = vecs[i // q], a tuple of F_q
-    indices, and t = i % q: the order of heis_enumerate.  Sums, products
-    and the form <w, w'> are lookups in the F_q tables.  The sampled branch
-    compares rho(a) rho(b) with rho(ab) on each drawn pair, making the forms
-    of those elements only.
-
-    The exhaustive branch holds the forms in a list indexed by element and
-    certifies all q^(2(2m+1)) pairs through the centre.  With
-    e(t) = psi.exponent(t), it checks
-    (C) e(a) + e(b) = e(a + b) mod p for all a, b in F_q;
-    (B) rho(w, 0) rho(w', 0) = rho(w + w', c) for all w, w', with
-        c = (1/2)<w, w'>: q^(4m) monomial products instead of q^(4m+2);
+    A vector w of W is a tuple of F_q indices with id sum w_k q^k, and
+    (w, t) has id q id(w) + t, the order of heis_enumerate; sums and the
+    form are lookups in the F_q tables.  With ex(t) = psi.exponent(t) and
+    [w, v] = (1/2)<w, v>, it checks
+    (I) rho(0, 0) = Id;
+    (C) ex(a) + ex(b) = ex(a + b) mod p for all a, b in F_q: q^2 lookups;
+    (B) rho(w, 0) rho(b, 0) = psi([w, b]) rho(w + b, 0) for every w and each
+        b of the F_p-basis g^j e_i, g^j f_i (j < f, g the class of X) of W,
+        the X and Y generators of heisenberg_rep: 2mf q^(2m) products;
     (A) rho(w, t) = psi(t) rho(w, 0) for every (w, t): the same
-        permutation, the exponents shifted by e(t).
-    Then for every pair, since (w, t)(w', t') = (w + w', t + t' + c),
+        permutation, the exponents shifted by ex(t).
 
-        rho(w, t) rho(w', t') = psi(t) psi(t') rho(w, 0) rho(w', 0)    (A)
-                              = psi(t) psi(t') rho(w + w', c)          (B)
-                              = psi(t) psi(t') psi(c) rho(w + w', 0)   (A)
-                              = psi(t + t' + c) rho(w + w', 0)         (C)
-                              = rho((w, t)(w', t'))                     (A)."""
+    By (C), psi is a homomorphism.  Let P(v) say rho(w, 0) rho(v, 0) =
+    psi([w, v]) rho(w + v, 0) for all w: (I) is P(0), (B) is P(b).  P(v)
+    and P(b) give P(v + b), since for every w
+
+        rho(w, 0) rho(v + b, 0) = psi(-[v, b]) rho(w, 0) rho(v, 0) rho(b, 0)
+            = psi([w, v] - [v, b]) rho(w + v, 0) rho(b, 0)
+            = psi([w, v] - [v, b] + [w + v, b]) rho(w + v + b, 0)
+
+    by P(b) at v, P(v) and P(b) at w + v, and [ , ] is bilinear.  Sums of
+    basis vectors exhaust W, so P holds on W, and with c = [w, w']
+
+        rho(w, t) rho(w', t') = psi(t + t') rho(w, 0) rho(w', 0)   (A)
+                              = psi(t + t' + c) rho(w + w', 0)     P(w')
+                              = rho((w, t)(w', t'))                 (A).
+
+    (A) and (I) give the central character."""
     space, psi = rep.space, rep.psi
     fq, m = space.fq, space.m
     p, q, elems = fq.p, fq.q, fq.elems
     add, mul, neg, half = fq.add, fq.mul, fq.neg, space.half.idx
     vecs = [ds[::-1] for ds in product(range(q), repeat=space.dim)]
-    size = len(vecs) * q
 
     def heis(i):
         return HeisElem(space, [elems[c] for c in vecs[i // q]], elems[i % q])
@@ -672,53 +680,39 @@ def heisenberg_hom_check(rep: MarkedRep, exhaustive: bool, rng=None, samples=200
     def form(i):
         return rho_monomial(psi, space, heis(i))
 
-    def times(i, j):
-        "The element (w, t)(w', t') = (w + w', t + t' + (1/2)<w, w'>) of elements i, j."
-        w, v = vecs[i // q], vecs[j // q]
-        pairing = 0
-        for k in range(m):
-            pairing = add[pairing][add[mul[w[k]][v[m + k]]][neg[mul[w[m + k]][v[k]]]]]
-        s = 0
-        for a, b in zip(reversed(w), reversed(v)):
-            s = s * q + add[a][b]
-        return s * q + add[add[i % q][j % q]][mul[half][pairing]]
-
     ex = [psi.exponent(t) for t in elems]
-    if exhaustive:
-        for a in range(q):  # (C)
-            for b in range(q):
-                if (ex[a] + ex[b]) % p != ex[add[a][b]]:
-                    raise IdentityFailure(
-                        f"heisenberg hom fails at t = {elems[a]!r}, {elems[b]!r}:"
-                        " psi(a) psi(b) != psi(a + b)"
-                    )
-        forms = [form(i) for i in range(size)]
-        for i in range(0, size, q):  # (B)
-            for j in range(0, size, q):
-                if _monomial_product(forms[i], forms[j], p) != forms[times(i, j)]:
-                    raise IdentityFailure(f"heisenberg hom fails at {heis(i)!r}, {heis(j)!r}")
-        for i, (perm, exps) in enumerate(forms):  # (A)
-            perm0, exps0 = forms[i - i % q]
-            e = ex[i % q]
-            if perm != perm0 or exps != [(x + e) % p for x in exps0]:
-                raise IdentityFailure(
-                    f"heisenberg hom fails at {heis(i)!r}: rho(w, t) != psi(t) rho(w, 0)"
-                )
-        npairs = size * size
-    else:
-        assert rng is not None
-        ids = range(size)
-        for _ in range(samples):
-            i, j = rng.choice(ids), rng.choice(ids)
-            if _monomial_product(form(i), form(j), p) != form(times(i, j)):
-                raise IdentityFailure(f"heisenberg hom fails at {heis(i)!r}, {heis(j)!r}")
-        npairs = samples
+    forms = [form(q * s) for s in range(len(vecs))]  # rho(w, 0)
     ident = list(range(rep.dim))
-    for t in range(q):
-        perm, exps = form(t)
-        if perm != ident or exps != [ex[t]] * rep.dim:
-            raise IdentityFailure(f"central character fails at t = {elems[t]!r}")
-    return npairs
+    if forms[0] != (ident, [0] * rep.dim):  # (I)
+        raise IdentityFailure("central character fails: rho(0, 0) != Id")
+    for a in range(q):  # (C)
+        for b in range(q):
+            if (ex[a] + ex[b]) % p != ex[add[a][b]]:
+                raise IdentityFailure(
+                    f"heisenberg hom fails at t = {elems[a]!r}, {elems[b]!r}:"
+                    " psi(a) psi(b) != psi(a + b)"
+                )
+    # b = X^j (index a = p^j) at coordinate k, with vector id a q^k
+    basis = [(k, p**j) for k in range(space.dim) for j in range(fq.f)]
+    for s, w in enumerate(vecs):  # (B)
+        for k, a in basis:
+            pairing = neg[mul[w[m + k]][a]] if k < m else mul[w[k - m]][a]  # <w, b>
+            perm, exps = _monomial_product(forms[s], forms[q**k * a], p)
+            perm1, exps1 = forms[s + q**k * (add[w[k]][a] - w[k])]  # rho(w + b, 0)
+            c = ex[mul[half][pairing]]
+            if perm != perm1 or exps != [(x + c) % p for x in exps1]:
+                raise IdentityFailure(
+                    f"heisenberg hom fails at {heis(q * s)!r}, {heis(q**(k + 1) * a)!r}"
+                )
+    for s, (perm0, exps0) in enumerate(forms):  # (A)
+        for t in range(1, q):
+            perm, exps = form(q * s + t)
+            if perm != perm0 or exps != [(x + ex[t]) % p for x in exps0]:
+                raise IdentityFailure(
+                    f"heisenberg hom fails at {heis(q * s + t)!r}:"
+                    " rho(w, t) != psi(t) rho(w, 0)"
+                )
+    return (len(vecs) * q) ** 2
 
 
 def _tree_images(rep: MarkedRep, classes: SpClasses):
@@ -741,16 +735,12 @@ def _tree_images(rep: MarkedRep, classes: SpClasses):
 
 
 def _heis_trace(psi: AdditiveCharacter, space: SymplecticSpace, h: HeisElem):
-    "tr rho(w,t): q^m psi(t) at w in the centre direction, else 0."
-    m = space.m
-    x, y = h.w[:m], h.w[m:]
-    if any(not c.is_zero() for c in y):
-        return psi.coeff.zero()
-    xw = tuple(x) + (space.fq.zero(),) * m
+    "tr rho(h): the diagonal entries of its monomial form."
+    perm, exps = rho_monomial(psi, space, h)
     acc = psi.coeff.zero()
-    for y0 in space.y_points():
-        y0w = (space.fq.zero(),) * m + y0
-        acc = acc + psi(h.t + space.pairing(y0w, xw))
+    for col, (row, e) in enumerate(zip(perm, exps)):
+        if row == col:
+            acc = acc + psi.values[e]
     return acc
 
 
@@ -774,8 +764,7 @@ def class_traces(rep: MarkedRep, bound: int):
     exactly: T is linear over R, which contains e, so the signs cancel.
     Neither needs the orbits of sp_classes to be whole classes.
 
-    For H(W), one term of weight 1 per element, from the closed-form trace
-    of rho_psi."""
+    For H(W), one term of weight 1 per element, read off rho_monomial."""
     if rep.group == "heis":
         space, psi = rep.space, rep.psi
         return [

@@ -238,7 +238,7 @@ def test_criterion_6_weil_property_suite():
     K5 = rep5.field
     for u in K5.galois_exponents():
         if u != 1:
-            ok = ok and semilinearity_check(psi5, sp5, GaloisAut(K5, u))
+            ok = ok and semilinearity_check(rep5, GaloisAut(K5, u))
     fq5 = sp5.fq
     m2 = rep5.image(token_m(Matrix(fq5, [[fq5.from_int(2)]])))
     rep5_4 = weil_rep(char_twist(psi5, fq5.from_int(4)), sp5)

@@ -25,6 +25,15 @@ def test_verify_all_pass(tmp_path):
     assert all(t["pass"] for t in rep["transcript"])
 
 
+def test_verify_certifies_every_heisenberg_pair_at_p11(tmp_path):
+    # q^(2m+1) = 1331: the Heisenberg certificate covers all 11^6 pairs
+    code, rep = run_json(["verify", "--p", "11"], tmp_path)
+    assert code == 0
+    assert all(t["pass"] for t in rep["transcript"])
+    hom = [t["detail"] for t in rep["transcript"] if t["check"] == "heisenberg_homomorphism"]
+    assert hom == [{"pairs": 11**6}]
+
+
 def test_build_report(tmp_path):
     code, rep = run_json(["build", "--p", "3", "--f", "1", "--m", "1"], tmp_path)
     assert code == 0
@@ -470,6 +479,12 @@ PAIR_SHAPES = {
     "pi1-not-list": _pair_file(pi1={"label": "trivial"}),
     "pi1-gens-mismatch": _pair_file(pi1=[{"label": "a", "gens": {"d": [[ONE]]}}]),
     "pi1-ragged": _pair_file(pi1=[{"gens": {"c": [[ONE], [ONE, ONE]]}}]),
+    # H1 = <diag(0, 1)> is not a group of invertible matrices
+    "h1-singular": _pair_file(
+        dim=2,
+        h1={"c": [[ZERO, ZERO], [ZERO, ONE]]},
+        h2={"t": [[ONE, ZERO], [ZERO, ONE]]},
+    ),
     # H1 the Fourier matrix of F_3, H2 the diagonal clock: they do not commute
     "not-commuting": _pair_file(
         dim=3,
@@ -516,3 +531,31 @@ def test_malformed_input_exits_2(argv, tmp_path):
     assert code == 2
     assert rep["error"]["kind"] == "config-invalid"
     assert rep["error"]["message"]
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python-O"])
+def test_singular_pair_exits_2_in_a_fresh_interpreter(flags, tmp_path):
+    # no assert guards the singular generator: it is refused under -O too
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import weildescent
+
+    src = Path(weildescent.__file__).resolve().parent.parent
+    (tmp_path / "pair.json").write_text(PAIR_SHAPES["h1-singular"])
+    out = tmp_path / "out.json"
+    argv = ["theta", "--pair", str(tmp_path / "pair.json"), "--out", str(out)]
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "weildescent.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert json.loads(out.read_text())["error"] == {
+        "kind": "config-invalid",
+        "message": "pair file: h1.c must be invertible",
+    }
