@@ -34,7 +34,7 @@ from .fields import (
 )
 from .finite import sp_enumerate, sp_order, sp_order_within, sp_sample
 from .linalg import Matrix, intertwiner_space
-from .rationality import DEFAULT_SP_BOUND, character_field, endomorphism_algebra, trace_field
+from .rationality import DEFAULT_SP_BOUND, character_field, endomorphism_algebra
 from .descent import (
     build_weil,
     realise_even,
@@ -252,11 +252,9 @@ def cmd_end_algebra(args, report):
                 f"ell = {K.char} divides |Sp| = {order}: the End dimension"
                 " formula divides by |Sp|"
             )
-    # one sweep gives both the character field and the End dimension
-    terms = class_traces(target, DEFAULT_SP_BOUND)
     if args.subfield == "char":
-        tag = trace_field(K, terms)
-    alg = endomorphism_algebra(target, tag, terms)
+        tag = character_field(target)
+    alg = endomorphism_algebra(target, tag, class_traces(target, DEFAULT_SP_BOUND))
     report["results"] = alg.to_json()
     report["results"]["subfield_name"] = describe_subfield(tag)
     return EXIT_OK

@@ -71,7 +71,8 @@ def _zpoly_exact_div(num, den):
             out[i - dd] = q
             for j in range(dd + 1):
                 num[i - dd + j] -= q * den[j]
-    assert all(c == 0 for c in num)
+    if any(num):
+        raise IdentityFailure(f"inexact division: remainder {num[:dd]}")
     return out
 
 
@@ -186,7 +187,8 @@ def _least_irreducible_factor(p: int, ell: int) -> tuple:
         if e != one:
             zeta = e
         k += 1
-    assert fpow(zeta, p) == one
+    if fpow(zeta, p) != one:
+        raise IdentityFailure(f"zeta^{p} != 1 in the field of {ell}^{d} elements")
     # min polys of zeta^s over Frobenius-orbit representatives s
     seen, factors = set(), []
     for s in range(1, p):
@@ -209,7 +211,8 @@ def _least_irreducible_factor(p: int, ell: int) -> tuple:
             poly = new
         coeffs = []
         for c in poly:
-            assert all(x == 0 for x in c[1:]), "min poly coefficient not in F_ell"
+            if any(c[1:]):
+                raise IdentityFailure(f"min poly coefficient {c} not in F_{ell}")
             coeffs.append(c[0])
         factors.append(tuple(coeffs))
     factors.sort()
@@ -547,10 +550,6 @@ class GaloisAut:
 
     def __call__(self, x: CycloNum) -> CycloNum:
         return apply_aut(self, x)
-
-    def compose(self, other: "GaloisAut") -> "GaloisAut":
-        assert self.field == other.field
-        return GaloisAut(self.field, (self.exponent * other.exponent) % self.field.n)
 
     def is_identity(self):
         return self.exponent == 1

@@ -236,9 +236,6 @@ class FqElem:
         "Tr_{F_q/F_p} as an integer in [0, p)."
         return self.field.trace[self.idx]
 
-    def in_prime_subfield(self):
-        return self.idx < self.field.p
-
 
 def legendre(gamma: FqElem) -> int:
     "Quadratic character of F_q^x: +1 on squares, -1 otherwise."
@@ -504,28 +501,6 @@ def token_to_sp(space: SymplecticSpace, token) -> SpElement:
     for i in range(m):
         rows.append(list(eye.rows[i]) + [z] * m)
     return SpElement(space, Matrix(fq, rows), _checked=True)
-
-
-def word_to_json(word):
-    "GeneratorWord as a token list: M/N carry coefficient-vector matrices."
-    out = []
-    for tok in word:
-        if tok == TOKEN_W:
-            out.append(["W0"])
-        else:
-            out.append([tok[0], [[list(e.coeffs) for e in row] for row in tok[1]]])
-    return out
-
-
-def word_from_json(fq, data):
-    out = []
-    for item in data:
-        if item[0] == "W0":
-            out.append(TOKEN_W)
-        else:
-            mat = Matrix(fq, [[fq.from_coeffs(c) for c in row] for row in item[1]])
-            out.append((item[0], mat.to_key()))
-    return out
 
 
 def eval_word(space: SymplecticSpace, word) -> SpElement:

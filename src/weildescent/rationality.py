@@ -11,87 +11,87 @@ each summand being a small exact intertwiner solve, instead of one dense
 nullspace in (dim . [K:Q])^2 unknowns.  Completeness of the resulting basis
 is certified independently by the character dimension formula
 dim End = (1/|G|) sum tr(g) tr(g^-1), evaluated exactly (in its
-section-independent form for the metaplectic sweeps).  The character field
-and this formula read one table, weil.class_traces: the terms
-(tr g, tr g^-1, weight), one per conjugacy class of Sp weighted by its size,
-or one per element of the Heisenberg group.  In characteristic ell the
-formula gives the dimension only mod ell, so End algebras of dimension at
-least ell are refused.  The centre is the commutant of the algebra
-generators theta Id and A_{u,t} sigma_u, which is also how commutativity is
-read (Z(A) = A); the full structure-constant table is an oracle only."""
+section-independent form for the metaplectic sweeps).  Only this formula
+reads the table weil.class_traces: the terms (tr g, tr g^-1, weight), one
+per conjugacy class of Sp weighted by its size, or one per element of the
+Heisenberg group.  The character field needs no sweep: character_field
+decides each Galois exponent by a witness on the declared generators, a
+moved generator trace or the intertwiner omega(m_alpha), so it has no size
+bound.  In characteristic ell the formula gives the dimension only mod
+ell, so End algebras of dimension at least ell are refused.  The centre is
+the commutant of the algebra generators theta Id and A_{u,t} sigma_u, which
+is also how commutativity is read (Z(A) = A); the full structure-constant
+table is an oracle only."""
 
 from __future__ import annotations
 
-from .errors import ConfigInvalid, IdentityFailure, NotIrreducible, TooLarge
+from .errors import ConfigInvalid, IdentityFailure, NotIrreducible
 from .fields import (
     GaloisAut,
     SubfieldTag,
     apply_aut,
     subfield_membership,
-    subfield_of_values,
     trace_to_subfield,
 )
 from .descent import _subfield_q_basis
 from .linalg import Matrix, intertwiner_space, invertible_element, kernel_basis, ldl_psd
-from .weil import MarkedRep, _trace_pair_dimension, class_traces
+from .finite import token_m
+from .weil import MarkedRep, _trace_pair_dimension
 
 
 DEFAULT_SP_BOUND = 10**5
 
 
-def character_field(rep: MarkedRep, bound: int = DEFAULT_SP_BOUND) -> SubfieldTag:
-    """Subfield generated by the traces of class_traces, one per conjugacy
-    class of Sp (class_traces says why they generate the field of all
-    traces, signs of the Weil section included).
+def character_field(rep: MarkedRep) -> SubfieldTag:
+    """The character field of rep: the subfield fixed by the Galois
+    exponents u whose sigma_u fixes every trace.  Each u != 1 is decided by
+    one exact witness, whatever the size of the group:
 
-    Groups larger than the bound fall back to seeded random words plus an
-    exact certification of every Galois exponent by iso_test (which, for
-    the absolutely simple parts built here, computes the same field).  The
-    fallback itself refuses when the matrices are too big for its dense
-    intertwiner solves: exactness at desk scale is the contract."""
-    try:
-        terms = class_traces(rep, bound)
-    except TooLarge:
-        if rep.dim > 32:
-            raise
-        return _character_field_sampled(rep)
-    return trace_field(rep.field, terms)
+    out: sigma_u moves tr rep(g) for a declared generator g.  That trace
+         lies in the character field, so sigma_u does not fix it;
+    in:  T = rep(M(alpha I_m)) with alpha^2 = 1/u in F_q is monomial (so
+         invertible) and T sigma_u(rep(g)) = rep(g) T on every declared
+         generator.  Then T conjugates sigma_u of every product of generator
+         images to the product itself, and those products are the images
+         of the group up to the sign of the section: sigma_u fixes every
+         trace.
 
-
-def trace_field(K, terms) -> SubfieldTag:
-    "Subfield of K generated by the traces t of a class_traces table."
-    return subfield_of_values([t for t, _, _ in terms] + [K.one()])
-
-
-def _character_field_sampled(rep: MarkedRep):
-    import random
-
-    from .weil import weil_op
-    from .finite import token_to_sp
-
-    rng = random.Random(0)
-    gens = [token_to_sp(rep.space, t) for t in rep.gen_names]
-    traces = [rep.field.one()]
-    for _ in range(200):  # seeded random words
-        g = gens[rng.randrange(len(gens))]
-        for _ in range(rng.randrange(1, 6)):
-            g = g * gens[rng.randrange(len(gens))]
-        traces.append(weil_op(rep, g).trace())
-    sampled = subfield_of_values(traces)
+    For the Weil representations the witnesses are those of Gerardin
+    (J. Algebra 46, 1977): sigma_u omega_psi = omega_{psi^u}, which
+    conjugation by omega(m_alpha) carries back to omega_psi when u is a
+    square, and a Gauss-sum generator trace separates the two otherwise.
+    For H(W), sigma_u (u != 1) moves tr rho(0, t) = q^m psi(t).  An exponent
+    with neither witness raises IdentityFailure."""
     K = rep.field
-    fixing = [
-        u
-        for u in K.galois_exponents()
-        if iso_test(rep.conjugate(GaloisAut(K, u)), rep) is not None
-    ]
-    certified = SubfieldTag(K, fixing)
-    # sampled traces only ever see a subfield of the certified one
-    if not certified.stabilizer <= sampled.stabilizer:
+    traces = [rep.image(g).trace() for g in rep.gen_names]
+    fixing = [1]
+    for u in K.galois_exponents()[1:]:  # sorted: sigma_1 is the identity
+        sigma = GaloisAut(K, u)
+        if any(apply_aut(sigma, t) != t for t in traces):
+            continue
+        _check_square_class_witness(rep, sigma)
+        fixing.append(u)
+    return SubfieldTag(K, fixing)
+
+
+def _check_square_class_witness(rep: MarkedRep, sigma: GaloisAut):
+    "The in-witness of character_field for sigma, or IdentityFailure."
+    u = sigma.exponent
+    fq = rep.space.fq
+    alpha = fq.sqrt(fq.from_int(u).inv()) if rep.group == "sp" else None
+    if alpha is None:
         raise IdentityFailure(
-            f"iso_test fixes {sorted(certified.stabilizer)}, outside the stabilizer"
-            f" {sorted(sampled.stabilizer)} of the sampled traces"
+            f"sigma_{u} moves no generator trace and has no omega(m_alpha) witness"
         )
-    return certified
+    T = rep.image(token_m(Matrix.identity(fq, rep.space.m).scale(alpha)))
+    if not T.is_monomial():
+        raise IdentityFailure(f"omega(m_{alpha!r}) is not monomial")
+    conj = rep.conjugate(sigma)
+    for g in rep.gen_names:
+        if T * conj.image(g) != rep.image(g) * T:
+            raise IdentityFailure(
+                f"omega(m_{alpha!r}) does not carry ^sigma_{u} rep to rep at {g}"
+            )
 
 
 def iso_test(rep1: MarkedRep, rep2: MarkedRep):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ZeroInput
+from .errors import IdentityFailure, ZeroInput
 from .fields import (
     SubfieldTag,
     field_make,
@@ -121,7 +121,10 @@ def quaternion_ramification(a, b):
     if a == 0 or b == 0:
         raise ZeroInput("quaternion algebra with zero parameter")
     ram = {v for v in _places(a, b) if hilbert_symbol(a, b, v) == -1}
-    assert len(ram) % 2 == 0, "product formula violated"
+    if len(ram) % 2:
+        raise IdentityFailure(
+            f"product formula violated: ({a}, {b}) ramifies at {sorted(ram, key=str)}"
+        )
     return ram
 
 
@@ -299,22 +302,27 @@ def p2_field_tables(A: str):
     }
 
 
+def _hensel_sqrt(u: int, precision: int) -> int:
+    "x with x^2 = u mod 2^precision, lifted from x = 1 for u = 1 mod 8."
+    x = 1
+    for j in range(3, precision):
+        if (x * x - u) % (2 ** (j + 1)):
+            x += 2**j >> 1
+    return x
+
+
 def is_square_in_Z2(u: int, precision: int = 12) -> bool:
-    "Odd u: square in Z_2^x iff u = 1 mod 8; cross-checked by Hensel lifting."
+    """Odd u: square in Z_2^x iff u = 1 mod 8; cross-checked mod 2^precision
+    by Hensel lifting (u = 1 mod 8) or by the absence of any root."""
     assert u % 2 == 1
     criterion = u % 8 == 1
-    # independent route: lift x^2 = u through 2-adic precision
+    mod = 2**precision
     if criterion:
-        x = 1
-        for j in range(3, precision):
-            if (x * x - u) % (2 ** (j + 1)):
-                x += 2**j >> 1
-        assert (x * x - u) % (2**precision) == 0 or not criterion
-    else:
-        sols = [
-            x for x in range(2**precision) if (x * x - u) % 2**precision == 0
-        ]
-        assert not sols
+        x = _hensel_sqrt(u, precision)
+        if (x * x - u) % mod:
+            raise IdentityFailure(f"Hensel lift {x} of sqrt({u}) fails mod 2^{precision}")
+    elif any((x * x - u) % mod == 0 for x in range(mod)):
+        raise IdentityFailure(f"{u} = {u % 8} mod 8 has a square root mod 2^{precision}")
     return criterion
 
 
@@ -322,5 +330,6 @@ def compute_A_for_Q2():
     "A = Z_2^x2 for F = Q_2: only the class of 1 consists of squares."
     classes = {1: 1, -1: 7, 3: 3, 5: 5}
     square_classes = [c for c, rep in classes.items() if is_square_in_Z2(rep)]
-    assert square_classes == [1]
+    if square_classes != [1]:
+        raise IdentityFailure(f"square classes of Q_2^x are {square_classes}, not [1]")
     return "squaresOnly"

@@ -26,7 +26,9 @@ omega~(gh) e_0 != 0 (d).
 
 class_traces gives the character data of a rep of Sp or H(W) as one table
 of terms (tr g, tr g^-1, weight), one per conjugacy class of Sp or per
-element of H(W); the character field and the End dimension both read it."""
+element of H(W).  It feeds the End dimension only; the character field is
+certified on the declared generators (rationality.character_field), and the
+tests read the field of the class traces as its oracle."""
 
 from __future__ import annotations
 
@@ -48,6 +50,7 @@ from .finite import (
     heis_enumerate,
     legendre,
     sp_classes,
+    sp_act_heis,
     sp_factor,
     token_m,
     token_n,
@@ -125,9 +128,14 @@ def _key_json(key):
 
 
 def _heis_from_key(space, key):
+    """The element of H(W) behind a generator key of heisenberg_rep.  ("T",)
+    is the central (0, t) with t the least element in counting order with
+    Tr_{F_q/F_p}(t) != 0 (t = 1 unless p | f), so that psi_c(t) != 1 for
+    every twist c in F_p^x."""
     fq = space.fq
     if key == ("T",):
-        return HeisElem(space, space.zero_vector(), fq.one())
+        t = next(c for c in fq.elements() if c.trace_to_prime())
+        return HeisElem(space, space.zero_vector(), t)
     tag, i, j = key
     v = list(space.zero_vector())
     pos = i if tag == "X" else space.m + i
@@ -526,7 +534,7 @@ def _check_intertwines(wrep: MarkedRep, psi: AdditiveCharacter, tok, rho_gens):
         raise IdentityFailure(f"the image of {tok} is 0")
     zeta = psi.values
     for hk, h, (perm, exps) in rho_gens:
-        perm2, exps2 = rho_monomial(psi, space, HeisElem(space, g.apply(h.w), h.t))
+        perm2, exps2 = rho_monomial(psi, space, sp_act_heis(g, h))
         for j, col in enumerate(cols):
             lhs = {i: zeta[exps[j]] * e for i, e in cols[perm[j]]}
             rhs = {perm2[i]: zeta[exps2[i]] * e for i, e in col}
@@ -748,8 +756,9 @@ def class_traces(rep: MarkedRep, bound: int):
     """The character data of rep as the terms (t, t_inv, weight) of the
     trace formula _trace_pair_dimension: t = tr rep(g), t_inv = tr rep(g)^-1,
     and weight elements of the group share the term, so the weights sum to
-    |G|.  The t generate the character field; projected to a subfield R,
-    the terms give dim End over R.
+    |G|.  The t generate the character field (the tests' oracle for
+    rationality.character_field); projected to a subfield R, the terms give
+    dim End over R.
 
     For Sp, one term per conjugacy class of sp_classes (refused by TooLarge
     when |Sp| exceeds bound), weighted by its size: t = tr omega~(g) and

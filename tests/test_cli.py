@@ -34,6 +34,17 @@ def test_verify_certifies_every_heisenberg_pair_at_p11(tmp_path):
     assert hom == [{"pairs": 11**6}]
 
 
+def test_verify_galois_rigidity_at_p_dividing_f(tmp_path):
+    # Tr_{F_27/F_3}(1) = 0, so the central generator is the least t with
+    # nonzero trace; rho(0, 1) = Id would be fixed by every sigma_u
+    code, rep = run_json(["verify", "--p", "3", "--f", "3"], tmp_path)
+    assert code == 0
+    rigidity = [t for t in rep["transcript"] if t["check"] == "heisenberg_galois_rigidity"]
+    assert rigidity == [
+        {"check": "heisenberg_galois_rigidity", "detail": {"fixing": []}, "pass": True}
+    ]
+
+
 def test_build_report(tmp_path):
     code, rep = run_json(["build", "--p", "3", "--f", "1", "--m", "1"], tmp_path)
     assert code == 0
@@ -66,7 +77,7 @@ def test_character_field_verb(tmp_path):
 
 
 def test_character_field_rank_2(tmp_path):
-    # the class sweep of Sp(4, F_3): 34 classes for 51,840 elements
+    # Sp(4, F_3): sigma_2 (2 is no square mod 3) moves a generator trace
     code, rep = run_json(
         ["character-field", "--p", "3", "--m", "2", "--part", "odd"], tmp_path
     )
@@ -252,8 +263,9 @@ def test_end_algebra_modular_below_ell(tmp_path):
 
 
 def test_end_algebra_walks_sp_once(tmp_path, monkeypatch):
-    # --subfield char reads the character field and the End dimension off
-    # one class_traces table: one walk of the Cayley graph of Sp
+    # --subfield char takes the character field from the generator
+    # witnesses, which walk nothing, and only the End dimension reads the
+    # class_traces table: one walk of the Cayley graph of Sp
     from weildescent import weil
 
     calls = []
@@ -270,9 +282,10 @@ def test_end_algebra_walks_sp_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def test_character_field_rank_2_sampled(tmp_path):
-    # |Sp(4, F_5)| is past the sweep bound: sampled traces plus one
-    # intertwiner solve (144 entries) per Galois exponent
+def test_character_field_rank_2_beyond_the_sweep(tmp_path):
+    # |Sp(4, F_5)| and |Sp(4, F_7)| are past the sweep bound: each Galois
+    # exponent is decided on the generators, by a moved trace or by the
+    # intertwiner omega(m_alpha), also for the 49-dimensional full part
     argv = ["character-field", "--p", "5", "--m", "2", "--part", "odd"]
     code, rep = run_json(argv, tmp_path)
     assert code == 0
@@ -282,6 +295,11 @@ def test_character_field_rank_2_sampled(tmp_path):
         "part": "odd",
         "tag": {"n": 5, "stabilizer_gens": [1, 4]},
     }
+    argv = ["character-field", "--p", "7", "--m", "2", "--part", "full"]
+    code, rep = run_json(argv, tmp_path)
+    assert code == 0
+    assert rep["results"]["tag"] == {"n": 7, "stabilizer_gens": [1, 2, 4]}
+    assert rep["results"]["name"] == "Q(sqrt(-7))"
 
 
 def test_end_algebra_p11_odd(tmp_path):
@@ -410,10 +428,18 @@ def test_timing_flag_adds_field(tmp_path):
     assert code == 0 and "timing_seconds" in rep
 
 
-def test_too_large_exit_code(tmp_path):
-    # q = 121 passes the q^m dimension guard but the Sp sweep is too big
+def test_too_large_exit_code(tmp_path, monkeypatch):
+    # q = 121 passes the q^m dimension guard, but the End dimension sweeps
+    # Sp(2, F_121): refused before any work
+    from weildescent import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("ran before the size refusal")
+
+    monkeypatch.setattr(cli, "character_field", never)
+    monkeypatch.setattr(cli, "class_traces", never)
     code, rep = run_json(
-        ["character-field", "--p", "11", "--f", "2", "--m", "1", "--part", "odd"],
+        ["end-algebra", "--p", "11", "--f", "2", "--m", "1", "--part", "odd"],
         tmp_path,
     )
     assert code == 3

@@ -234,18 +234,6 @@ def test_q9_roundtrip_exhaustive():
         assert eval_word(sp, sp_factor(g)) == g
 
 
-def test_word_json_roundtrip():
-    from weildescent.finite import word_from_json, word_to_json
-
-    fq = fq_field(3, 1)
-    sp = SymplecticSpace(fq, 1)
-    for g in sp_enumerate(sp, 100):
-        word = sp_factor(g)
-        back = word_from_json(fq, word_to_json(word))
-        assert back == word
-        assert eval_word(sp, back) == g
-
-
 def test_sp_factor_singular_c_repair_path():
     # an element of Sp(4, F_3) with nonzero singular C-block exercises the
     # lower-unipotent repair N'(s) = M(-I) W0 N(-s) W0

@@ -100,7 +100,6 @@ class TestFq:
         assert e.index() == k
         assert e.coeffs == tuple((k // p**i) % p for i in range(f))
         assert fq.from_coeffs(e.coeffs) == e
-        assert e.in_prime_subfield() == all(c == 0 for c in e.coeffs[1:])
 
     @PROPS
     @given(data=st.data())

@@ -3,7 +3,7 @@ algebras, orbit decomposition."""
 
 import pytest
 
-from weildescent.descent import solve_norm_equation
+from weildescent.descent import build_weil, solve_norm_equation
 from weildescent.errors import NotFoundWithinBound, NotIrreducible
 from weildescent.fields import (
     GaloisAut,
@@ -12,6 +12,7 @@ from weildescent.fields import (
     SubfieldTag,
     field_make,
     subfield_membership,
+    subfield_of_values,
 )
 from weildescent.finite import SymplecticSpace, fq_field, psi_standard
 from weildescent.linalg import Matrix
@@ -23,9 +24,14 @@ from weildescent.rationality import (
     iso_test,
     orbit_decomposition,
     restrict_scalars,
-    trace_field,
 )
-from weildescent.weil import class_traces, even_odd_split, parity_data, weil_rep
+from weildescent.weil import (
+    class_traces,
+    even_odd_split,
+    heisenberg_rep,
+    parity_data,
+    weil_rep,
+)
 
 
 def _end(rep, tag):
@@ -39,7 +45,7 @@ def test_class_traces_heisenberg(model3):
     assert len(terms) == 27 and all(w == 1 for _, _, w in terms)
     assert [t for t, _, _ in terms].count(K.from_int(3)) == 1  # only the identity
     # character field of rho_psi is all of K (Stone-von Neumann rigidity)
-    assert trace_field(K, terms).stabilizer == frozenset({1})
+    assert subfield_of_values([t for t, _, _ in terms]).stabilizer == frozenset({1})
 
 
 def test_character_fields_intro_table(model3, model5, model9):
@@ -294,13 +300,23 @@ def test_character_equals_rationality_field(model5):
     assert frozenset(fixing) == trace_tag.stabilizer
 
 
-def test_character_field_sampled_route_agrees(model5):
-    # force the random-words + iso-certification fallback by shrinking the
-    # bound; it must agree with the exhaustive answer
-    odd = model5["odd"]
-    exhaustive = character_field(odd)
-    sampled = character_field(odd, bound=10)
-    assert sampled == exhaustive
+@pytest.mark.parametrize("part", ["full", "even", "odd", "heisenberg"])
+@pytest.mark.parametrize(
+    "p, f, m, ell",
+    [
+        (3, 1, 1, None), (5, 1, 1, None), (7, 1, 1, None), (11, 1, 1, None),
+        (13, 1, 1, None), (3, 2, 1, None), (3, 1, 2, None),
+        (13, 1, 1, 3), (11, 1, 1, 23), (7, 1, 1, 29),
+    ],
+)
+def test_character_field_equals_class_trace_field(p, f, m, ell, part):
+    # the witnesses on the generators decide the same field as the traces
+    # of the whole sweep: one per class of Sp, one per element of H(W)
+    psi, space, w = build_weil(p, f, m, ell=ell)
+    even, odd = even_odd_split(w)
+    rep = {"full": w, "even": even, "odd": odd, "heisenberg": heisenberg_rep(psi, space)}[part]
+    terms = class_traces(rep, DEFAULT_SP_BOUND)
+    assert character_field(rep) == subfield_of_values([t for t, _, _ in terms])
 
 
 def test_heis_traces_are_class_functions(model3):

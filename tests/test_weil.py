@@ -693,7 +693,7 @@ def test_hom_check_steps_through_the_whole_f_p_basis(monkeypatch):
 # Run with python -O: every check below must still raise IdentityFailure.
 OPTIMIZED_SCRIPT = """
 import sys
-from weildescent import rationality, theta, weil
+from weildescent import fields, rationality, symbols, theta, weil
 from weildescent.descent import DescentDatum, build_weil, odd_obstruction_check, sqrt_minus_p
 from weildescent.errors import CocycleViolation, DatumInvalid, IdentityFailure
 from weildescent.theta import CommutingPair, isotypic_projector
@@ -701,8 +701,8 @@ from weildescent.fields import (
     MODULAR, RATIONAL, CoeffField, SubfieldTag, cyclotomic_poly, field_make, gauss_sum,
 )
 from weildescent.finite import (
-    SpElement, SymplecticSpace, TOKEN_W, fq_field, psi_standard, sp_classes, token_n,
-    token_to_sp,
+    SpElement, SymplecticSpace, TOKEN_W, fq_field, psi_standard, sp_classes, token_m,
+    token_n, token_to_sp,
 )
 from weildescent.linalg import Matrix, intertwiner_space
 
@@ -768,6 +768,8 @@ _, _, w5 = build_weil(5, 1, 1)
 odd5 = weil.even_odd_split(w5)[1]
 odd5._make = lambda key: Matrix.identity(odd5.field, odd5.dim)
 expect("r-tau-power", lambda: odd_obstruction_check(odd5))
+# the same block: no generator trace moves, and 2 is no square mod 5
+expect("no-witness", lambda: rationality.character_field(odd5))
 
 # zeta_40^5 is a primitive 8th root of unity, not i
 expect("sqrt-minus-one", lambda: sqrt_minus_p(field_make(RATIONAL, 40), 5))
@@ -779,6 +781,14 @@ expect(
     lambda: DescentDatum(odd5, {4: Matrix.identity(K5, odd5.dim)}, K5.full_tag()),
     DatumInvalid,
 )
+
+# the odd part at p = 5 with omega(m_2) (2^2 = 1/4) replaced by Id: sigma_4
+# moves no generator trace, and Id does not carry ^sigma_4 V to V
+odd5m = weil.even_odd_split(w5)[1]
+odd5m._images[token_m(Matrix(w5.space.fq, [[w5.space.fq.from_int(2)]]))] = Matrix.identity(
+    K5, odd5m.dim
+)
+expect("omega-m-alpha", lambda: rationality.character_field(odd5m))
 
 # the parity pair with H2 swapped after construction: the projector onto
 # the trivial isotypic part no longer commutes with H2
@@ -818,14 +828,10 @@ wzero = weil.weil_rep(psi, sp)
 wzero._images[TOKEN_W] = Matrix.zeros(psi.coeff, 3, 3)
 expect("zero-image", lambda: weil.intertwining_check(wzero, heis))
 
-# an iso_test that finds every Galois conjugate isomorphic: the certified
-# field Q is not inside the field Q(sqrt(-3)) of the sampled traces
+# an iso_test that finds every Galois conjugate isomorphic, over Q: the
+# stabilizer {1, 2} claims multiplicity m = 2, but Hom(V, V|_Q (x) K) is a line
 odd3 = weil.even_odd_split(weil.weil_rep(psi, sp))[1]
 rationality.iso_test = lambda rep1, rep2: True
-expect("sampled-field", lambda: rationality._character_field_sampled(odd3))
-
-# the same iso_test over Q: the stabilizer {1, 2} claims multiplicity m = 2,
-# but Hom(V, V|_Q (x) K) is a line
 expect("orbit-multiplicity", lambda: rationality.orbit_decomposition(odd3, K3.full_tag()))
 
 # diag(1, -1) is not a multiple of Id
@@ -896,6 +902,44 @@ expect("gauss-square", lambda: gauss_sum(5, CoeffField(MODULAR, 5, 3, (1, 1))))
 # diag(0, 1) has no inverse
 singular = Matrix(K3, [[K3.zero(), K3.zero()], [K3.zero(), K3.one()]])
 expect("matrix-inverse", lambda: singular.inverse(), ZeroDivisionError)
+
+# a Hilbert symbol that is -1 at 2 alone: an odd number of ramified places
+honest_hilbert = symbols.hilbert_symbol
+symbols.hilbert_symbol = lambda a, b, v: -1 if v == 2 else 1
+expect("product-formula", lambda: symbols.quaternion_ramification(-1, -1))
+symbols.hilbert_symbol = honest_hilbert
+
+# a Hensel lift that returns 3, and 3^2 != 17 mod 2^12
+honest_hensel = symbols._hensel_sqrt
+symbols._hensel_sqrt = lambda u, precision: 3
+expect("z2-hensel", lambda: symbols.is_square_in_Z2(17))
+symbols._hensel_sqrt = honest_hensel
+
+# 5 = 5 mod 8 is no square in Z_2, but 1^2 = 5 mod 4
+expect("z2-root", lambda: symbols.is_square_in_Z2(5, precision=2))
+
+# every class of Q_2^x claimed a square
+honest_square = symbols.is_square_in_Z2
+symbols.is_square_in_Z2 = lambda u, precision=12: True
+expect("z2-classes", symbols.compute_A_for_Q2)
+symbols.is_square_in_Z2 = honest_square
+
+# x^2 + 1 = (x - 1)(x + 1) + 2
+expect("exact-division", lambda: fields._zpoly_exact_div([1, 0, 1], [1, 1]))
+
+# Phi_7 over F_2 with the order of 2 mod 7 taken as 4: 7 does not divide
+# 2^4 - 1, and zeta = g^2 in F_16 has no order 7
+honest_order = fields._mult_order
+fields._mult_order = lambda a, n: 4
+expect("zeta-order", lambda: fields._least_irreducible_factor(7, 2))
+
+# and F_16 built on the reducible (x + 1)(x^3 + x + 1): zeta = x^2 has order
+# 7 in F_2 x F_8, but its orbit polynomial has coefficients outside F_2
+honest_irreducible = fields._least_irreducible
+fields._least_irreducible = lambda ell, d: (1, 0, 1, 1, 1)
+expect("min-poly-coefficient", lambda: fields._least_irreducible_factor(7, 2))
+fields._least_irreducible = honest_irreducible
+fields._mult_order = honest_order
 """
 
 
@@ -918,11 +962,13 @@ def test_certificates_raise_under_optimize():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [
         "rho-exponent", "rho-t0-exponent", "parity-leak", "generation", "symplectic",
-        "zero-inverse", "norm-outside", "r-tau-power", "sqrt-minus-one", "datum-entries",
-        "projector-central", "cocycle-column", "word-element", "commutant", "zero-column",
-        "zero-image", "sampled-field", "orbit-multiplicity", "span", "hom-support", "subfield-coefficient",
-        "m-squared-n", "split-certificate", "square-scalar", "trace-form", "block-idempotent",
-        "block-sum", "gauss-square", "matrix-inverse",
+        "zero-inverse", "norm-outside", "r-tau-power", "no-witness", "sqrt-minus-one",
+        "datum-entries", "omega-m-alpha", "projector-central", "cocycle-column", "word-element",
+        "commutant", "zero-column", "zero-image", "orbit-multiplicity", "span", "hom-support",
+        "subfield-coefficient", "m-squared-n", "split-certificate", "square-scalar", "trace-form",
+        "block-idempotent", "block-sum", "gauss-square", "matrix-inverse", "product-formula",
+        "z2-hensel", "z2-root", "z2-classes", "exact-division", "zeta-order",
+        "min-poly-coefficient",
     ]
 
 
