@@ -18,8 +18,10 @@ part for q = 3 mod 4, modular parts), a subfield of Q(zeta_4p) (odd part
 of Schur index 2).
 
 Fixed points are extracted by one exact nullspace computation over the
-prime field (restriction of scalars), never by Galois averaging: the
-solve works for any valid datum and certifies itself through the rank.
+prime field (restriction of scalars), never by Galois averaging: rows for
+the generators of the stabilizer only, in native prime-field numbers
+(Fractions or ints mod ell).  The solve works for any valid datum and
+certifies itself through the rank, which Speiser's lemma fixes in advance.
 
 The odd part carries the quaternionic obstruction: r_tau^(2^k_a) = -Id,
 so descending past the CM field needs lambda with N(lambda) = -1, which a
@@ -45,14 +47,14 @@ from .fields import (
     embed,
     field_make,
     gauss_sum,
-    prime_field,
+    greedy_generators,
     subfield_membership,
     trace_to_subfield,
     MODULAR,
     RATIONAL,
 )
 from .finite import SymplecticSpace, fq_field, psi_standard, token_m
-from .linalg import Matrix, kernel_basis, ldl_psd
+from .linalg import Matrix, ldl_psd
 from .weil import MarkedRep, even_odd_split, weil_rep
 
 
@@ -127,8 +129,9 @@ class DescentResult:
 
 def fixed_points(datum: DescentDatum) -> DescentResult:
     """Solve for the simultaneous fixed vectors of all R_u . sigma_u over
-    the prime field, extract a K-basis U of the fixed space, and conjugate
-    the generator images into the target subfield.  The descended model is
+    the prime field (on the generators of the stabilizer, once validate has
+    certified the cocycle), extract a K-basis U of the fixed space, and
+    conjugate the generator images into the target subfield.  The descended model is
     certified by U itself: U is invertible and U . D(g) = rho(g) . U for
     every generator g, so U is an isomorphism onto the original."""
     transcript = {"datum": datum.validate()}
@@ -145,10 +148,9 @@ def fixed_points(datum: DescentDatum) -> DescentResult:
     transcript["fixed_space_prime_dim"] = len(null)
 
     # column k: the k-th prime-field fixed vector, folded into K^N
-    folded = Matrix(K, [
-        [K.from_coeffs([e.as_fraction() for e in vec[i * dk : (i + 1) * dk]]) for vec in null]
-        for i in range(N)
-    ])
+    folded = Matrix(
+        K, [[K.from_coeffs(vec[i * dk : (i + 1) * dk]) for vec in null] for i in range(N)]
+    )
     # the pivot columns are the folded vectors independent of those before them
     pivots = folded.rref()[1]
     if len(pivots) != N:
@@ -159,12 +161,13 @@ def fixed_points(datum: DescentDatum) -> DescentResult:
         raise IdentityFailure("fixed-space basis is not invertible")
     images = {}
     for g in rep.gen_names:
-        img = Uinv * rep.image(g) * U
+        rho_U = rep.image(g) * U
+        img = Uinv * rho_U
         for row in img.rows:
             for e in row:
                 if not subfield_membership(e, datum.target):
                     raise IdentityFailure("descended entry escapes the target subfield")
-        if U * img != rep.image(g) * U:
+        if U * img != rho_U:
             raise IdentityFailure(f"basis does not intertwine at generator {g}")
         images[g] = img
     transcript["entries_in_target"] = True
@@ -174,48 +177,74 @@ def fixed_points(datum: DescentDatum) -> DescentResult:
 
 def _fixed_space(K, N, entries):
     """Prime-field basis of the vectors of K^N fixed by every
-    v -> R_u . sigma_u(v), R_u = entries[u]: one exact nullspace over the
-    prime field, each coordinate written on the power basis of K."""
-    P = prime_field(K.char)
-    dk = K.degree
-    mulmats = {}
-
-    def mulmat(c):
-        if c not in mulmats:
-            cols = []
-            for j in range(dk):
-                prod = c * K.zeta_pow(j) if j else c
-                cols.append([P.from_fraction(f) for f in prod.as_fractions()])
-            mulmats[c] = Matrix.from_cols(P, cols)
-        return mulmats[c]
-
+    v -> R_u . sigma_u(v), R_u = entries[u], each coordinate written on the
+    power basis of K.  entries is a cocycle on a group of exponents, so
+    u -> R_u sigma_u is a homomorphism and the rows of a greedy generating
+    set of the group suffice.  The rows hold native prime-field numbers
+    (Fractions, or ints mod ell) and the basis is the reduced-echelon kernel
+    basis of the system, the one every exact elimination of it returns."""
+    char, dk = K.char, K.degree
+    size = N * dk
     rows = []
-    for u, Ru in entries.items():
-        if u == 1:
-            continue
-        smat = _aut_matrix(K, GaloisAut(K, u), P)
-        block = Matrix.zeros(P, N * dk, N * dk)
-        for i in range(N):
-            for j in range(N):
-                c = Ru.rows[i][j]
+    for u in greedy_generators(K, entries):
+        sigma = GaloisAut(K, u)
+        images = [apply_aut(sigma, K.zeta_pow(b)) for b in range(dk)]
+        blocks = {}  # c -> columns b of c . sigma_u(zeta^b), on the power basis
+        for i, Ri in enumerate(entries[u].rows):
+            block = [[0] * size for _ in range(dk)]
+            for j, c in enumerate(Ri):
                 if c.is_zero():
                     continue
-                piece = mulmat(c) * smat
-                for a in range(dk):
-                    for b in range(dk):
-                        block.rows[i * dk + a][j * dk + b] = piece.rows[a][b]
-        eye = Matrix.identity(P, N * dk)
-        rows.extend((block - eye).rows)
-    return kernel_basis(P, rows, N * dk)
+                if c not in blocks:
+                    prods = [c * w for w in images]
+                    blocks[c] = [y.nums if char else y.as_fractions() for y in prods]
+                for b, col in enumerate(blocks[c]):
+                    for a, x in enumerate(col):
+                        block[a][j * dk + b] = x
+            for a in range(dk):
+                x = block[a][i * dk + a] - 1
+                block[a][i * dk + a] = x % char if char else x
+            rows.extend(block)
+    return _prime_kernel(rows, size, char)
 
 
-def _aut_matrix(K, sigma, P):
-    "Matrix of sigma on the power basis, over the prime field."
-    cols = [
-        [P.from_fraction(f) for f in apply_aut(sigma, K.zeta_pow(j)).as_fractions()]
-        for j in range(K.degree)
-    ]
-    return Matrix.from_cols(P, cols)
+def _prime_kernel(m, ncols, char):
+    """Reduced-echelon kernel basis of the rows m over Q (char 0) or F_char:
+    Gauss-Jordan in place, with the leftmost nonzero column and the topmost
+    nonzero row as pivot, then one vector per free column."""
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        sel = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if sel is None:
+            continue
+        m[r], m[sel] = m[sel], m[r]
+        prow = m[r]
+        nz = [(j, x) for j, x in enumerate(prow) if x]
+        if prow[col] != 1:
+            inv = pow(prow[col], -1, char) if char else 1 / Fraction(prow[col])
+            nz = [(j, x * inv % char if char else x * inv) for j, x in nz]
+            for j, x in nz:
+                prow[j] = x
+        for i, row in enumerate(m):
+            c = row[col]
+            if i == r or not c:
+                continue
+            for j, x in nz:
+                row[j] = (row[j] - c * x) % char if char else row[j] - c * x
+        pivots.append(col)
+        if len(pivots) == len(m):
+            break
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [0] * ncols
+        v[f] = 1
+        for r, p in enumerate(pivots):
+            v[p] = -m[r][f] % char if char else -m[r][f]
+        basis.append(v)
+    return basis
 
 
 def _subfield_q_basis(tag: SubfieldTag):
@@ -227,7 +256,7 @@ def _subfield_q_basis(tag: SubfieldTag):
         raise RankDeficiency(
             f"subfield has prime dimension {len(null)}, expected {tag.degree_over_prime()}"
         )
-    return [K.from_coeffs([e.as_fraction() for e in v]) for v in null]
+    return [K.from_coeffs(v) for v in null]
 
 
 # ---------------------------------------------------------------------------

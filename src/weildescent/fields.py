@@ -13,7 +13,8 @@ of residues with denominator 1.  This keeps the hot multiply/reduce loops in
 plain integer arithmetic (see _kernel), and lets as_fraction, from_fraction
 and from_coeffs move prime-field values in and out of either kind of field.
 
-Inversion uses the Galois structure instead of polynomial division: the
+A prime-field element is inverted in the prime field.  Any other inversion
+uses the Galois structure instead of polynomial division: the
 product of the conjugates sigma_u(x) over the Galois exponents u != 1 is
 x^-1 up to the norm N(x), which lies in the prime field Q or F_ell, so
 x^-1 = conj / N(x) in both characteristics.  A norm outside the prime field
@@ -455,12 +456,15 @@ class CycloNum:
     __rmul__ = __mul__
 
     def inv(self):
-        """Multiplicative inverse by the Galois norm: conj is the product of
-        the other conjugates sigma_u(x), N(x) = x . conj lies in the prime
-        field, and x^-1 = conj / N(x)."""
+        """Multiplicative inverse: in the prime field directly, otherwise by
+        the Galois norm: conj is the product of the other conjugates
+        sigma_u(x), N(x) = x . conj lies in the prime field, and
+        x^-1 = conj / N(x)."""
         if self.is_zero():
             raise ZeroDivisionError(f"zero has no inverse in {self.field}")
         f = self.field
+        if self.is_rational():
+            return f.from_fraction(1 / self.as_fraction())
         conj = f.one()
         for u in f.galois_exponents():
             if u != 1:
@@ -626,20 +630,30 @@ def _closure(field, gens):
     return frozenset(stab)
 
 
+def greedy_generators(field, group):
+    "The exponents of group, in increasing order, not generated by those before them."
+    gens, span = [], frozenset([1])
+    for u in sorted(group):
+        if u not in span:
+            gens.append(u)
+            span = _closure(field, gens)
+    return tuple(gens)
+
+
 class SubfieldTag:
     """Subfield of the coefficient field encoded by the subgroup of Galois
-    exponents fixing it.  Tags with equal stabilizers are the same subfield."""
+    exponents fixing it.  Tags with equal stabilizers are the same subfield.
+    gens is the greedy generating set of the stabilizer: an element is in
+    the subfield when sigma_u fixes it for every u in gens."""
 
     def __init__(self, field: CoeffField, stabilizer):
         self.field = field
         self.stabilizer = _closure(field, stabilizer)
+        self.gens = greedy_generators(field, self.stabilizer)
 
     def degree_over_prime(self) -> int:
         "Degree of the tagged subfield over Q (or F_ell)."
         return len(self.field.galois_exponents()) // len(self.stabilizer)
-
-    def generators(self):
-        return sorted(self.stabilizer)
 
     def meet(self, other: "SubfieldTag") -> "SubfieldTag":
         "Compositum of the two subfields (intersection of stabilizers)."
@@ -677,11 +691,10 @@ def subfield_of_values(values) -> SubfieldTag:
 
 
 def subfield_membership(x: CycloNum, tag: SubfieldTag) -> bool:
+    "sigma_u(x) == x on the generators of the tag's stabilizer."
     if x.field != tag.field:
         raise FieldMismatch("membership test across fields")
-    return all(
-        apply_aut(GaloisAut(tag.field, u), x) == x for u in tag.stabilizer
-    )
+    return all(apply_aut(GaloisAut(tag.field, u), x) == x for u in tag.gens)
 
 
 def trace_to_subfield(x: CycloNum, tag: SubfieldTag) -> CycloNum:

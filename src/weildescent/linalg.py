@@ -23,6 +23,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
+from .errors import IdentityFailure
+
 
 class Matrix:
     __slots__ = ("field", "rows", "nrows", "ncols")
@@ -466,6 +468,38 @@ def _dense_intertwiners(gens_a, gens_b, na, nb, field):
         T = Matrix(field, [[v[i * na + j] for j in range(na)] for i in range(nb)])
         out.append(T)
     return out
+
+
+def span_coordinates(basis):
+    """The map M -> [c_t] with M = sum_t c_t basis[t], for linearly
+    independent matrices of one shape.  One rref of the flattened basis
+    picks k entries on which it is invertible; each M is solved on those
+    entries through the k x k inverse and then checked on every entry.
+    Raises IdentityFailure for a dependent basis and, from the map, for an M
+    outside the span."""
+    field = basis[0].field
+    flat = [[e for r in b.rows for e in r] for b in basis]
+    entries = Matrix(field, flat).rref()[1]
+    if len(entries) != len(basis):
+        raise IdentityFailure("span basis is dependent")
+    # c S = (M at entries) with S[t][s] = basis[t] at entries[s]
+    solve = Matrix(field, [[row[e] for e in entries] for row in flat]).inverse().transpose()
+    support = [[(e, x) for e, x in enumerate(row) if not x.is_zero()] for row in flat]
+    z = field.zero()
+
+    def coordinates(M):
+        target = [e for r in M.rows for e in r]
+        coords = solve.mul_vec([target[e] for e in entries])
+        acc = [z] * len(target)
+        for c, nz in zip(coords, support):
+            if not c.is_zero():
+                for e, x in nz:
+                    acc[e] = acc[e] + c * x
+        if acc != target:
+            raise IdentityFailure("matrix outside the span")
+        return coords
+
+    return coordinates
 
 
 def invertible_element(basis):

@@ -34,7 +34,14 @@ from .fields import (
     trace_to_subfield,
 )
 from .descent import _subfield_q_basis
-from .linalg import Matrix, intertwiner_space, invertible_element, kernel_basis, ldl_psd
+from .linalg import (
+    Matrix,
+    intertwiner_space,
+    invertible_element,
+    kernel_basis,
+    ldl_psd,
+    span_coordinates,
+)
 from .finite import token_m
 from .weil import MarkedRep, _trace_pair_dimension
 
@@ -182,6 +189,7 @@ class EndAlgebra:
         self.tag = tag
         self.rb = rb
         self.hom_bases = hom_bases  # u -> list of Hom_K(^u V, V) basis matrices
+        self._coordinates = {u: span_coordinates(homs) for u, homs in hom_bases.items()}
         self.basis_index = [
             (u, t, j)
             for u in sorted(hom_bases)
@@ -224,7 +232,7 @@ class EndAlgebra:
             if M is None:
                 pos += len(homs) * self.rb.d
                 continue
-            cs = _expand_in_span(homs, M)
+            cs = self._coordinates[u](M)
             for t, c in enumerate(cs):
                 r = self.rb.expand(c)
                 for j in range(self.rb.d):
@@ -299,25 +307,6 @@ class EndAlgebra:
             "commutative": self.is_commutative(),
             "is_division": self.division_certificate,
         }
-
-
-def _expand_in_span(basis_mats, M):
-    "Coordinates of M in the K-span of the given matrices."
-    K = M.field
-    cols = [
-        [b.rows[i][j] for i in range(b.nrows) for j in range(b.ncols)]
-        for b in basis_mats
-    ]
-    rhs = [M.rows[i][j] for i in range(M.nrows) for j in range(M.ncols)]
-    aug = Matrix(K, [list(col) + [r] for col, r in zip(zip(*cols), rhs)])
-    red, pivots = aug.rref()
-    k = len(basis_mats)
-    if k in pivots:
-        raise IdentityFailure("matrix outside the span")
-    out = [K.zero()] * k
-    for r, p in enumerate(pivots):
-        out[p] = red.rows[r][k]
-    return out
 
 
 def endomorphism_algebra(rep: MarkedRep, tag: SubfieldTag, terms) -> EndAlgebra:

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from .errors import IdentityFailure, TooLarge
 from .fields import GaloisAut, apply_aut, cyclotomic_poly
-from .linalg import Matrix, intertwiner_space, invertible_element
-from .rationality import _expand_in_span, restrict_scalars
+from .linalg import Matrix, intertwiner_space, invertible_element, span_coordinates
+from .rationality import restrict_scalars
 from .weil import MarkedRep, _trace_pair_dimension, parity_matrix
 
 # largest group the closures below enumerate
@@ -148,14 +148,15 @@ def theta_lift(pair: CommutingPair, pi1_gens) -> ThetaLift:
         checks["isotypic_dim"] = 0
         return ThetaLift(pair, pi1_gens, [], {}, [], checks)
     d1 = src[0].nrows
+    coordinates = span_coordinates(hom)
     theta_images = {}
     for name, g2 in sorted(pair.h2_gens.items()):
-        cols = [_expand_in_span(hom, g2 * phi) for phi in hom]
+        cols = [coordinates(g2 * phi) for phi in hom]
         theta_images[name] = Matrix.from_cols(field, cols)
     d1_basis = intertwiner_space(src, src)
     d1_images = []
     for d in d1_basis:
-        cols = [_expand_in_span(hom, phi * d) for phi in hom]
+        cols = [coordinates(phi * d) for phi in hom]
         d1_images.append((d, Matrix.from_cols(field, cols)))
 
     # factorization certificate: ev : Theta (x) pi1 -> V_pi1
@@ -170,7 +171,7 @@ def theta_lift(pair: CommutingPair, pi1_gens) -> ThetaLift:
     rel_count = 0
     for t in range(T):
         for d, dmat in d1_images:
-            left = _expand_in_span(hom, hom[t] * d)
+            left = coordinates(hom[t] * d)
             for j in range(d1):
                 vec = [field.zero()] * (T * d1)
                 for s in range(T):

@@ -56,7 +56,7 @@ from .finite import (
     token_n,
     token_to_sp,
 )
-from .linalg import Matrix, vector_op
+from .linalg import Matrix, _monomial_data, vector_op
 
 
 class MarkedRep:
@@ -331,26 +331,36 @@ def parity_data(space: SymplecticSpace):
 
 def _block_image(full: Matrix, reps, neg_index, sign) -> Matrix:
     """Matrix of a parity-commuting operator on the even (sign 1) or odd
-    (sign -1) basis: delta_0 and delta_r +- delta_{-r} over representatives r."""
+    (sign -1) basis: delta_0 and delta_r +- delta_{-r} over representatives r.
+    A monomial operator maps each basis vector to at most two nonzeros, read
+    off its permutation and values."""
     K = full.field
     n = len(reps)
     out = Matrix.zeros(K, n, n)
+    pos = {rr: rowpos for rowpos, rr in enumerate(reps)}
+    monomial = full.is_monomial()
+    if monomial:
+        perm, vals = _monomial_data(full)
+    s, z = K.from_int(sign), K.zero()
     for colpos, r in enumerate(reps):
-        # image of the basis vector supported on {r, -r}
-        vec = [full.rows[i][r] for i in range(full.nrows)]
-        if neg_index[r] != r:
-            other = neg_index[r]
-            s = K.from_int(sign)
-            for i in range(full.nrows):
-                vec[i] = vec[i] + s * full.rows[i][other]
-        for rowpos, rr in enumerate(reps):
-            out.rows[rowpos][colpos] = vec[rr]
-        # consistency: the image must again be even/odd
-        for i, j in enumerate(neg_index):
-            if i < j:
-                expect = vec[i] if sign == 1 else -vec[i]
-                if vec[j] != expect:
-                    raise IdentityFailure("parity block leak: operator not equivariant")
+        # image of the basis vector supported on {r, -r}, as {row: value}
+        other = neg_index[r]
+        if monomial:
+            vec = {perm[r]: vals[r]}
+            if other != r:
+                vec[perm[other]] = s * vals[other]
+        else:
+            col = [full.rows[i][r] for i in range(full.nrows)]
+            if other != r:
+                col = [a + s * b for a, b in zip(col, (row[other] for row in full.rows))]
+            vec = {i: c for i, c in enumerate(col) if not c.is_zero()}
+        for i, c in vec.items():
+            if i in pos:
+                out.rows[pos[i]][colpos] = c
+            # consistency: the image must again be even/odd
+            j = neg_index[i]
+            if j != i and vec.get(j, z) != (c if sign == 1 else -c):
+                raise IdentityFailure("parity block leak: operator not equivariant")
     return out
 
 

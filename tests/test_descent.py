@@ -290,13 +290,125 @@ def test_fixed_points_basis_is_greedy_selection(p, part, ell):
     K, N, dk = block.field, block.dim, block.field.degree
     selected = []
     for vec in _fixed_space(K, N, datum.entries):
-        cand = [
-            K.from_coeffs([e.as_fraction() for e in vec[i * dk : (i + 1) * dk]]) for i in range(N)
-        ]
+        cand = [K.from_coeffs(vec[i * dk : (i + 1) * dk]) for i in range(N)]
         if Matrix.from_cols(K, selected + [cand]).rank() == len(selected) + 1:
             selected.append(cand)
     assert len(selected) == N
     assert fixed_points(datum).basis == Matrix.from_cols(K, selected)
+
+
+def _all_entries_fixed_space(K, N, entries):
+    """The fixed space as one nullspace over the prime field as a degree-1
+    CycloNum field, with a block of rows for every non-identity entry."""
+    from weildescent.fields import prime_field
+    from weildescent.linalg import kernel_basis
+
+    P = prime_field(K.char)
+    dk = K.degree
+
+    def coords(x):
+        return [P.from_fraction(f) for f in x.as_fractions()]
+
+    smat = {
+        u: Matrix.from_cols(P, [coords(apply_aut(GaloisAut(K, u), K.zeta_pow(j))) for j in range(dk)])
+        for u in entries
+    }
+    rows = []
+    for u, Ru in entries.items():
+        if u == 1:
+            continue
+        block = Matrix.zeros(P, N * dk, N * dk)
+        for i in range(N):
+            for j in range(N):
+                c = Ru.rows[i][j]
+                if c.is_zero():
+                    continue
+                mul = Matrix.from_cols(P, [coords(c * K.zeta_pow(b)) for b in range(dk)])
+                piece = mul * smat[u]
+                for a in range(dk):
+                    for b in range(dk):
+                        block.rows[i * dk + a][j * dk + b] = piece.rows[a][b]
+        rows.extend((block - Matrix.identity(P, N * dk)).rows)
+    return [[e.as_fraction() for e in v] for v in kernel_basis(P, rows, N * dk)]
+
+
+def _odd_datum_zeta20():
+    "The datum of realise_odd at p = 5: the odd part embedded into Q(zeta_20)."
+    from weildescent.descent import _embed_rep
+
+    odd = _weil_part(5, "odd")
+    big = field_make(RATIONAL, 20)
+    root = sqrt_minus_p(big, 5)
+    stab = [
+        w
+        for w in big.galois_exponents()
+        if w % 5 in _square_stabilizer(odd) and apply_aut(GaloisAut(big, w), root) == root
+    ]
+    return descent_datum(_embed_rep(odd, big), SubfieldTag(big, stab), 20)[0]
+
+
+@pytest.mark.parametrize(
+    "case", ["full-7", "even-5", "odd-13-ell3", "odd-5-zeta20"]
+)
+def test_fixed_space_equals_all_entries_nullspace(case):
+    # the generator rows in native numbers give the reduced-echelon kernel
+    # basis of the system with a block for every entry, vector for vector
+    from fractions import Fraction
+
+    from weildescent.descent import _fixed_space
+
+    if case == "full-7":
+        datum = _full_datum(_weil_part(7, "full"))
+    elif case == "even-5":
+        datum = _square_datum(_weil_part(5, "even"))
+    elif case == "odd-13-ell3":
+        datum = _square_datum(_weil_part(13, "odd", 3))
+    else:
+        datum = _odd_datum_zeta20()
+    datum.validate()
+    K, N = datum.rep.field, datum.rep.dim
+    new = _fixed_space(K, N, datum.entries)
+    assert [[Fraction(x) for x in v] for v in new] == _all_entries_fixed_space(
+        K, N, datum.entries
+    )
+
+
+@pytest.mark.parametrize("stab", [[1, 3, 7, 9, 11, 13, 17, 19], [1, 9, 11, 19]])
+def test_subfield_q_basis_noncyclic_stabilizers(stab):
+    # Z/2 x Z/4 and Z/2 x Z/2 inside (Z/20)^x: two generators each
+    from weildescent.descent import _subfield_q_basis
+
+    K = field_make(RATIONAL, 20)
+    tag = SubfieldTag(K, stab)
+    assert len(tag.gens) == 2
+    one = Matrix.identity(K, 1)
+    oracle = _all_entries_fixed_space(K, 1, dict.fromkeys(tag.stabilizer, one))
+    basis = _subfield_q_basis(tag)
+    assert basis == [K.from_coeffs(v) for v in oracle]
+    assert len(basis) == tag.degree_over_prime()
+    for x in basis:
+        assert all(apply_aut(GaloisAut(K, u), x) == x for u in tag.stabilizer)
+
+
+@pytest.mark.parametrize(
+    "realise,args",
+    [
+        (realise_full, (5, 1, 1)),
+        (realise_odd, (5, 1, 1)),
+        (realise_even, (7, 1, 1)),
+        (realise_odd, (13, 1, 1)),
+        (realise_odd, (5, 1, 2)),
+        (realise_odd, (3, 2, 1)),
+    ],
+    ids=["full-5", "odd-5", "even-7", "odd-13", "odd-5-m2", "odd-3-f2"],
+)
+def test_descended_denominators_are_one_and_p(realise, args):
+    # the descended models are defined over Z[zeta][1/p]: every entry of
+    # every generator image has denominator 1 or p, and both occur
+    res = realise(*args)
+    res = res[0] if isinstance(res, tuple) else res
+    dens = {e.den for img in res.images.values() for row in img.rows for e in row}
+    assert dens == {1, args[0]}
 
 
 def _weil_part(p, part, ell=None):

@@ -389,3 +389,68 @@ def test_generator_centre_matches_structure_constants(model3, part, subfield):
     assert alg.center_basis() == center
     assert alg.is_commutative() == commutative
     assert alg.m**2 * alg.n == alg.dim
+
+
+def _rref_span_coordinates(basis_mats, M):
+    "Coordinates of M in the span of the matrices, by one rref of [basis | M]."
+    K = M.field
+    cols = [[e for r in b.rows for e in r] for b in basis_mats]
+    rhs = [e for r in M.rows for e in r]
+    red, pivots = Matrix(K, [list(col) + [r] for col, r in zip(zip(*cols), rhs)]).rref()
+    k = len(basis_mats)
+    assert k not in pivots
+    out = [K.zero()] * k
+    for r, p in enumerate(pivots):
+        out[p] = red.rows[r][k]
+    return out
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_span_coordinates_match_rref_on_theta_hom(p):
+    # theta_lift's expansions: H2 and D1 images of each Hom(pi1, V) basis map
+    from weildescent.linalg import intertwiner_space, span_coordinates
+    from weildescent.theta import parity_pair, sign_characters
+
+    _, _, rep = build_weil(p, 1, 1)
+    pair = parity_pair(rep)
+    for pi1 in sign_characters(rep.field):
+        src, tgt = [pi1["c"]], [pair.h1_gens["c"]]
+        hom = intertwiner_space(src, tgt)
+        coordinates = span_coordinates(hom)
+        targets = [g2 * phi for g2 in pair.h2_gens.values() for phi in hom]
+        targets += [phi * d for d in intertwiner_space(src, src) for phi in hom]
+        for M in targets:
+            assert coordinates(M) == _rref_span_coordinates(hom, M)
+
+
+def test_span_coordinates_match_rref_on_end_hom_basis(model5):
+    # the full Weil rep at p = 5 over Q: Hom(^u V, V) is a plane for every
+    # square u, and the products of basis elements expand in it
+    from weildescent.linalg import span_coordinates
+
+    alg = _end(model5["weil"], model5["weil"].field.full_tag())
+    assert {len(h) for h in alg.hom_bases.values()} == {2}
+    checked = 0
+    for u, homs in alg.hom_bases.items():
+        coordinates = span_coordinates(homs)
+        for i in range(alg.dim):
+            for k in range(alg.dim):
+                M = alg.multiply(alg.basis_element(i), alg.basis_element(k)).get(u)
+                if M is not None:
+                    assert coordinates(M) == _rref_span_coordinates(homs, M)
+                    checked += 1
+    assert checked == alg.dim**2
+
+
+def test_span_coordinates_refuse_outside_and_dependent(model3):
+    from weildescent.errors import IdentityFailure
+    from weildescent.linalg import span_coordinates
+
+    K = model3["weil"].field
+    one = Matrix.identity(K, 2)
+    flip = Matrix(K, [[K.one(), K.zero()], [K.zero(), K.from_int(-1)]])
+    assert span_coordinates([one, flip])(one.scale(K.from_int(3))) == [K.from_int(3), K.zero()]
+    with pytest.raises(IdentityFailure, match="outside the span"):
+        span_coordinates([one])(flip)
+    with pytest.raises(IdentityFailure, match="dependent"):
+        span_coordinates([one, one.scale(K.zeta())])

@@ -694,8 +694,10 @@ def test_hom_check_steps_through_the_whole_f_p_basis(monkeypatch):
 OPTIMIZED_SCRIPT = """
 import sys
 from weildescent import fields, rationality, symbols, theta, weil
-from weildescent.descent import DescentDatum, build_weil, odd_obstruction_check, sqrt_minus_p
-from weildescent.errors import CocycleViolation, DatumInvalid, IdentityFailure
+from weildescent.descent import (
+    DescentDatum, build_weil, descent_datum, fixed_points, odd_obstruction_check, sqrt_minus_p,
+)
+from weildescent.errors import CocycleViolation, DatumInvalid, IdentityFailure, RankDeficiency
 from weildescent.theta import CommutingPair, isotypic_projector
 from weildescent.fields import (
     MODULAR, RATIONAL, CoeffField, SubfieldTag, cyclotomic_poly, field_make, gauss_sum,
@@ -704,7 +706,7 @@ from weildescent.finite import (
     SpElement, SymplecticSpace, TOKEN_W, fq_field, psi_standard, sp_classes, token_m,
     token_n, token_to_sp,
 )
-from weildescent.linalg import Matrix, intertwiner_space
+from weildescent.linalg import Matrix, intertwiner_space, span_coordinates
 
 if sys.flags.optimize < 1:
     sys.exit("not optimized")
@@ -834,8 +836,26 @@ odd3 = weil.even_odd_split(weil.weil_rep(psi, sp))[1]
 rationality.iso_test = lambda rep1, rep2: True
 expect("orbit-multiplicity", lambda: rationality.orbit_decomposition(odd3, K3.full_tag()))
 
-# diag(1, -1) is not a multiple of Id
-expect("span", lambda: rationality._expand_in_span([Matrix.identity(K3, 2)], flip))
+# diag(1, -1) is not a multiple of Id, and Id, 2 Id span a line
+expect("span", lambda: span_coordinates([Matrix.identity(K3, 2)])(flip))
+two = Matrix.identity(K3, 2).scale(K3.from_int(2))
+expect("span-dependent", lambda: span_coordinates([Matrix.identity(K3, 2), two]))
+
+# the full datum at p = 7 with R_2 negated: the cocycle fails; the honest
+# datum claiming the target Q(zeta_7): its fixed space has prime dimension
+# 14, not 42
+_, _, w7 = build_weil(7, 1, 1)
+K7 = w7.field
+honest7 = descent_datum(w7, SubfieldTag(K7, [1, 2, 4]), 0)[0]
+negated = dict(honest7.entries)
+negated[2] = negated[2].scale(K7.from_int(-1))
+expect(
+    "datum-cocycle",
+    lambda: fixed_points(DescentDatum(w7, negated, honest7.target)),
+    (DatumInvalid, RankDeficiency),
+)
+honest7.target = K7.top_tag()
+expect("datum-rank", lambda: fixed_points(honest7), (DatumInvalid, RankDeficiency))
 
 # End of the odd part at p = 3 over Q: Hom(^sigma_2 V, V) = 0, so an element
 # at sigma_2 has no coordinates
@@ -964,7 +984,8 @@ def test_certificates_raise_under_optimize():
         "rho-exponent", "rho-t0-exponent", "parity-leak", "generation", "symplectic",
         "zero-inverse", "norm-outside", "r-tau-power", "no-witness", "sqrt-minus-one",
         "datum-entries", "omega-m-alpha", "projector-central", "cocycle-column", "word-element",
-        "commutant", "zero-column", "zero-image", "orbit-multiplicity", "span", "hom-support",
+        "commutant", "zero-column", "zero-image", "orbit-multiplicity", "span", "span-dependent",
+        "datum-cocycle", "datum-rank", "hom-support",
         "subfield-coefficient", "m-squared-n", "split-certificate", "square-scalar", "trace-form",
         "block-idempotent", "block-sum", "gauss-square", "matrix-inverse", "product-formula",
         "z2-hensel", "z2-root", "z2-classes", "exact-division", "zeta-order",
