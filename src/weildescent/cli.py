@@ -14,6 +14,7 @@ import json
 import random
 import sys
 import time
+from functools import lru_cache
 
 from . import __version__
 from .errors import (
@@ -481,7 +482,9 @@ COMMANDS = {
 }
 
 
+@lru_cache(maxsize=None)
 def make_parser():
+    "The argument parser, built on first use and shared by every run."
     ap = argparse.ArgumentParser(
         prog="weil",
         description="Exact Weil representations, their Galois descent, and the"

@@ -54,7 +54,7 @@ from .fields import (
     RATIONAL,
 )
 from .finite import SymplecticSpace, fq_field, psi_standard, token_m
-from .linalg import Matrix, ldl_psd
+from .linalg import Matrix, ldl_psd, monomial_form, twisted_commutes, twisted_product
 from .weil import MarkedRep, even_odd_split, weil_rep
 
 
@@ -75,18 +75,24 @@ class DescentDatum:
             )
 
     def validate(self):
+        """The cocycle R_uv = R_u sigma_u(R_v) and the equivariance
+        R_u sigma_u(rho(g)) = rho(g) R_u on the generators, exactly, on the
+        monomial forms of the R_u (each R_u = lambda . omega(m_alpha) is
+        monomial): permutations composed and values compared, with no
+        matrix product.  A non-monomial R_u raises DatumInvalid."""
         K = self.rep.field
-        n = K.n
+        forms = {}
         for u, Ru in self.entries.items():
+            forms[u] = monomial_form(Ru)
+            if forms[u] is None:
+                raise DatumInvalid(f"R_{u} is not monomial")
+        for u, Ru in forms.items():
             su = GaloisAut(K, u)
-            for v, Rv in self.entries.items():
-                lhs = self.entries[(u * v) % n]
-                rhs = Ru * Rv.map(lambda c: apply_aut(su, c))
-                if lhs != rhs:
+            for v, Rv in forms.items():
+                if twisted_product(Ru, su, Rv) != forms[(u * v) % K.n]:
                     raise DatumInvalid(f"cocycle fails at ({u}, {v})")
             for g in self.rep.gen_names:
-                img = self.rep.image(g)
-                if Ru * img.map(lambda c: apply_aut(su, c)) != img * Ru:
+                if not twisted_commutes(Ru, su, self.rep.image(g)):
                     raise DatumInvalid(f"equivariance fails at sigma_{u}, {g}")
         return {
             "semilinearity": "structural (matrix composed with entrywise sigma)",

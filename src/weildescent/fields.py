@@ -300,9 +300,14 @@ class CoeffField:
         k %= self.n
         v = [0] * (k + 1)
         v[k] = 1
+        return self.from_zeta_coords(v)
+
+    def from_zeta_coords(self, coords) -> "CycloNum":
+        """sum_k coords[k] zeta_n^k for integers coords[k]: the coordinates
+        reduced by the defining polynomial (mod ell in the modular case)."""
         if self.char:
-            return CycloNum(self, tuple(lpoly_rem(v, list(self.modulus), self.char)), 1)
-        return _normalized(self, zpoly_rem(v, list(self.modulus)), 1)
+            return CycloNum(self, tuple(lpoly_rem(coords, self.modulus, self.char)), 1)
+        return _normalized(self, zpoly_rem(coords, self.modulus), 1)
 
     def zeta(self) -> "CycloNum":
         return self.zeta_pow(1)

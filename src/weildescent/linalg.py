@@ -92,15 +92,7 @@ class Matrix:
 
     def is_monomial(self):
         "Exactly one nonzero entry in every row and every column."
-        if self.nrows != self.ncols:
-            return False
-        col_seen = [0] * self.ncols
-        for r in self.rows:
-            nz = [j for j, e in enumerate(r) if not e.is_zero()]
-            if len(nz) != 1:
-                return False
-            col_seen[nz[0]] += 1
-        return all(c == 1 for c in col_seen)
+        return monomial_form(self) is not None
 
     # --- arithmetic
 
@@ -305,35 +297,47 @@ def kernel_basis(field, rows, ncols):
 # Intertwiner systems
 
 
-def _monomial_data(m: Matrix):
-    "For monomial m: (pi, alpha) with column j nonzero at row pi[j], value alpha[j]."
-    pi = [None] * m.ncols
-    alpha = [None] * m.ncols
-    for i, r in enumerate(m.rows):
-        for j, e in enumerate(r):
-            if not e.is_zero():
-                pi[j] = i
-                alpha[j] = e
-    return pi, alpha
+def monomial_form(m: Matrix):
+    """(perm, vals) of a monomial m, column j nonzero only at row perm[j]
+    with value vals[j]; None when m is not monomial."""
+    if m.nrows != m.ncols:
+        return None
+    perm, vals = [None] * m.ncols, [None] * m.ncols
+    for i, row in enumerate(m.rows):
+        nonzero = [j for j, e in enumerate(row) if not e.is_zero()]
+        if len(nonzero) != 1 or perm[nonzero[0]] is not None:
+            return None
+        j = nonzero[0]
+        perm[j], vals[j] = i, row[j]
+    return perm, vals
 
 
-def vector_op(m: Matrix):
-    """The map v -> m v.  A monomial m acts as a permutation plus one entry
-    per column, in O(n) and with one multiplication per nonzero entry of v;
-    any other m by mul_vec."""
-    if not m.is_monomial():
-        return m.mul_vec
-    rows, vals = _monomial_data(m)
-    z = m.field.zero()
+def twisted_product(R, sigma, S):
+    """The monomial form of R . sigma(S), for monomial forms R and S and
+    sigma applied entrywise: column j of sigma(S) sits at row S's perm[j],
+    and R moves that row on and scales it."""
+    (pr, vr), (ps, vs) = R, S
+    return [pr[i] for i in ps], [vr[i] * sigma(v) for i, v in zip(ps, vs)]
 
-    def apply(v):
-        out = [z] * m.nrows
-        for r, a, x in zip(rows, vals, v):
-            if not x.is_zero():
-                out[r] = a * x
-        return out
 
-    return apply
+def twisted_commutes(R, sigma, A: Matrix) -> bool:
+    """R . sigma(A) == A . R, for R the monomial form (perm, vals) of an
+    invertible monomial matrix and sigma a field automorphism applied
+    entrywise, checked entry by entry with no product of matrices.  With
+    r_k = vals[k] at row perm[k], the entries at (perm[k], perm[j]) are
+    r_k sigma(A[k, j]) and A[perm[k], perm[j]] r_j.  Only the nonzero
+    A[k, j] are compared: (k, j) -> (perm[k], perm[j]) is a bijection of
+    positions, so once it carries every nonzero entry of A to a nonzero
+    entry, it carries the zeros to zeros."""
+    perm, vals = R
+    rows = A.rows
+    for k, row in enumerate(rows):
+        image = rows[perm[k]]
+        rk = vals[k]
+        for j, a in enumerate(row):
+            if not a.is_zero() and rk * sigma(a) != vals[j] * image[perm[j]]:
+                return False
+    return True
 
 
 def intertwiner_space(gens_a, gens_b):
@@ -352,7 +356,11 @@ def intertwiner_space(gens_a, gens_b):
     field = gens_a[0].field
     monomial, dense = [], []
     for A, B in zip(gens_a, gens_b):
-        (monomial if A.is_monomial() and B.is_monomial() else dense).append((A, B))
+        forms = monomial_form(A), monomial_form(B)
+        if None in forms:
+            dense.append((A, B))
+        else:
+            monomial.append(forms)
     var, coef, k = _monomial_classes(monomial, na, nb, field)
     if not k:
         return []
@@ -399,9 +407,7 @@ def _monomial_classes(pairs, na, nb, field):
         members[rb] = []
         dead[ra] = dead[ra] or dead[rb]
 
-    for A, B in pairs:
-        pi, alpha = _monomial_data(A)
-        tau, beta = _monomial_data(B)
+    for (pi, alpha), (tau, beta) in pairs:
         alpha_inv = [a.inv() for a in alpha]
         for r in range(nb):
             br, tr = beta[r], tau[r]

@@ -40,7 +40,9 @@ from .linalg import (
     invertible_element,
     kernel_basis,
     ldl_psd,
+    monomial_form,
     span_coordinates,
+    twisted_commutes,
 )
 from .finite import token_m
 from .weil import MarkedRep, _trace_pair_dimension
@@ -90,12 +92,11 @@ def _check_square_class_witness(rep: MarkedRep, sigma: GaloisAut):
         raise IdentityFailure(
             f"sigma_{u} moves no generator trace and has no omega(m_alpha) witness"
         )
-    T = rep.image(token_m(Matrix.identity(fq, rep.space.m).scale(alpha)))
-    if not T.is_monomial():
+    T = monomial_form(rep.image(token_m(Matrix.identity(fq, rep.space.m).scale(alpha))))
+    if T is None:
         raise IdentityFailure(f"omega(m_{alpha!r}) is not monomial")
-    conj = rep.conjugate(sigma)
     for g in rep.gen_names:
-        if T * conj.image(g) != rep.image(g) * T:
+        if not twisted_commutes(T, sigma, rep.image(g)):
             raise IdentityFailure(
                 f"omega(m_{alpha!r}) does not carry ^sigma_{u} rep to rep at {g}"
             )

@@ -24,6 +24,14 @@ omega~(g) omega~(h) omega~(gh)^-1 commutes with rho and so is a scalar
 lambda, read off omega~(g) omega~(h) e_0 = lambda omega~(gh) e_0 with
 omega~(gh) e_0 != 0 (d).
 
+Every token image is one scalar c times a matrix P whose nonzero entries are
+signed powers +-zeta^k (token_phases): a sign per column for M(a), psi-values
+for N(b) and S^-m times psi-values for W0.  The certificate runs on that
+form.  A column is a scalar times integer phase coordinates in
+Z[x]/(x^n - 1), x standing for zeta_n, on which P acts by signed cyclic
+shifts and sums; it enters K only to be compared.  Premise (a) compares the
+(sign, exponent) entries of P.
+
 class_traces gives the character data of a rep of Sp or H(W) as one table
 of terms (tr g, tr g^-1, weight), one per conjugacy class of Sp or per
 element of H(W).  It feeds the End dimension only; the character field is
@@ -32,6 +40,7 @@ tests read the field of the class traces as its oracle."""
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 
 from .errors import CocycleViolation, IdentityFailure, InvalidCharacteristic
@@ -46,7 +55,6 @@ from .finite import (
     TOKEN_W,
     char_galois,
     char_twist,
-    eval_word,
     heis_enumerate,
     legendre,
     sp_classes,
@@ -56,7 +64,7 @@ from .finite import (
     token_n,
     token_to_sp,
 )
-from .linalg import Matrix, _monomial_data, vector_op
+from .linalg import Matrix, monomial_form
 
 
 class MarkedRep:
@@ -338,14 +346,14 @@ def _block_image(full: Matrix, reps, neg_index, sign) -> Matrix:
     n = len(reps)
     out = Matrix.zeros(K, n, n)
     pos = {rr: rowpos for rowpos, rr in enumerate(reps)}
-    monomial = full.is_monomial()
-    if monomial:
-        perm, vals = _monomial_data(full)
+    form = monomial_form(full)
+    if form is not None:
+        perm, vals = form
     s, z = K.from_int(sign), K.zero()
     for colpos, r in enumerate(reps):
         # image of the basis vector supported on {r, -r}, as {row: value}
         other = neg_index[r]
-        if monomial:
+        if form is not None:
             vec = {perm[r]: vals[r]}
             if other != r:
                 vec[perm[other]] = s * vals[other]
@@ -407,61 +415,154 @@ class CocycleCert:
         }
 
 
+@lru_cache(maxsize=64)
+def _phase_table(c):
+    """{c . s . zeta_n^k: (s, k)} over s = +-1 and k mod n = K.n.  When
+    -zeta_n^k is itself a power of zeta_n (n even, or characteristic 2) the
+    entry keeps s = 1, so that (s, k) names each value once."""
+    K = c.field
+    table = {}
+    for s in (1, -1):
+        for k in range(K.n):
+            table.setdefault(c * K.zeta_pow(k) * s, (s, k))
+    return table
+
+
+def token_phases(rep: MarkedRep, tok):
+    """The image of tok as c . P, with c its first nonzero entry (row by
+    row) and every nonzero entry of P a signed power s . zeta_n^k,
+    n = K.n: returns (c, cols), cols[j] the (row, s, k) of the nonzero
+    entries of column j.  The Schroedinger images have this shape: M(a) is
+    a signed permutation, N(b) the diagonal of psi-values and W0 the scalar
+    S^-m times psi-values.  Each entry is looked up exactly in the table of
+    the c . s . zeta_n^k; an entry outside it, or a zero image, raises
+    IdentityFailure."""
+    mat = rep.image(tok)
+    nonzero = [
+        (i, j, e) for i, row in enumerate(mat.rows) for j, e in enumerate(row) if not e.is_zero()
+    ]
+    if not nonzero:
+        raise IdentityFailure(f"the image of {tok} is 0")
+    c = nonzero[0][2]
+    table = _phase_table(c)
+    cols = [[] for _ in range(mat.ncols)]
+    for i, j, e in nonzero:
+        if e not in table:
+            raise IdentityFailure(f"entry ({i}, {j}) of the image of {tok} is no c . +-zeta^k")
+        cols[j].append((i, *table[e]))
+    return c, cols
+
+
+def _phase_op(cols, n):
+    """x -> P x on phase coordinates, for P given by the cols of
+    token_phases.  x holds n integers per entry, entry y at x[y n : (y + 1) n]
+    standing for sum_t x[y n + t] zeta_n^t, so an entry s . zeta_n^k of P
+    moves coordinate t of x_j to coordinate t + k mod n of row y, signed.
+    A monomial P (M, N) moves each coordinate to one place; any other P
+    (W0) sums, at each coordinate of P x, the coordinates moved there."""
+    # coordinate of P x -> the indices in x moved there with sign +1, -1
+    plus, minus = [[] for _ in range(len(cols) * n)], [[] for _ in range(len(cols) * n)]
+    for j, col in enumerate(cols):
+        for y, s, k in col:
+            moved = plus if s == 1 else minus
+            for t in range(n):
+                moved[y * n + (t + k) % n].append(j * n + t)
+    if all(len(a) + len(b) == 1 for a, b in zip(plus, minus)):
+        moves = [(1, a[0]) if a else (-1, b[0]) for a, b in zip(plus, minus)]
+        return lambda x: [s * x[i] for s, i in moves]
+
+    def apply(x):
+        get = x.__getitem__
+        return [sum(map(get, a)) - sum(map(get, b)) for a, b in zip(plus, minus)]
+
+    return apply
+
+
 class _Columns:
-    """omega~(g) applied to vectors along the word sp_factor(g), each token
-    image as a vector_op: a permutation plus one entry per column for the
-    monomial M and N images, one matrix-vector product for W0.  Caches the
-    word of every element, its column omega~(g) e_0 and the operator of
-    every token."""
+    """omega~(g) applied to vectors along the word sp_factor(g), on integer
+    phase coordinates.  Each token image is c . P (token_phases), P with
+    entries 0 and +-zeta^k, so a vector is kept as a scalar of K times
+    integer coordinates in Z[x]/(x^n - 1), x standing for zeta = zeta_n:
+    the M and N images act by a sign and a cyclic shift per column, W0 by
+    signed shifted sums (_phase_op), and the scalars c multiply along the
+    word.  A vector enters K only to be compared: reduced by the defining
+    polynomial (mod ell in the modular case), then scaled.  Caches the
+    word of every element with its scalar, its column omega~(g) e_0, and
+    the element and operator of every token."""
 
     def __init__(self, rep: MarkedRep):
         self.rep = rep
         self.declared = set(rep.gen_names)
         self.rho_gens = None  # made for the first undeclared token
-        self.words = {}  # matrix key of g -> sp_factor(g)
-        self.cols = {}  # matrix key of g -> omega~(g) e_0
-        self.ops = {}  # token -> v -> image(token) v
-        K = rep.field
-        self.e0 = [K.one()] + [K.zero()] * (rep.dim - 1)
+        self.tokens = {}  # token -> (token_to_sp(token), c, x -> P x)
+        self.words = {}  # matrix key of g -> (sp_factor(g), product of its c)
+        self.cols = {}  # matrix key of g -> omega~(g) e_0 as (scalar, coordinates)
+        self.col_values = {}  # matrix key of g -> omega~(g) e_0 in K
+        K, space = rep.field, rep.space
+        self.e0 = (K.one(), [1] + [0] * (rep.dim * K.n - 1))
+        self.identity = SpElement(space, Matrix.identity(space.fq, space.dim), _checked=True)
 
-    def _op(self, tok):
-        rep = self.rep
-        if tok not in self.declared:
-            # premise (a) for a token outside the declared generators: at
-            # m >= 2, sp_factor uses M(a) and N(b) for every a and b
-            if self.rho_gens is None:
-                keys = heisenberg_rep(rep.psi, rep.space).gen_names
-                self.rho_gens = _rho_generators(rep.psi, rep.space, keys)
-            _check_intertwines(rep, rep.psi, tok, self.rho_gens)
-        return vector_op(rep.image(tok))
+    def _token(self, tok):
+        if tok not in self.tokens:
+            rep = self.rep
+            g = token_to_sp(rep.space, tok)
+            c, cols = token_phases(rep, tok)
+            if tok not in self.declared:
+                # premise (a) for a token outside the declared generators: at
+                # m >= 2, sp_factor uses M(a) and N(b) for every a and b
+                if self.rho_gens is None:
+                    keys = heisenberg_rep(rep.psi, rep.space).gen_names
+                    self.rho_gens = _rho_generators(rep.psi, rep.space, keys)
+                _check_intertwines(rep.psi, rep.space, tok, g, cols, self.rho_gens)
+            self.tokens[tok] = (g, c, _phase_op(cols, rep.field.n))
+        return self.tokens[tok]
 
-    def apply(self, g: SpElement, v):
-        "omega~(g) v."
+    def _word(self, g: SpElement):
+        "(sp_factor(g), the product of the token scalars c along it)."
         key = g.mat.to_key()
         if key not in self.words:
             word = sp_factor(g)
-            if eval_word(self.rep.space, word) != g:  # premise (c)
+            h, c = self.identity, self.rep.field.one()
+            for tok in word:
+                elem, ct, _ = self._token(tok)
+                h, c = h * elem, ct * c
+            if h != g:  # premise (c)
                 raise IdentityFailure(f"sp_factor gives a word for another element than {g!r}")
-            self.words[key] = word
-        for tok in reversed(self.words[key]):
-            if tok not in self.ops:
-                self.ops[tok] = self._op(tok)
-            v = self.ops[tok](v)
-        return v
+            self.words[key] = word, c
+        return self.words[key]
+
+    def apply(self, g: SpElement, v):
+        "omega~(g) v, v and the result as (scalar, coordinates)."
+        word, c = self._word(g)
+        s, x = v
+        for tok in reversed(word):
+            x = self.tokens[tok][2](x)
+        return s * c, x
 
     def column(self, g: SpElement):
-        "omega~(g) e_0."
+        "omega~(g) e_0 as (scalar, coordinates)."
         key = g.mat.to_key()
         if key not in self.cols:
             self.cols[key] = self.apply(g, self.e0)
         return self.cols[key]
 
+    def _in_field(self, v):
+        "The entries of v = (scalar, coordinates) in K."
+        s, x = v
+        K = self.rep.field
+        n = K.n
+        return [K.from_zeta_coords(x[a : a + n]) * s for a in range(0, len(x), n)]
+
     def value(self, g: SpElement, h: SpElement) -> int:
-        u = self.column(g * h)
+        gh = g * h
+        key = gh.mat.to_key()
+        if key not in self.col_values:
+            self.col_values[key] = self._in_field(self.column(gh))
+        u = self.col_values[key]
         nonzero = [i for i, e in enumerate(u) if not e.is_zero()]
         if not nonzero:  # premise (d)
             raise IdentityFailure(f"omega~(gh) e_0 = 0 at g = {g!r}, h = {h!r}")
-        w = self.apply(g, self.column(h))
+        w = self._in_field(self.apply(g, self.column(h)))
         if w == u:
             return 1
         if w == [-e for e in u]:
@@ -484,11 +585,11 @@ def cocycle_value(rep: MarkedRep, g: SpElement, h: SpElement) -> int:
     outside them, which sp_factor uses at m >= 2, are checked here as they
     first appear); (b) the commutant of rho is K (cocycle_certificate
     requires it); (c) each word sp_factor(g) evaluates to g over F_q,
-    checked here by eval_word; (d) omega~(gh) e_0 != 0, checked here.  Then
-    omega~(g) omega~(h) omega~(gh)^-1 commutes with rho (rho being a
-    representation of H, as heisenberg_hom_check certifies), so it is a
-    scalar lambda, and one nonzero column decides lambda.  (c) and (d) raise
-    IdentityFailure.
+    checked here as the product of the token elements; (d) omega~(gh) e_0
+    != 0, checked here.  Then omega~(g) omega~(h) omega~(gh)^-1 commutes
+    with rho (rho being a representation of H, as heisenberg_hom_check
+    certifies), so it is a scalar lambda, and one nonzero column decides
+    lambda.  (c) and (d) raise IdentityFailure.
 
     Empirically this section measures identically +1 on every finite
     group tested (exhaustively on Sp(2,F_3) and Sp(2,F_5)): the double
@@ -525,29 +626,23 @@ def _rho_generators(psi: AdditiveCharacter, space: SymplecticSpace, keys):
     return out
 
 
-def _check_intertwines(wrep: MarkedRep, psi: AdditiveCharacter, tok, rho_gens):
+def _check_intertwines(psi: AdditiveCharacter, space: SymplecticSpace, tok, g, cols, rho_gens):
     """omega~(tok) rho(h) = rho(g.h) omega~(tok) for g = token_to_sp(tok) and
-    every h of rho_gens (from _rho_generators), and omega~(tok) != 0; raises
-    IdentityFailure.  Compared column by column on the nonzero entries of
-    omega = omega~(tok), with rho in monomial form: column j of omega rho(h)
-    is psi-value times column perm[j] of omega, and column j of
-    rho(g.h) omega is column j of omega moved and scaled by rho(g.h).  A
-    monomial omega (M, N) costs O(n) per h, a dense one (W0) O(n^2)."""
-    space = wrep.space
-    g = token_to_sp(space, tok)
-    omega = wrep.image(tok)
-    cols = [
-        [(i, e) for i, e in enumerate(omega.col(j)) if not e.is_zero()]
-        for j in range(omega.ncols)
-    ]
-    if not any(cols):
-        raise IdentityFailure(f"the image of {tok} is 0")
-    zeta = psi.values
+    every h of rho_gens (from _rho_generators); raises IdentityFailure.
+    omega~(tok) = c . P with cols the columns of P (token_phases), so it is
+    P that is compared, column by column on its (sign, exponent) entries,
+    with rho in monomial form: column j of P rho(h) is column perm[j] of P
+    shifted by the exponent of rho(h) there, and column j of rho(g.h) P is
+    column j of P moved and shifted by rho(g.h).  A monomial P (M, N) costs
+    O(n) per h, a dense one (W0) O(n^2)."""
+    n = psi.coeff.n
+    step = n // space.fq.p  # psi-exponent e is the zeta_n-exponent step . e
     for hk, h, (perm, exps) in rho_gens:
         perm2, exps2 = rho_monomial(psi, space, sp_act_heis(g, h))
         for j, col in enumerate(cols):
-            lhs = {i: zeta[exps[j]] * e for i, e in cols[perm[j]]}
-            rhs = {perm2[i]: zeta[exps2[i]] * e for i, e in col}
+            e = step * exps[j]
+            lhs = {i: (s, (k + e) % n) for i, s, k in cols[perm[j]]}
+            rhs = {perm2[i]: (s, (k + step * exps2[i]) % n) for i, s, k in col}
             if lhs != rhs:
                 raise IdentityFailure(f"intertwining fails at {tok}, {hk}")
 
@@ -561,7 +656,9 @@ def intertwining_check(wrep: MarkedRep, hrep: MarkedRep):
     is invertible, and omega~(g) rho(h) omega~(g)^-1 = rho(g.h) follows."""
     rho_gens = _rho_generators(hrep.psi, hrep.space, hrep.gen_names)
     for tok in wrep.gen_names:
-        _check_intertwines(wrep, hrep.psi, tok, rho_gens)
+        g = token_to_sp(wrep.space, tok)
+        cols = token_phases(wrep, tok)[1]
+        _check_intertwines(hrep.psi, hrep.space, tok, g, cols, rho_gens)
     return True
 
 

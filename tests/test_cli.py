@@ -585,3 +585,30 @@ def test_singular_pair_exits_2_in_a_fresh_interpreter(flags, tmp_path):
         "kind": "config-invalid",
         "message": "pair file: h1.c must be invertible",
     }
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify", "--p", "5"], ["build", "--p", "7"]], ids=["verify", "build"]
+)
+def test_reports_do_not_depend_on_optimize(argv):
+    # every certificate raises a typed error rather than asserting, so the
+    # report is byte-identical under python -O
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import weildescent
+
+    src = Path(weildescent.__file__).resolve().parent.parent
+    runs = [
+        subprocess.run(
+            [sys.executable, *flags, "-m", "weildescent.cli", *argv, "--seed", "1"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            timeout=300,
+        )
+        for flags in ([], ["-O"])
+    ]
+    assert [proc.returncode for proc in runs] == [0, 0], runs[1].stderr
+    assert runs[0].stdout == runs[1].stdout

@@ -76,6 +76,18 @@ def test_datum_invalid_detected():
         datum.validate()
 
 
+def test_non_monomial_datum_entry_is_refused():
+    # every R_u = lambda . omega(m_alpha) is monomial; a dense entry is no datum
+    _, _, rep7 = build_weil(7, 1, 1)
+    datum = _full_datum(rep7)
+    K = rep7.field
+    dense = datum.entries[2].copy()
+    dense.rows[0] = [K.one()] * rep7.dim
+    datum.entries[2] = dense
+    with pytest.raises(DatumInvalid, match="not monomial"):
+        datum.validate()
+
+
 def test_even_datum_q5(model5):
     even = model5["even"]
     datum = _square_datum(even)

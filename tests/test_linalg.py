@@ -13,6 +13,9 @@ from weildescent.linalg import (
     intertwiner_space,
     invertible_element,
     ldl_psd,
+    monomial_form,
+    twisted_commutes,
+    twisted_product,
     _dense_intertwiners,
 )
 from weildescent.weil import even_odd_split
@@ -193,3 +196,29 @@ def test_ldl_psd():
     assert not ldl_psd([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(1)]])
     assert not ldl_psd([[Fraction(-1)]])
     assert not ldl_psd([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]])
+
+
+def test_twisted_monomial_checks_match_dense_products():
+    # R sigma(A) = A R and R sigma(S) on monomial forms against the dense
+    # products, for the odd block at p = 7 (W0 dense, M and N monomial)
+    _, _, rep = build_weil(7, 1, 1)
+    odd = even_odd_split(rep)[1]
+    K = odd.field
+    images = [odd.image(g) for g in odd.gen_names]
+    monomials = [img for img in images if monomial_form(img) is not None]
+    assert len(monomials) < len(images)  # W0 is not monomial
+    for u in K.galois_exponents():
+        sigma = GaloisAut(K, u)
+        for R in monomials[:4]:
+            form = monomial_form(R)
+            for A in images:
+                dense = R * A.map(sigma) == A * R
+                assert twisted_commutes(form, sigma, A) == dense
+            for S in monomials[:4]:
+                perm, vals = monomial_form(R * S.map(sigma))
+                assert twisted_product(form, sigma, monomial_form(S)) == (perm, vals)
+    assert any(
+        twisted_commutes(monomial_form(R), GaloisAut(K, 2), A) for R in monomials for A in images
+    )
+    assert monomial_form(qmat([[1, 1], [0, 1]])) is None
+    assert monomial_form(qmat([[0, 2], [3, 0]])) == ([1, 0], [Q.from_int(3), Q.from_int(2)])

@@ -191,18 +191,33 @@ def _oracle_case(case):
         return weil_rep(psi_standard(fq3, field_make(RATIONAL, 3)), sp), [
             (a, b) for a in els for b in els
         ]
+    twist = 1
     if case == "Sp(4,F_3)":
         sp, K, seed, npairs = SymplecticSpace(fq3, 2), field_make(RATIONAL, 3), 12, 20
     elif case == "Sp(2,F_5)":
         sp, K, seed, npairs = SymplecticSpace(fq5, 1), field_make(RATIONAL, 5), 11, 200
+    elif case == "Sp(2,F_9)":
+        sp, K, seed, npairs = SymplecticSpace(fq_field(3, 2), 1), field_make(RATIONAL, 3), 15, 40
+    elif case == "Sp(2,F_5) twist 2":
+        sp, K, seed, npairs = SymplecticSpace(fq5, 1), field_make(RATIONAL, 5), 16, 60
+        twist = 2
+    elif case == "F_29[zeta_7]":  # 29 = 1 mod 7: zeta_7 lies in F_29, degree 1
+        sp, K, seed, npairs = SymplecticSpace(fq_field(7, 1), 1), field_make(MODULAR, 7, 29), 17, 40
     else:  # the modular model over F_7[zeta_5]
         sp, K, seed, npairs = SymplecticSpace(fq5, 1), field_make(MODULAR, 5, 7), 13, 60
     rng = random.Random(seed)
     pairs = [(sp_sample(sp, rng), sp_sample(sp, rng)) for _ in range(npairs)]
-    return weil_rep(psi_standard(sp.fq, K), sp), pairs
+    psi = char_twist(psi_standard(sp.fq, K), sp.fq.from_int(twist))
+    return weil_rep(psi, sp), pairs
 
 
-@pytest.mark.parametrize("case", ["Sp(2,F_3)", "Sp(2,F_5)", "Sp(4,F_3)", "F_7[zeta_5]"])
+@pytest.mark.parametrize(
+    "case",
+    [
+        "Sp(2,F_3)", "Sp(2,F_5)", "Sp(4,F_3)", "F_7[zeta_5]", "Sp(2,F_9)", "Sp(2,F_5) twist 2",
+        "F_29[zeta_7]",
+    ],
+)
 def test_column_cocycle_matches_dense_oracle(case):
     rep, pairs = _oracle_case(case)
     ops = {}
@@ -224,6 +239,21 @@ def test_scaled_w_intertwines_but_fails_the_cocycle(model5):
         cocycle_certificate(w, pairs, _commutant_dim(heis))
     with pytest.raises(CocycleViolation):
         cocycle_value(w, w0, w0)
+
+
+def test_non_phase_image_is_refused(model5):
+    # W0 with one entry doubled is no longer c times signed zeta-powers: both
+    # the intertwining check and the cocycle certificate refuse to read it
+    sp, psi, heis = model5["space"], model5["psi"], model5["heis"]
+    w = weil_rep(psi, sp)
+    bad = w.image(TOKEN_W).copy()
+    bad.rows[1][2] = bad.rows[1][2] + bad.rows[1][2]
+    w._images[TOKEN_W] = bad
+    w0 = token_to_sp(sp, TOKEN_W)
+    with pytest.raises(IdentityFailure, match="zeta"):
+        intertwining_check(w, heis)
+    with pytest.raises(IdentityFailure, match="zeta"):
+        cocycle_certificate(w, [(w0, w0)], _commutant_dim(heis))
 
 
 def test_cocycle_checks_the_word_of_each_element(model5, monkeypatch):
@@ -826,6 +856,13 @@ wcol._images[n1] = zcol
 g1 = token_to_sp(sp, n1)
 expect("zero-column", lambda: weil.cocycle_certificate(wcol, [(g1, g1 * g1.inverse())], comm))
 
+# W0 with one entry doubled: not c times signed zeta-powers
+wphase = weil.weil_rep(psi, sp)
+doubled = wphase.image(TOKEN_W).copy()
+doubled.rows[1][2] = doubled.rows[1][2] + doubled.rows[1][2]
+wphase._images[TOKEN_W] = doubled
+expect("phase-entry", lambda: weil.cocycle_certificate(wphase, [(w0, w0)], comm))
+
 wzero = weil.weil_rep(psi, sp)
 wzero._images[TOKEN_W] = Matrix.zeros(psi.coeff, 3, 3)
 expect("zero-image", lambda: weil.intertwining_check(wzero, heis))
@@ -984,7 +1021,8 @@ def test_certificates_raise_under_optimize():
         "rho-exponent", "rho-t0-exponent", "parity-leak", "generation", "symplectic",
         "zero-inverse", "norm-outside", "r-tau-power", "no-witness", "sqrt-minus-one",
         "datum-entries", "omega-m-alpha", "projector-central", "cocycle-column", "word-element",
-        "commutant", "zero-column", "zero-image", "orbit-multiplicity", "span", "span-dependent",
+        "commutant", "zero-column", "phase-entry", "zero-image", "orbit-multiplicity", "span",
+        "span-dependent",
         "datum-cocycle", "datum-rank", "hom-support",
         "subfield-coefficient", "m-squared-n", "split-certificate", "square-scalar", "trace-form",
         "block-idempotent", "block-sum", "gauss-square", "matrix-inverse", "product-formula",
