@@ -33,9 +33,9 @@ from .fields import (
     field_make,
     is_prime,
 )
-from .finite import sp_enumerate, sp_order, sp_order_within, sp_sample
+from .finite import sp_enumerate, sp_order, sp_sample
 from .linalg import Matrix, intertwiner_space
-from .rationality import DEFAULT_SP_BOUND, character_field, endomorphism_algebra
+from .rationality import character_field, endomorphism_algebra
 from .descent import (
     build_weil,
     realise_even,
@@ -56,7 +56,6 @@ from .symbols import (
 )
 from .theta import CommutingPair, theta_lift, theta_unitarity
 from .weil import (
-    class_traces,
     cocycle_certificate,
     even_odd_split,
     heisenberg_hom_check,
@@ -67,6 +66,7 @@ from .weil import (
 )
 
 SIZE_CAP = 200
+DEFAULT_SP_BOUND = 10**5
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -244,18 +244,19 @@ def cmd_end_algebra(args, report):
         tag = K.full_tag()
     elif args.subfield != "char":
         tag = _tag_arg(K, args.subfield, "--subfield")
-    if target.group == "sp":
-        # the End dimension of an Sp-rep sweeps the whole group and divides
-        # by its order: refuse first
-        order = sp_order_within(space, DEFAULT_SP_BOUND)
-        if K.char and order % K.char == 0:
+    if target.group == "sp" and K.char:
+        # Gerardin's count of the Hom dimensions describes the semisimple
+        # reduction: refuse first
+        order = sp_order(space.m, space.fq.q)
+        if order % K.char == 0:
             raise ConfigInvalid(
-                f"ell = {K.char} divides |Sp| = {order}: the End dimension"
-                " formula divides by |Sp|"
+                f"ell = {K.char} divides |Sp| = {order}: Gerardin's count of the"
+                " Hom dimensions describes the semisimple reduction only"
             )
+    field_tag = character_field(target)
     if args.subfield == "char":
-        tag = character_field(target)
-    alg = endomorphism_algebra(target, tag, class_traces(target, DEFAULT_SP_BOUND))
+        tag = field_tag
+    alg = endomorphism_algebra(target, tag, field_tag, 2 if args.part == "full" else 1)
     report["results"] = alg.to_json()
     report["results"]["subfield_name"] = describe_subfield(tag)
     return EXIT_OK
@@ -287,8 +288,15 @@ def cmd_descend(args, report):
 
 
 def cmd_norm_solve(args, report):
-    n = args.n
-    K = field_make(RATIONAL, n) if args.ell is None else field_make(MODULAR, n, args.ell)
+    n, ell = args.n, args.ell
+    if n < 1:
+        raise ConfigInvalid(f"--n {n} must be positive")
+    if ell is not None:
+        if not is_prime(ell) or n % ell == 0:
+            raise ConfigInvalid(f"--ell {ell} must be a prime not dividing n = {n}")
+        if n > 1 and not is_prime(n):
+            raise ConfigInvalid(f"--ell takes a prime n, not {n}")
+    K = field_make(RATIONAL, n) if ell is None else field_make(MODULAR, n, ell)
     bottom = _tag_arg(K, args.bottom, "--bottom")
     top = _tag_arg(K, args.top, "--top", inside=bottom)
     target = K.from_int(args.target)

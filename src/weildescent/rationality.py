@@ -2,30 +2,28 @@
 endomorphism algebras and Galois-orbit decompositions for the exact matrix
 representations built by this package.
 
-The endomorphism algebra of a restriction V|_R (V absolutely irreducible
-over a cyclotomic K) is computed through its semilinear decomposition
+The endomorphism algebra of a restriction V|_R (V over a cyclotomic K) is
+computed through its semilinear decomposition
 
     End_{R[G]}(V|_R)  =  (+)_{sigma in Gal(K/R)}  Hom_K(^sigma V, V) . sigma
 
-each summand being a small exact intertwiner solve, instead of one dense
-nullspace in (dim . [K:Q])^2 unknowns.  Completeness of the resulting basis
-is certified independently by the character dimension formula
-dim End = (1/|G|) sum tr(g) tr(g^-1), evaluated exactly (in its
-section-independent form for the metaplectic sweeps).  Only this formula
-reads the table weil.class_traces: the terms (tr g, tr g^-1, weight), one
-per conjugacy class of Sp weighted by its size, or one per element of the
-Heisenberg group.  The character field needs no sweep: character_field
-decides each Galois exponent by a witness on the declared generators, a
-moved generator trace or the intertwiner omega(m_alpha), so it has no size
-bound.  In characteristic ell the formula gives the dimension only mod
-ell, so End algebras of dimension at least ell are refused.  The centre is
-the commutant of the algebra generators theta Id and A_{u,t} sigma_u, which
-is also how commutativity is read (Z(A) = A); the full structure-constant
-table is an oracle only."""
+each summand being a small exact intertwiner solve on the declared
+generators, instead of one dense nullspace in (dim . [K:Q])^2 unknowns.
+Each solve is checked against Gerardin's decomposition (J. Algebra 46,
+1977): omega = omega+ (+) omega-, two non-isomorphic absolutely irreducible
+parts, and ^sigma_u omega_psi = omega_{psi^u} is isomorphic to omega_psi
+exactly when u is a square in F_q, that is when sigma_u fixes the
+character field (character_field, decided by witnesses on the generators).
+So dim Hom_K(^u V, V) is the number of constituents there and 0 elsewhere,
+as for the absolutely irreducible rho_psi of H(W).  Nothing sweeps the
+group; in characteristic ell the count needs ell prime to |G|.  The
+centre is the commutant of the algebra generators theta Id and
+A_{u,t} sigma_u, which is also how commutativity is read (Z(A) = A); the
+full structure-constant table is an oracle only."""
 
 from __future__ import annotations
 
-from .errors import ConfigInvalid, IdentityFailure, NotIrreducible
+from .errors import IdentityFailure, NotIrreducible
 from .fields import (
     GaloisAut,
     SubfieldTag,
@@ -45,10 +43,7 @@ from .linalg import (
     twisted_commutes,
 )
 from .finite import token_m
-from .weil import MarkedRep, _trace_pair_dimension
-
-
-DEFAULT_SP_BOUND = 10**5
+from .weil import MarkedRep
 
 
 def character_field(rep: MarkedRep) -> SubfieldTag:
@@ -310,32 +305,26 @@ class EndAlgebra:
         }
 
 
-def endomorphism_algebra(rep: MarkedRep, tag: SubfieldTag, terms) -> EndAlgebra:
-    """End of rep restricted to the tagged subfield, with its dimension
-    certified by the trace formula on terms, the class_traces table of rep.
-    Refuses (ConfigInvalid) in characteristic ell when the dimension is at
-    least ell, where the formula, evaluated in K, only gives it mod ell."""
+def endomorphism_algebra(
+    rep: MarkedRep, tag: SubfieldTag, field_tag: SubfieldTag, constituents: int
+) -> EndAlgebra:
+    """End of rep restricted to the tagged subfield.  rep is the sum of
+    `constituents` pairwise non-isomorphic absolutely irreducible parts (2
+    for a full Weil representation, 1 for a part or for H(W)) and field_tag
+    is its character field.  Each Hom_K(^u V, V) is one exact solve on the
+    declared generators; IdentityFailure unless its dimension is
+    `constituents` for sigma_u fixing the character field and 0 otherwise."""
     K = rep.field
-    rb = RestrictionBasis(tag)
     hom_bases = {}
     for u in sorted(tag.stabilizer):
         conj = rep.conjugate(GaloisAut(K, u))
         basis = intertwiner_space(conj.gens_images(), rep.gens_images())
+        expected = constituents if u in field_tag.stabilizer else 0
+        if len(basis) != expected:
+            raise IdentityFailure(f"dim Hom_K(^{u} V, V) = {len(basis)} != {expected}")
         if basis:
             hom_bases[u] = basis
-    alg = EndAlgebra(rep, tag, hom_bases, rb)
-    if K.char and alg.dim >= K.char:
-        raise ConfigInvalid(
-            f"semilinear basis dim {alg.dim} >= ell = {K.char}: the character"
-            " formula gives the End dimension only mod ell"
-        )
-    projected = [(trace_to_subfield(t, tag), trace_to_subfield(ti, tag), w) for t, ti, w in terms]
-    expected = _trace_pair_dimension(K, projected)
-    if alg.dim != expected:
-        raise IdentityFailure(
-            f"semilinear basis dim {alg.dim} != character-formula dim {expected}"
-        )
-    return alg
+    return EndAlgebra(rep, tag, hom_bases, RestrictionBasis(tag))
 
 
 def quaternion_scalar(alg: EndAlgebra):

@@ -34,9 +34,10 @@ shifts and sums; it enters K only to be compared.  Premise (a) compares the
 
 class_traces gives the character data of a rep of Sp or H(W) as one table
 of terms (tr g, tr g^-1, weight), one per conjugacy class of Sp or per
-element of H(W).  It feeds the End dimension only; the character field is
-certified on the declared generators (rationality.character_field), and the
-tests read the field of the class traces as its oracle."""
+element of H(W).  No command reads it: the character field and the End
+algebra are certified on the declared generators (rationality), and the
+tests read the field of the class traces and the trace formula
+_trace_pair_dimension as their oracles, as they read weil_op."""
 
 from __future__ import annotations
 
@@ -865,7 +866,7 @@ def class_traces(rep: MarkedRep, bound: int):
     and weight elements of the group share the term, so the weights sum to
     |G|.  The t generate the character field (the tests' oracle for
     rationality.character_field); projected to a subfield R, the terms give
-    dim End over R.
+    dim End over R (its oracle for rationality.endomorphism_algebra).
 
     For Sp, one term per conjugacy class of sp_classes (refused by TooLarge
     when |Sp| exceeds bound), weighted by its size: t = tr omega~(g) and

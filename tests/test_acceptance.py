@@ -30,6 +30,7 @@ from weildescent.fields import (
     SubfieldTag,
     apply_aut,
     field_make,
+    trace_to_subfield,
 )
 from weildescent.finite import (
     SymplecticSpace,
@@ -41,7 +42,6 @@ from weildescent.finite import (
 )
 from weildescent.linalg import Matrix, intertwiner_space
 from weildescent.rationality import (
-    DEFAULT_SP_BOUND,
     character_field,
     endomorphism_algebra,
     iso_test,
@@ -63,6 +63,7 @@ from weildescent.theta import (
     theta_unitarity,
 )
 from weildescent.weil import (
+    _trace_pair_dimension,
     class_traces,
     cocycle_certificate,
     even_odd_split,
@@ -71,6 +72,17 @@ from weildescent.weil import (
     semilinearity_check,
     weil_rep,
 )
+
+
+def _end_matches_trace_formula(rep, tag, constituents):
+    """End of rep over the tagged subfield, and whether its dimension is the
+    trace formula's on the class_traces table of rep."""
+    alg = endomorphism_algebra(rep, tag, character_field(rep), constituents)
+    terms = [
+        (trace_to_subfield(t, tag), trace_to_subfield(ti, tag), w)
+        for t, ti, w in class_traces(rep, 10**5)
+    ]
+    return alg, alg.dim == _trace_pair_dimension(rep.field, terms)
 
 
 def report(num, label, ok, extra=""):
@@ -255,9 +267,9 @@ def test_criterion_7_scalar_extension_structure():
         K = field_make(RATIONAL, p)
         psi = psi_standard(fq, K)
         rho = heisenberg_rep(psi, sp)
-        alg = endomorphism_algebra(rho, K.full_tag(), class_traces(rho, DEFAULT_SP_BOUND))
+        alg, traced = _end_matches_trace_formula(rho, K.full_tag(), 1)
         orb = orbit_decomposition(rho, K.full_tag())
-        ok = ok and (orb.m, orb.n) == (1, expected_n) == (alg.m, alg.n)
+        ok = ok and traced and (orb.m, orb.n) == (1, expected_n) == (alg.m, alg.n)
         # blocks match the Galois orbit {rho_{psi^u}}: the u-component of
         # the conjugate equals the psi^u-model on the nose
         for u in K.galois_exponents():
@@ -269,8 +281,8 @@ def test_criterion_7_scalar_extension_structure():
     _, _, rep5 = build_weil(5, 1, 1)
     _, odd5 = even_odd_split(rep5)
     K5 = rep5.field
-    alg = endomorphism_algebra(odd5, SubfieldTag(K5, [4]), class_traces(odd5, DEFAULT_SP_BOUND))
-    ok = ok and alg.dim == 4 and alg.m == 2 and not alg.is_commutative()
+    alg, traced = _end_matches_trace_formula(odd5, SubfieldTag(K5, [4]), 1)
+    ok = ok and traced and alg.dim == 4 and alg.m == 2 and not alg.is_commutative()
     report(7, "(m,n) = (1,p-1) for rho|_Q; quaternion End for odd q=5", ok)
 
 

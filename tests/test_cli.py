@@ -198,34 +198,35 @@ def test_scaled_w_image_fails_the_cocycle(verb, tmp_path, monkeypatch):
         assert rep["transcript"][-1] == {"check": "weil_intertwines_heisenberg", "pass": True}
 
 
-def test_end_algebra_refuses_before_working(tmp_path, monkeypatch):
-    # |Sp(4, F_5)| is past the bound of the End-dimension sweep, so the
-    # character field and the Hom solves must not run first
-    from weildescent import cli
-
-    def never(*args, **kwargs):
-        raise AssertionError("ran before the size refusal")
-
-    monkeypatch.setattr(cli, "class_traces", never)
-    monkeypatch.setattr(cli, "character_field", never)
-    monkeypatch.setattr(cli, "endomorphism_algebra", never)
-    argv = ["end-algebra", "--p", "5", "--m", "2", "--part", "odd", "--subfield", "char"]
+@pytest.mark.parametrize(
+    "part, subfield, shape",
+    [
+        ("odd", "char", (4, 1, 2)),
+        ("odd", "Q", (8, 2, 2)),
+        ("full", "char", (8, 2, 2)),
+        ("full", "Q", (16, 4, 2)),
+    ],
+    ids=["odd-char", "odd-Q", "full-char", "full-Q"],
+)
+def test_end_algebra_rank_2_beyond_the_sweep(tmp_path, part, subfield, shape):
+    # |Sp(4, F_5)| = 9360000: every Hom_K(^u V, V) is one exact solve on the
+    # generators, checked against Gerardin's count; the shape (dim over R,
+    # n, m) is End = M_[K:F](D) over F = Q(sqrt 5), one factor per constituent
+    argv = ["end-algebra", "--p", "5", "--m", "2", "--part", part, "--subfield", subfield]
     code, rep = run_json(argv, tmp_path)
-    assert code == 3
-    assert rep["error"] == {
-        "kind": "too-large",
-        "message": "|Sp| = 9360000 exceeds bound 100000",
-    }
+    assert code == 0
+    res = rep["results"]
+    assert (res["dim_over_R"], res["n"], res["m"]) == shape
 
 
 def test_end_algebra_refuses_ell_dividing_the_group_order(tmp_path, monkeypatch):
-    # |Sp(2, F_13)| = 2184 = 0 mod 3: the End dimension formula divides by it
+    # |Sp(2, F_13)| = 2184 = 0 mod 3: the reduction mod 3 need not be
+    # semisimple, and Gerardin's count of the Hom dimensions assumes it is
     from weildescent import cli
 
     def never(*args, **kwargs):
         raise AssertionError("ran before the characteristic refusal")
 
-    monkeypatch.setattr(cli, "class_traces", never)
     monkeypatch.setattr(cli, "character_field", never)
     monkeypatch.setattr(cli, "endomorphism_algebra", never)
     argv = ["end-algebra", "--p", "13", "--part", "even", "--subfield", "char", "--ell", "3"]
@@ -235,18 +236,17 @@ def test_end_algebra_refuses_ell_dividing_the_group_order(tmp_path, monkeypatch)
     assert "ell = 3" in rep["error"]["message"] and "|Sp| = 2184" in rep["error"]["message"]
 
 
-def test_end_algebra_refuses_dimension_reaching_ell(tmp_path):
-    # over F_5[zeta_7] the End algebra has dimension 9, and the trace
-    # formula evaluated in K gives it only mod 5 (9 = 4 mod 5)
+def test_end_algebra_modular_dimension_past_ell(tmp_path):
+    # over F_5[zeta_7] the End algebra has dimension 9 >= ell: the Hom solves
+    # are exact in K, so the dimension is not read mod 5
     argv = ["end-algebra", "--p", "7", "--ell", "5", "--part", "odd", "--subfield", "char"]
     code, rep = run_json(argv, tmp_path)
-    assert code == 2
-    assert rep["error"]["kind"] == "config-invalid"
-    assert "ell = 5" in rep["error"]["message"] and "dim 9" in rep["error"]["message"]
+    assert code == 0
+    res = rep["results"]
+    assert (res["dim_over_R"], res["n"], res["m"]) == (9, 1, 3)
 
 
 def test_end_algebra_modular_below_ell(tmp_path):
-    # dimension 4 < ell = 7: the trace formula certifies it
     argv = ["end-algebra", "--p", "5", "--ell", "7", "--part", "odd", "--subfield", "char"]
     code, rep = run_json(argv, tmp_path)
     assert code == 0
@@ -262,24 +262,19 @@ def test_end_algebra_modular_below_ell(tmp_path):
     }
 
 
-def test_end_algebra_walks_sp_once(tmp_path, monkeypatch):
-    # --subfield char takes the character field from the generator
-    # witnesses, which walk nothing, and only the End dimension reads the
-    # class_traces table: one walk of the Cayley graph of Sp
-    from weildescent import weil
+def test_end_algebra_walks_no_sp(tmp_path, monkeypatch):
+    # the character field and every Hom_K(^u V, V) are certified on the
+    # declared generators: no walk of the 51,840 elements of Sp(4, F_3)
+    from weildescent import finite, weil
 
-    calls = []
-    honest = weil.sp_classes
+    def never(*args, **kwargs):
+        raise AssertionError("walked Sp")
 
-    def counted(*args):
-        calls.append(args)
-        return honest(*args)
-
-    monkeypatch.setattr(weil, "sp_classes", counted)
-    argv = ["end-algebra", "--p", "5", "--part", "odd", "--subfield", "char"]
+    monkeypatch.setattr(finite, "sp_classes", never)
+    monkeypatch.setattr(weil, "sp_classes", never)
+    argv = ["end-algebra", "--p", "3", "--m", "2", "--part", "odd", "--subfield", "char"]
     code, rep = run_json(argv, tmp_path)
-    assert code == 0 and rep["results"]["dim_over_R"] == 4
-    assert len(calls) == 1
+    assert code == 0 and rep["results"]["dim_over_R"] == 1
 
 
 def test_character_field_rank_2_beyond_the_sweep(tmp_path):
@@ -429,21 +424,20 @@ def test_timing_flag_adds_field(tmp_path):
 
 
 def test_too_large_exit_code(tmp_path, monkeypatch):
-    # q = 121 passes the q^m dimension guard, but the End dimension sweeps
-    # Sp(2, F_121): refused before any work
+    # the 336^2 = 112896 pairs of an exhaustive verify at p = 7 exceed the
+    # bound of 10^5: refused before any work
     from weildescent import cli
 
     def never(*args, **kwargs):
         raise AssertionError("ran before the size refusal")
 
-    monkeypatch.setattr(cli, "character_field", never)
-    monkeypatch.setattr(cli, "class_traces", never)
-    code, rep = run_json(
-        ["end-algebra", "--p", "11", "--f", "2", "--m", "1", "--part", "odd"],
-        tmp_path,
-    )
+    monkeypatch.setattr(cli, "build_weil", never)
+    code, rep = run_json(["verify", "--p", "7", "--exhaustive"], tmp_path)
     assert code == 3
-    assert rep["error"]["kind"] == "too-large"
+    assert rep["error"] == {
+        "kind": "too-large",
+        "message": "the 112896 pairs of |Sp| = 336 exceed bound 100000",
+    }
 
 
 def test_build_with_twist(tmp_path):
@@ -585,6 +579,42 @@ def test_singular_pair_exits_2_in_a_fresh_interpreter(flags, tmp_path):
         "kind": "config-invalid",
         "message": "pair file: h1.c must be invertible",
     }
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python-O"])
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        (["--n", "0"], "--n 0 must be positive"),
+        (["--n", "5", "--ell", "4"], "--ell 4 must be a prime not dividing n = 5"),
+        (["--n", "5", "--ell", "1"], "--ell 1 must be a prime not dividing n = 5"),
+        (["--n", "5", "--ell", "5"], "--ell 5 must be a prime not dividing n = 5"),
+        (["--n", "6", "--ell", "7"], "--ell takes a prime n, not 6"),
+    ],
+    ids=["n-0", "ell-4", "ell-1", "ell-divides-n", "composite-n-with-ell"],
+)
+def test_norm_solve_refuses_invalid_field(field, message, flags, tmp_path):
+    # field_make guards these with asserts, which python -O strips: the
+    # command refuses them first
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import weildescent
+
+    src = Path(weildescent.__file__).resolve().parent.parent
+    out = tmp_path / "out.json"
+    argv = ["norm-solve", *field, "--top", "1", "--bottom", "1", "--out", str(out)]
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "weildescent.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert json.loads(out.read_text())["error"] == {"kind": "config-invalid", "message": message}
 
 
 @pytest.mark.parametrize(

@@ -13,11 +13,11 @@ from weildescent.fields import (
     field_make,
     subfield_membership,
     subfield_of_values,
+    trace_to_subfield,
 )
 from weildescent.finite import SymplecticSpace, fq_field, psi_standard
 from weildescent.linalg import Matrix
 from weildescent.rationality import (
-    DEFAULT_SP_BOUND,
     certify_division_quaternion,
     character_field,
     endomorphism_algebra,
@@ -26,6 +26,7 @@ from weildescent.rationality import (
     restrict_scalars,
 )
 from weildescent.weil import (
+    _trace_pair_dimension,
     class_traces,
     even_odd_split,
     heisenberg_rep,
@@ -33,14 +34,23 @@ from weildescent.weil import (
     weil_rep,
 )
 
+SWEEP_BOUND = 10**5
 
-def _end(rep, tag):
-    "End of rep over the tagged subfield, certified by its class_traces table."
-    return endomorphism_algebra(rep, tag, class_traces(rep, DEFAULT_SP_BOUND))
+
+def _end(rep, tag, constituents=1):
+    """End of rep over the tagged subfield, with its dimension checked
+    against the trace formula on the class_traces table of rep."""
+    alg = endomorphism_algebra(rep, tag, character_field(rep), constituents)
+    terms = [
+        (trace_to_subfield(t, tag), trace_to_subfield(ti, tag), w)
+        for t, ti, w in class_traces(rep, SWEEP_BOUND)
+    ]
+    assert alg.dim == _trace_pair_dimension(rep.field, terms)
+    return alg
 
 
 def test_class_traces_heisenberg(model3):
-    terms = class_traces(model3["heis"], DEFAULT_SP_BOUND)
+    terms = class_traces(model3["heis"], SWEEP_BOUND)
     K = model3["heis"].field
     assert len(terms) == 27 and all(w == 1 for _, _, w in terms)
     assert [t for t, _, _ in terms].count(K.from_int(3)) == 1  # only the identity
@@ -315,7 +325,7 @@ def test_character_field_equals_class_trace_field(p, f, m, ell, part):
     psi, space, w = build_weil(p, f, m, ell=ell)
     even, odd = even_odd_split(w)
     rep = {"full": w, "even": even, "odd": odd, "heisenberg": heisenberg_rep(psi, space)}[part]
-    terms = class_traces(rep, DEFAULT_SP_BOUND)
+    terms = class_traces(rep, SWEEP_BOUND)
     assert character_field(rep) == subfield_of_values([t for t, _, _ in terms])
 
 
@@ -428,7 +438,7 @@ def test_span_coordinates_match_rref_on_end_hom_basis(model5):
     # square u, and the products of basis elements expand in it
     from weildescent.linalg import span_coordinates
 
-    alg = _end(model5["weil"], model5["weil"].field.full_tag())
+    alg = _end(model5["weil"], model5["weil"].field.full_tag(), 2)
     assert {len(h) for h in alg.hom_bases.values()} == {2}
     checked = 0
     for u, homs in alg.hom_bases.items():
