@@ -264,6 +264,8 @@ def cmd_end_algebra(args, report):
 
 def cmd_descend(args, report):
     p, f, m, ell = _model_args(args)
+    if args.bound < 0:
+        raise ConfigInvalid(f"--bound {args.bound} must be non-negative")
     extras = {}
     if ell is not None:
         if args.part == "full":
@@ -289,12 +291,14 @@ def cmd_descend(args, report):
 
 def cmd_norm_solve(args, report):
     n, ell = args.n, args.ell
-    if n < 1:
-        raise ConfigInvalid(f"--n {n} must be positive")
+    if n < 2:
+        raise ConfigInvalid(f"--n {n} must be at least 2")
+    if args.bound < 0:
+        raise ConfigInvalid(f"--bound {args.bound} must be non-negative")
     if ell is not None:
         if not is_prime(ell) or n % ell == 0:
             raise ConfigInvalid(f"--ell {ell} must be a prime not dividing n = {n}")
-        if n > 1 and not is_prime(n):
+        if not is_prime(n):
             raise ConfigInvalid(f"--ell takes a prime n, not {n}")
     K = field_make(RATIONAL, n) if ell is None else field_make(MODULAR, n, ell)
     bottom = _tag_arg(K, args.bottom, "--bottom")
@@ -418,6 +422,8 @@ def cmd_theta(args, report):
 
 
 def cmd_hilbert(args, report):
+    if args.a == 0 or args.b == 0:
+        raise ConfigInvalid(f"the Hilbert symbol takes nonzero a and b, not ({args.a}, {args.b})")
     if args.place is not None:
         if args.place == "inf":
             v = INF

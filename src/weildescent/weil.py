@@ -25,12 +25,14 @@ lambda, read off omega~(g) omega~(h) e_0 = lambda omega~(gh) e_0 with
 omega~(gh) e_0 != 0 (d).
 
 Every token image is one scalar c times a matrix P whose nonzero entries are
-signed powers +-zeta^k (token_phases): a sign per column for M(a), psi-values
-for N(b) and S^-m times psi-values for W0.  The certificate runs on that
-form.  A column is a scalar times integer phase coordinates in
-Z[x]/(x^n - 1), x standing for zeta_n, on which P acts by signed cyclic
-shifts and sums; it enters K only to be compared.  Premise (a) compares the
-(sign, exponent) entries of P.
+signed powers +-zeta^k, computed in that form on the F_q index tables
+(token_phases), as rho_monomial computes rho: a sign per column for M(a),
+psi-values for N(b) and S^-m times psi-values for W0.  The dense image
+(weil_generator_image) is its expansion, as rho_matrix is rho_monomial's.
+The certificates run on the phase form.  A column is a scalar times integer
+phase coordinates in Z[x]/(x^n - 1), x standing for zeta_n, on which P acts
+by signed cyclic shifts and sums; it enters K only to be compared.  Premise
+(a) and Galois semilinearity compare the (sign, exponent) entries of P.
 
 class_traces gives the character data of a rep of Sp or H(W) as one table
 of terms (tr g, tr g^-1, weight), one per conjugacy class of Sp or per
@@ -41,7 +43,6 @@ _trace_pair_dimension as their oracles, as they read weil_op."""
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import product
 
 from .errors import CocycleViolation, IdentityFailure, InvalidCharacteristic
@@ -65,7 +66,7 @@ from .finite import (
     token_n,
     token_to_sp,
 )
-from .linalg import Matrix, monomial_form
+from .linalg import Matrix
 
 
 class MarkedRep:
@@ -225,45 +226,60 @@ def _weil_gauss_scalar(psi: AdditiveCharacter, space: SymplecticSpace):
     return acc
 
 
+def token_phases(psi: AdditiveCharacter, space: SymplecticSpace, tok):
+    """The image of tok as c . P, with every nonzero entry of P a signed
+    power s . zeta_n^k, n = K.n: returns (c, cols), cols[j] the (row, s, k)
+    of the nonzero entries of column j.  Computed on the F_q index tables,
+    with y, y0 running over Y in counting order:
+
+        M(a):  c = 1, column y0 holds legendre(det a) at row a^-T y0
+        N(b):  c = 1, diagonal psi((1/2) y^T b y)
+        W0:    c = S^-m, entry (y, y0) psi(-y . y0)
+
+    A psi-exponent e is the zeta_n-exponent (n / p) e."""
+    fq, m, q = space.fq, space.m, space.fq.q
+    add, mul, neg = fq.add, fq.mul, fq.neg
+    K = psi.coeff
+    ex, step = psi.exponents, K.n // fq.p
+    pts = [[(k // q**i) % q for i in range(m)] for k in range(q**m)]
+
+    def dot(u, v):
+        acc = 0
+        for a, b in zip(u, v):
+            acc = add[acc][mul[a][b]]
+        return acc
+
+    if tok[0] == "M":
+        a = Matrix(fq, [list(r) for r in tok[1]])
+        s = legendre(a.det())
+        ainvt = [[e.idx for e in row] for row in a.inverse().transpose().rows]
+        rows = [sum(dot(r, y0) * q**i for i, r in enumerate(ainvt)) for y0 in pts]
+        return K.one(), [[(row, s, 0)] for row in rows]
+    if tok[0] == "N":
+        b = [[e.idx for e in row] for row in tok[1]]
+        half = mul[space.half.idx]
+        return K.one(), [
+            [(j, 1, step * ex[half[dot(y, [dot(r, y) for r in b])]])] for j, y in enumerate(pts)
+        ]
+    c = _weil_gauss_scalar(psi, space).inv() ** m
+    return c, [[(i, 1, step * ex[neg[dot(y, y0)]]) for i, y in enumerate(pts)] for y0 in pts]
+
+
 def weil_generator_image(psi: AdditiveCharacter, space: SymplecticSpace, token) -> Matrix:
-    fq, m, K = space.fq, space.m, psi.coeff
-    pts = space.y_points()
-    n = len(pts)
-    if token[0] == "M":
-        a = Matrix(fq, [list(r) for r in token[1]])
-        sign = K.from_int(legendre(a.det()))
-        ainvt = a.inverse().transpose()
-        out = Matrix.zeros(K, n, n)
-        for col, y0 in enumerate(pts):
-            row = space.vector_index(tuple(ainvt.mul_vec(list(y0))))
-            out.rows[row][col] = sign
-        return out
-    if token[0] == "N":
-        b = Matrix(fq, [list(r) for r in token[1]])
-        assert b == b.transpose()
-        half = space.half
-        out = Matrix.zeros(K, n, n)
-        for i, y in enumerate(pts):
-            by = b.mul_vec(list(y))
-            quad = fq.zero()
-            for u, v in zip(y, by):
-                quad = quad + u * v
-            out.rows[i][i] = psi(half * quad)
-        return out
-    assert token == TOKEN_W
-    s = _weil_gauss_scalar(psi, space)
-    coeff = s.inv() ** m
-    out = Matrix.zeros(K, n, n)
-    cache = {}
-    for col, y0 in enumerate(pts):
-        for row, y in enumerate(pts):
-            dot = fq.zero()
-            for u, v in zip(y, y0):
-                dot = dot + u * v
-            dot = -dot
-            if dot not in cache:
-                cache[dot] = coeff * psi(dot)
-            out.rows[row][col] = cache[dot]
+    """The image of a Weil token as a dense matrix: the expansion of
+    token_phases, each entry c . s . zeta_n^k taken from psi.values."""
+    c, cols = token_phases(psi, space, token)
+    K = psi.coeff
+    step = K.n // psi.fq.p
+    values = psi.values if c == K.one() else [c * v for v in psi.values]
+    out = Matrix.zeros(K, len(cols), len(cols))
+    entries = {}  # (s, k) -> c . s . zeta_n^k
+    for j, col in enumerate(cols):
+        for i, s, k in col:
+            if (s, k) not in entries:
+                v = values[k // step]
+                entries[s, k] = v if s == 1 else -v
+            out.rows[i][j] = entries[s, k]
     return out
 
 
@@ -340,30 +356,26 @@ def parity_data(space: SymplecticSpace):
 
 def _block_image(full: Matrix, reps, neg_index, sign) -> Matrix:
     """Matrix of a parity-commuting operator on the even (sign 1) or odd
-    (sign -1) basis: delta_0 and delta_r +- delta_{-r} over representatives r.
-    A monomial operator maps each basis vector to at most two nonzeros, read
-    off its permutation and values."""
+    (sign -1) basis: delta_0 and delta_r +- delta_{-r} over representatives r,
+    each image read off the nonzero entries of columns r and -r."""
     K = full.field
     n = len(reps)
     out = Matrix.zeros(K, n, n)
     pos = {rr: rowpos for rowpos, rr in enumerate(reps)}
-    form = monomial_form(full)
-    if form is not None:
-        perm, vals = form
-    s, z = K.from_int(sign), K.zero()
+    z = K.zero()
     for colpos, r in enumerate(reps):
         # image of the basis vector supported on {r, -r}, as {row: value}
         other = neg_index[r]
-        if form is not None:
-            vec = {perm[r]: vals[r]}
-            if other != r:
-                vec[perm[other]] = s * vals[other]
-        else:
-            col = [full.rows[i][r] for i in range(full.nrows)]
-            if other != r:
-                col = [a + s * b for a, b in zip(col, (row[other] for row in full.rows))]
-            vec = {i: c for i, c in enumerate(col) if not c.is_zero()}
+        vec = {}
+        for j, s in [(r, 1)] if other == r else [(r, 1), (other, sign)]:
+            for i, row in enumerate(full.rows):
+                e = row[j]
+                if not e.is_zero():
+                    e = e if s == 1 else -e
+                    vec[i] = vec[i] + e if i in vec else e
         for i, c in vec.items():
+            if c.is_zero():
+                continue
             if i in pos:
                 out.rows[pos[i]][colpos] = c
             # consistency: the image must again be even/odd
@@ -416,41 +428,11 @@ class CocycleCert:
         }
 
 
-@lru_cache(maxsize=64)
-def _phase_table(c):
-    """{c . s . zeta_n^k: (s, k)} over s = +-1 and k mod n = K.n.  When
-    -zeta_n^k is itself a power of zeta_n (n even, or characteristic 2) the
-    entry keeps s = 1, so that (s, k) names each value once."""
-    K = c.field
-    table = {}
-    for s in (1, -1):
-        for k in range(K.n):
-            table.setdefault(c * K.zeta_pow(k) * s, (s, k))
-    return table
-
-
-def token_phases(rep: MarkedRep, tok):
-    """The image of tok as c . P, with c its first nonzero entry (row by
-    row) and every nonzero entry of P a signed power s . zeta_n^k,
-    n = K.n: returns (c, cols), cols[j] the (row, s, k) of the nonzero
-    entries of column j.  The Schroedinger images have this shape: M(a) is
-    a signed permutation, N(b) the diagonal of psi-values and W0 the scalar
-    S^-m times psi-values.  Each entry is looked up exactly in the table of
-    the c . s . zeta_n^k; an entry outside it, or a zero image, raises
-    IdentityFailure."""
-    mat = rep.image(tok)
-    nonzero = [
-        (i, j, e) for i, row in enumerate(mat.rows) for j, e in enumerate(row) if not e.is_zero()
-    ]
-    if not nonzero:
+def _nonzero_phases(psi: AdditiveCharacter, space: SymplecticSpace, tok):
+    "token_phases(psi, space, tok), refusing a zero image by IdentityFailure."
+    c, cols = token_phases(psi, space, tok)
+    if c.is_zero() or not any(cols):
         raise IdentityFailure(f"the image of {tok} is 0")
-    c = nonzero[0][2]
-    table = _phase_table(c)
-    cols = [[] for _ in range(mat.ncols)]
-    for i, j, e in nonzero:
-        if e not in table:
-            raise IdentityFailure(f"entry ({i}, {j}) of the image of {tok} is no c . +-zeta^k")
-        cols[j].append((i, *table[e]))
     return c, cols
 
 
@@ -507,7 +489,7 @@ class _Columns:
         if tok not in self.tokens:
             rep = self.rep
             g = token_to_sp(rep.space, tok)
-            c, cols = token_phases(rep, tok)
+            c, cols = _nonzero_phases(rep.psi, rep.space, tok)
             if tok not in self.declared:
                 # premise (a) for a token outside the declared generators: at
                 # m >= 2, sp_factor uses M(a) and N(b) for every a and b
@@ -658,18 +640,25 @@ def intertwining_check(wrep: MarkedRep, hrep: MarkedRep):
     rho_gens = _rho_generators(hrep.psi, hrep.space, hrep.gen_names)
     for tok in wrep.gen_names:
         g = token_to_sp(wrep.space, tok)
-        cols = token_phases(wrep, tok)[1]
+        cols = _nonzero_phases(wrep.psi, wrep.space, tok)[1]
         _check_intertwines(hrep.psi, hrep.space, tok, g, cols, rho_gens)
     return True
 
 
 def semilinearity_check(rep: MarkedRep, sigma: GaloisAut):
     """sigma(omega~_psi(tok)) = omega~_{psi^sigma}(tok) on every declared
-    token, for rep = weil_rep(psi, space)."""
-    conj = rep.conjugate(sigma)
-    rep2 = weil_rep(char_galois(sigma, rep.psi), rep.space)
+    token, for rep = weil_rep(psi, space), on the phase forms: sigma maps
+    c . s . zeta_n^k to sigma(c) . s . zeta_n^(u k), u its exponent, so the
+    scalar of the psi^sigma image must be sigma(c) and its (row, s, k)
+    entries those of rep with every k multiplied by u mod n."""
+    psi, space = rep.psi, rep.space
+    psi2 = char_galois(sigma, psi)
+    u, n = sigma.exponent, psi.coeff.n
     for tok in rep.gen_names:
-        if conj.image(tok) != rep2.image(tok):
+        c, cols = token_phases(psi, space, tok)
+        c2, cols2 = token_phases(psi2, space, tok)
+        moved = [[(i, s, u * k % n) for i, s, k in col] for col in cols]
+        if apply_aut(sigma, c) != c2 or moved != cols2:
             raise IdentityFailure(f"semilinearity fails at {tok}")
     return True
 

@@ -184,13 +184,13 @@ def test_scaled_w_image_fails_the_cocycle(verb, tmp_path, monkeypatch):
     from weildescent import weil
     from weildescent.finite import TOKEN_W
 
-    honest = weil.weil_generator_image
+    honest = weil.token_phases
 
     def scaled(psi, space, token):
-        img = honest(psi, space, token)
-        return img.scale(psi.values[1]) if token == TOKEN_W else img
+        c, cols = honest(psi, space, token)
+        return (c * psi.values[1], cols) if token == TOKEN_W else (c, cols)
 
-    monkeypatch.setattr(weil, "weil_generator_image", scaled)
+    monkeypatch.setattr(weil, "token_phases", scaled)
     code, rep = run_json([verb, "--p", "5"], tmp_path)
     assert code == 1
     assert rep["error"]["kind"] == "CocycleViolation"
@@ -536,11 +536,16 @@ def test_pair_file_base_is_valid(tmp_path):
         ["build", "--p", "5", "--pairs", "-3"],
         ["table", "--p", "3", "--f", "0"],
         ["table", "--p", "3", "--f", "1,-1"],
+        ["hilbert", "0", "1"],
+        ["hilbert", "0", "1", "-v", "2"],
+        ["norm-solve", "--n", "5", "--top", "1", "--bottom", "4", "--bound", "-3"],
+        ["descend", "--part", "odd", "--p", "5", "--bound", "-1"],
     ]
     + [["theta", "--pair", "{tmp}/shape-%s.json" % name] for name in PAIR_SHAPES],
     ids=["table-p", "theta-missing", "theta-malformed", "hilbert-place-x", "hilbert-place-4"]
     + ["norm-top-not-unit", "norm-top-outside-bottom", "end-subfield-not-unit"]
     + ["verify-pairs-0", "build-pairs-negative", "table-f-0", "table-f-negative"]
+    + ["hilbert-zero", "hilbert-zero-place", "norm-bound-negative", "descend-bound-negative"]
     + ["theta-shape-" + name for name in PAIR_SHAPES],
 )
 def test_malformed_input_exits_2(argv, tmp_path):
@@ -585,13 +590,14 @@ def test_singular_pair_exits_2_in_a_fresh_interpreter(flags, tmp_path):
 @pytest.mark.parametrize(
     "field, message",
     [
-        (["--n", "0"], "--n 0 must be positive"),
+        (["--n", "0"], "--n 0 must be at least 2"),
+        (["--n", "1"], "--n 1 must be at least 2"),
         (["--n", "5", "--ell", "4"], "--ell 4 must be a prime not dividing n = 5"),
         (["--n", "5", "--ell", "1"], "--ell 1 must be a prime not dividing n = 5"),
         (["--n", "5", "--ell", "5"], "--ell 5 must be a prime not dividing n = 5"),
         (["--n", "6", "--ell", "7"], "--ell takes a prime n, not 6"),
     ],
-    ids=["n-0", "ell-4", "ell-1", "ell-divides-n", "composite-n-with-ell"],
+    ids=["n-0", "n-1", "ell-4", "ell-1", "ell-divides-n", "composite-n-with-ell"],
 )
 def test_norm_solve_refuses_invalid_field(field, message, flags, tmp_path):
     # field_make guards these with asserts, which python -O strips: the

@@ -15,6 +15,7 @@ from weildescent.finite import (
     TOKEN_W,
     char_twist,
     fq_field,
+    legendre,
     psi_standard,
     sp_classes,
     sp_enumerate,
@@ -92,6 +93,87 @@ def test_m_image_examples(model3):
     # legendre(2 mod 3) = -1: signed permutation with sign -1
     nz = [e for row in m2.rows for e in row if not e.is_zero()]
     assert all(e == -w.field.one() for e in nz)
+
+
+def _dense_token_image(psi, space, token):
+    """The Weil token images from the model formulas, entry by entry on
+    dense matrices: the oracle of the phase form and its expansion."""
+    fq, m, K = space.fq, space.m, psi.coeff
+    pts = space.y_points()
+    n = len(pts)
+    out = Matrix.zeros(K, n, n)
+    if token[0] == "M":
+        a = Matrix(fq, [list(r) for r in token[1]])
+        sign = K.from_int(legendre(a.det()))
+        ainvt = a.inverse().transpose()
+        for col, y0 in enumerate(pts):
+            out.rows[space.vector_index(tuple(ainvt.mul_vec(list(y0))))][col] = sign
+        return out
+    half = space.half
+    if token[0] == "N":
+        b = Matrix(fq, [list(r) for r in token[1]])
+        for i, y in enumerate(pts):
+            quad = fq.zero()
+            for u, v in zip(y, b.mul_vec(list(y))):
+                quad = quad + u * v
+            out.rows[i][i] = psi(half * quad)
+        return out
+    assert token == TOKEN_W
+    gauss = K.zero()
+    for u in fq.elements():
+        gauss = gauss + psi(half * u * u)
+    coeff = gauss.inv() ** m
+    for col, y0 in enumerate(pts):
+        for row, y in enumerate(pts):
+            dot = fq.zero()
+            for u, v in zip(y, y0):
+                dot = dot + u * v
+            out.rows[row][col] = coeff * psi(-dot)
+    return out
+
+
+@pytest.mark.parametrize(
+    "p, f, m, ell, twist",
+    [
+        (3, 1, 1, None, 1), (5, 1, 1, None, 1), (3, 2, 1, None, 1), (3, 1, 2, None, 1),
+        (5, 1, 1, None, 2), (7, 1, 1, 29, 1),
+    ],
+    ids=["q3", "q5", "q9", "q3-m2", "q5-twist2", "q7-F29"],
+)
+def test_declared_token_images_match_the_model_formulas(p, f, m, ell, twist):
+    fq = fq_field(p, f)
+    space = SymplecticSpace(fq, m)
+    K = field_make(RATIONAL, p) if ell is None else field_make(MODULAR, p, ell)
+    psi = char_twist(psi_standard(fq, K), fq.from_int(twist))
+    w = weil_rep(psi, space)
+    for tok in w.gen_names:
+        assert w.image(tok) == _dense_token_image(psi, space, tok), tok
+
+
+def test_undeclared_token_images_match_the_model_formulas():
+    # seeded M(a) and N(b) outside the declared generators of Sp(4, F_3),
+    # the tokens sp_factor uses at m = 2
+    from weildescent.weil import weil_generator_image
+
+    fq = fq_field(3, 1)
+    space = SymplecticSpace(fq, 2)
+    psi = psi_standard(fq, field_make(RATIONAL, 3))
+    declared = set(weil_rep(psi, space).gen_names)
+    rng = random.Random(20)
+    toks = []
+    while len(toks) < 20:
+        e = [fq.from_int(rng.randrange(3)) for _ in range(4)]
+        if len(toks) % 2:
+            tok = token_n(Matrix(fq, [[e[0], e[1]], [e[1], e[2]]]))
+        else:
+            a = Matrix(fq, [e[:2], e[2:]])
+            if a.det().is_zero():
+                continue
+            tok = token_m(a)
+        if tok not in declared and tok not in toks:
+            toks.append(tok)
+    for tok in toks:
+        assert weil_generator_image(psi, space, tok) == _dense_token_image(psi, space, tok), tok
 
 
 def test_w_image_squared_is_center_up_to_sign(model5):
@@ -225,12 +307,30 @@ def test_column_cocycle_matches_dense_oracle(case):
         assert cocycle_value(rep, g, h) == _dense_lambda(rep, ops, g, h)
 
 
-def test_scaled_w_intertwines_but_fails_the_cocycle(model5):
+def _patch_phases(monkeypatch, change):
+    """Replace weil.token_phases by change(honest, psi, space, tok), honest
+    being the unpatched function; the dense images expand the patched forms."""
+    from weildescent import weil
+
+    honest = weil.token_phases
+    monkeypatch.setattr(
+        weil, "token_phases", lambda psi_, space, tok: change(honest, psi_, space, tok)
+    )
+
+
+def test_scaled_w_intertwines_but_fails_the_cocycle(model5, monkeypatch):
     # zeta_p . W0 still intertwines rho, but omega~(W0) omega~(W0) = zeta_p^2
     # omega~(-1) is no longer +-omega~(W0^2)
     sp, psi, heis = model5["space"], model5["psi"], model5["heis"]
+
+    def scaled(honest, psi_, space, tok):
+        c, cols = honest(psi_, space, tok)
+        return (c * psi_.values[1], cols) if tok == TOKEN_W else (c, cols)
+
+    honest_w0 = weil_rep(psi, sp).image(TOKEN_W)
+    _patch_phases(monkeypatch, scaled)
     w = weil_rep(psi, sp)
-    w._images[TOKEN_W] = w.image(TOKEN_W).scale(psi.values[1])
+    assert w.image(TOKEN_W) == honest_w0.scale(psi.values[1])
     assert intertwining_check(w, heis)
     w0 = token_to_sp(sp, TOKEN_W)
     rng = random.Random(14)
@@ -239,21 +339,6 @@ def test_scaled_w_intertwines_but_fails_the_cocycle(model5):
         cocycle_certificate(w, pairs, _commutant_dim(heis))
     with pytest.raises(CocycleViolation):
         cocycle_value(w, w0, w0)
-
-
-def test_non_phase_image_is_refused(model5):
-    # W0 with one entry doubled is no longer c times signed zeta-powers: both
-    # the intertwining check and the cocycle certificate refuse to read it
-    sp, psi, heis = model5["space"], model5["psi"], model5["heis"]
-    w = weil_rep(psi, sp)
-    bad = w.image(TOKEN_W).copy()
-    bad.rows[1][2] = bad.rows[1][2] + bad.rows[1][2]
-    w._images[TOKEN_W] = bad
-    w0 = token_to_sp(sp, TOKEN_W)
-    with pytest.raises(IdentityFailure, match="zeta"):
-        intertwining_check(w, heis)
-    with pytest.raises(IdentityFailure, match="zeta"):
-        cocycle_certificate(w, [(w0, w0)], _commutant_dim(heis))
 
 
 def test_cocycle_checks_the_word_of_each_element(model5, monkeypatch):
@@ -267,16 +352,20 @@ def test_cocycle_checks_the_word_of_each_element(model5, monkeypatch):
         cocycle_certificate(model5["weil"], [(w0, w0)], _commutant_dim(model5["heis"]))
 
 
-def test_cocycle_needs_a_nonzero_column(model5):
+def test_cocycle_needs_a_nonzero_column(model5, monkeypatch):
     # an N(1) image with a zero entry at e_0: omega~(g) e_0 = 0 on both sides,
     # which would read as lambda = +1 without premise (d)
     sp, psi = model5["space"], model5["psi"]
     fq = sp.fq
-    w = weil_rep(psi, sp)
     tok = token_n(Matrix(fq, [[fq.one()]]))
-    bad = w.image(tok).copy()
-    bad.rows[0][0] = psi.coeff.zero()
-    w._images[tok] = bad
+
+    def dropped(honest, psi_, space, t):
+        c, cols = honest(psi_, space, t)
+        return (c, [[]] + cols[1:]) if t == tok else (c, cols)
+
+    _patch_phases(monkeypatch, dropped)
+    w = weil_rep(psi, sp)
+    assert w.image(tok).rows[0][0].is_zero()
     g = token_to_sp(sp, tok)
     with pytest.raises(IdentityFailure, match="e_0 = 0"):
         cocycle_value(w, g, g * g.inverse())
@@ -295,7 +384,7 @@ def test_cocycle_needs_a_scalar_commutant(model5, monkeypatch):
         cocycle_certificate(model5["weil"], [(w0, w0)], 2)
 
 
-def test_undeclared_tokens_are_checked_at_rank_2():
+def test_undeclared_tokens_are_checked_at_rank_2(monkeypatch):
     # at m = 2, sp_factor uses M(a) and N(b) outside the declared generators;
     # a wrong image of one of them is caught before its column is used
     fq = fq_field(3, 1)
@@ -307,7 +396,14 @@ def test_undeclared_tokens_are_checked_at_rank_2():
     assert tok not in w.gen_names
     g = token_to_sp(sp, tok)
     assert cocycle_value(w, g, g) == 1
-    w._images[tok] = Matrix.identity(psi.coeff, w.dim)
+
+    def identity(honest, psi_, space, t):
+        c, cols = honest(psi_, space, t)
+        if t == tok:
+            c, cols = psi_.coeff.one(), [[(j, 1, 0)] for j in range(len(cols))]
+        return c, cols
+
+    _patch_phases(monkeypatch, identity)
     assert intertwining_check(w, heisenberg_rep(psi, sp))  # declared generators only
     with pytest.raises(IdentityFailure, match="intertwining fails"):
         cocycle_value(w, g, g)
@@ -360,6 +456,29 @@ def test_semilinearity(fixture, request):
     for u in K.galois_exponents():
         if u != 1:
             assert semilinearity_check(model["weil"], GaloisAut(K, u))
+
+
+@pytest.mark.parametrize("fault", ["scalar", "exponent"])
+def test_semilinearity_detects_a_wrong_conjugate(fault, model3, monkeypatch):
+    # the psi^2 model with the scalar of W0 negated, or one exponent of N(1)
+    # shifted, is no longer the Galois conjugate sigma_2 of the psi model
+    psi, sp = model3["psi"], model3["space"]
+    fq = sp.fq
+    n1 = token_n(Matrix(fq, [[fq.one()]]))
+
+    def corrupted(honest, psi_, space, tok):
+        c, cols = honest(psi_, space, tok)
+        if psi_.twist == fq.from_int(2):
+            if fault == "scalar" and tok == TOKEN_W:
+                c = -c
+            if fault == "exponent" and tok == n1:
+                ((i, s, k),) = cols[1]
+                cols = [cols[0], [(i, s, (k + 1) % psi_.coeff.n)]] + cols[2:]
+        return c, cols
+
+    _patch_phases(monkeypatch, corrupted)
+    with pytest.raises(IdentityFailure, match="semilinearity fails"):
+        semilinearity_check(model3["weil"], GaloisAut(psi.coeff, 2))
 
 
 def test_twist_identities_q5(model5):
@@ -462,13 +581,16 @@ def test_marked_rep_images_invertible(model5):
             assert rep.image(tok).is_invertible()
 
 
-def test_intertwining_detects_wrong_model(model3):
-    # breaking the character wrecks the intertwining relation
+def test_intertwining_detects_wrong_model(model3, monkeypatch):
+    # breaking the character wrecks the intertwining relation: W0 of psi^2
     sp, psi = model3["space"], model3["psi"]
-    fq = sp.fq
+    wrong = char_twist(psi, sp.fq.from_int(2))
+
+    def swapped(honest, psi_, space, tok):
+        return honest(wrong if tok == TOKEN_W else psi_, space, tok)
+
+    _patch_phases(monkeypatch, swapped)
     w = weil_rep(psi, sp)
-    wrong = weil_rep(char_twist(psi, fq.from_int(2)), sp)
-    w._images[TOKEN_W] = wrong.image(TOKEN_W)
     with pytest.raises(IdentityFailure):
         intertwining_check(w, model3["heis"])
 
@@ -834,10 +956,19 @@ expect("projector-central", lambda: isotypic_projector(pair, {"c": Matrix.identi
 heis = weil.heisenberg_rep(psi, sp)
 comm = len(intertwiner_space(heis.gens_images(), heis.gens_images()))
 w0 = token_to_sp(sp, TOKEN_W)
+honest_phases = weil.token_phases
+
+
+def scaled_w0(psi_, space, tok):
+    c, cols = honest_phases(psi_, space, tok)
+    return (c * psi_.values[1], cols) if tok == TOKEN_W else (c, cols)
+
+
+weil.token_phases = scaled_w0
 wz = weil.weil_rep(psi, sp)
-wz._images[TOKEN_W] = wz.image(TOKEN_W).scale(psi.values[1])
 weil.intertwining_check(wz, heis)
 expect("cocycle-column", lambda: weil.cocycle_certificate(wz, [(w0, w0)], comm), CocycleViolation)
+weil.token_phases = honest_phases
 
 # a factorization word that evaluates to another element
 honest_factor = weil.sp_factor
@@ -848,24 +979,47 @@ weil.sp_factor = honest_factor
 expect("commutant", lambda: weil.cocycle_certificate(weil.weil_rep(psi, sp), [(w0, w0)], 2))
 
 # omega~(N(1)) e_0 = 0: both sides of the column test vanish
-wcol = weil.weil_rep(psi, sp)
 n1 = token_n(Matrix(fq, [[fq.one()]]))
-zcol = wcol.image(n1).copy()
-zcol.rows[0][0] = psi.coeff.zero()
-wcol._images[n1] = zcol
+
+
+def zero_column(psi_, space, tok):
+    c, cols = honest_phases(psi_, space, tok)
+    return (c, [[]] + cols[1:]) if tok == n1 else (c, cols)
+
+
+weil.token_phases = zero_column
 g1 = token_to_sp(sp, n1)
-expect("zero-column", lambda: weil.cocycle_certificate(wcol, [(g1, g1 * g1.inverse())], comm))
+expect(
+    "zero-column",
+    lambda: weil.cocycle_certificate(weil.weil_rep(psi, sp), [(g1, g1 * g1.inverse())], comm),
+)
 
-# W0 with one entry doubled: not c times signed zeta-powers
-wphase = weil.weil_rep(psi, sp)
-doubled = wphase.image(TOKEN_W).copy()
-doubled.rows[1][2] = doubled.rows[1][2] + doubled.rows[1][2]
-wphase._images[TOKEN_W] = doubled
-expect("phase-entry", lambda: weil.cocycle_certificate(wphase, [(w0, w0)], comm))
 
-wzero = weil.weil_rep(psi, sp)
-wzero._images[TOKEN_W] = Matrix.zeros(psi.coeff, 3, 3)
-expect("zero-image", lambda: weil.intertwining_check(wzero, heis))
+def zero_w0(psi_, space, tok):
+    c, cols = honest_phases(psi_, space, tok)
+    return (c, [[] for _ in cols]) if tok == TOKEN_W else (c, cols)
+
+
+weil.token_phases = zero_w0
+expect("zero-image", lambda: weil.intertwining_check(weil.weil_rep(psi, sp), heis))
+
+
+# the psi^2 model with one exponent of its N(1) image shifted: no longer the
+# Galois conjugate sigma_2 of the psi model
+def shifted_n1(psi_, space, tok):
+    c, cols = honest_phases(psi_, space, tok)
+    if tok == n1 and psi_.twist == fq.from_int(2):
+        ((i, s, k),) = cols[1]
+        cols = [cols[0], [(i, s, (k + 1) % psi_.coeff.n)]] + cols[2:]
+    return c, cols
+
+
+weil.token_phases = shifted_n1
+expect(
+    "semilinearity",
+    lambda: weil.semilinearity_check(weil.weil_rep(psi, sp), fields.GaloisAut(psi.coeff, 2)),
+)
+weil.token_phases = honest_phases
 
 # an iso_test that finds every Galois conjugate isomorphic, over Q: the
 # stabilizer {1, 2} claims multiplicity m = 2, but Hom(V, V|_Q (x) K) is a line
@@ -1048,7 +1202,7 @@ def test_certificates_raise_under_optimize():
         "rho-exponent", "rho-t0-exponent", "parity-leak", "generation", "symplectic",
         "zero-inverse", "norm-outside", "r-tau-power", "no-witness", "sqrt-minus-one",
         "datum-entries", "omega-m-alpha", "projector-central", "cocycle-column", "word-element",
-        "commutant", "zero-column", "phase-entry", "zero-image", "orbit-multiplicity", "span",
+        "commutant", "zero-column", "zero-image", "semilinearity", "orbit-multiplicity", "span",
         "span-dependent",
         "datum-cocycle", "datum-rank", "hom-support",
         "subfield-coefficient", "m-squared-n", "split-certificate", "square-scalar", "trace-form",
