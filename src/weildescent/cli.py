@@ -29,7 +29,6 @@ from .fields import (
     MODULAR,
     RATIONAL,
     SubfieldTag,
-    cyclonum_from_json,
     field_make,
     is_prime,
 )
@@ -347,6 +346,10 @@ def _read_pair(path):
     K = field_make(RATIONAL, n) if char == 0 else field_make(MODULAR, n, char)
     need(is_int(dim) and dim >= 1, "dim must be a positive integer")
 
+    # a pair file repeats a few values many times: each distinct coefficient
+    # list (of this file's n and char) is parsed once
+    parsed = {}
+
     def entry(e, what):
         need(
             isinstance(e, dict)
@@ -355,10 +358,15 @@ def _read_pair(path):
             and len(e["coeffs"]) <= K.degree,
             f"{what} has an entry that is not an element of {K}",
         )
-        try:
-            return cyclonum_from_json(e, K)
-        except (TypeError, ValueError, ZeroDivisionError):
-            raise ConfigInvalid(f"pair file: {what} has an unreadable coefficient") from None
+        coeffs = e["coeffs"]
+        need(all(isinstance(c, str) for c in coeffs), f"{what} has an unreadable coefficient")
+        key = tuple(coeffs)
+        if key not in parsed:
+            try:
+                parsed[key] = K.from_coeffs(coeffs)
+            except (ValueError, ZeroDivisionError):
+                raise ConfigInvalid(f"pair file: {what} has an unreadable coefficient") from None
+        return parsed[key]
 
     def matrix(rows, size, what):
         need(

@@ -12,6 +12,8 @@ common positive denominator, fully reduced; a modular element as a vector
 of residues with denominator 1.  This keeps the hot multiply/reduce loops in
 plain integer arithmetic (see _kernel), and lets as_fraction, from_fraction
 and from_coeffs move prime-field values in and out of either kind of field.
+A product with a prime-field factor scales the other factor's coefficients
+and skips the kernel.
 
 A prime-field element is inverted in the prime field.  Any other inversion
 uses the Galois structure instead of polynomial division: the
@@ -448,6 +450,16 @@ class CycloNum:
             other = self.field.from_int(other)
         self._check(other)
         f = self.field
+        x, c = self, other
+        if any(c.nums[1:]):
+            x, c = c, x
+        if not any(c.nums[1:]):
+            # a prime-field factor c (zero included) scales x coefficientwise,
+            # which is the reduced polynomial product
+            k = c.nums[0]
+            if f.char:
+                return CycloNum(f, tuple((a * k) % f.char for a in x.nums), 1)
+            return _normalized(f, [a * k for a in x.nums], x.den * c.den)
         if f.char:
             v = lpoly_rem(
                 lpoly_mul(list(self.nums), list(other.nums), f.char),

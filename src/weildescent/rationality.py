@@ -17,9 +17,12 @@ character field (character_field, decided by witnesses on the generators).
 So dim Hom_K(^u V, V) is the number of constituents there and 0 elsewhere,
 as for the absolutely irreducible rho_psi of H(W).  Nothing sweeps the
 group; in characteristic ell the count needs ell prime to |G|.  The
-centre is the commutant of the algebra generators theta Id and
-A_{u,t} sigma_u, which is also how commutativity is read (Z(A) = A); the
-full structure-constant table is an oracle only."""
+centre lies in the sigma_1 block Hom_K(V, V): theta Id commutes with
+x = sum M_u sigma_u only if M_u = 0 wherever sigma_u moves theta, which
+it does at every u != 1 of the Hom support (checked).  So the centre is
+the commutant of the A_{v,s} sigma_v in c [K:R] coordinates, for c the
+number of constituents, and commutativity is read from it (Z(A) = A);
+the full structure-constant table is an oracle only."""
 
 from __future__ import annotations
 
@@ -254,29 +257,51 @@ class EndAlgebra:
         "Z(A) = A exactly when A is commutative."
         return self.n == self.dim
 
-    def generators(self):
-        """theta Id and the A_{u,t} sigma_u: every basis element
-        theta^j A_{u,t} sigma_u is the product (theta Id)^j (A_{u,t} sigma_u),
-        so they generate the algebra over R."""
-        K = self.rep.field
-        theta = {1: Matrix.identity(K, self.rep.dim).scale(self.rb.theta)}
-        return [theta] + [{u: A} for u in sorted(self.hom_bases) for A in self.hom_bases[u]]
-
     def center_basis(self):
-        """Basis (coordinate vectors over R) of the centre: the x with
-        x g = g x for every generator g."""
+        """Basis (coordinate vectors over R) of the centre, solved on the
+        sigma_1 block.  theta Id and the A_{v,s} sigma_v generate the algebra
+        over R (theta^j A_{v,s} sigma_v = (theta Id)^j A_{v,s} sigma_v), and
+        for x = sum M_u sigma_u
+
+            theta x - x theta = sum_u (theta - sigma_u(theta)) M_u sigma_u,
+
+        so a central x has M_u = 0 wherever sigma_u moves theta: checked for
+        every u != 1 of the Hom support.  The centre is then the kernel of the
+        commutators with the A_{v,s} sigma_v in the coordinates theta^j A_{1,t},
+        which come first in basis_index, padded with zeros; theta Id commutes
+        with that block.  The commutator of theta^j A_{1,t} with A sigma_v is
+
+            (theta^j P - sigma_v(theta)^j Q) sigma_v,  P = A_{1,t} A,
+                                                        Q = A sigma_v(A_{1,t}),
+
+        so P and Q are expanded in Hom_K(^v V, V) once for all j."""
         if self._center is None:
-            basis = [self.basis_element(i) for i in range(self.dim)]
+            K = self.rep.field
+            rb = self.rb
+            for u in self.hom_bases:
+                if u != 1 and apply_aut(GaloisAut(K, u), rb.theta) == rb.theta:
+                    raise IdentityFailure(
+                        f"sigma_{u} fixes theta: theta Id does not confine the centre to sigma_1"
+                    )
+            ones = self.hom_bases[1]
             rows = []
-            for g in self.generators():
-                cols = []
-                for b in basis:
-                    comm = self.multiply(b, g)
-                    for w, M in self.multiply(g, b).items():
-                        comm[w] = comm[w] - M if w in comm else -M
-                    cols.append(self.expand(comm))
-                rows.extend(list(r) for r in zip(*cols) if any(not c.is_zero() for c in r))
-            self._center = kernel_basis(self.rep.field, rows, self.dim)
+            for v in sorted(self.hom_bases):
+                sv = GaloisAut(K, v)
+                conj_powers = [apply_aut(sv, th) for th in rb.powers]
+                conj_ones = [B.map(sv) for B in ones]
+                for A in self.hom_bases[v]:
+                    cols = []
+                    for B, B_v in zip(ones, conj_ones):
+                        p = self._coordinates[v](B * A)
+                        q = self._coordinates[v](A * B_v)
+                        for th, th_v in zip(rb.powers, conj_powers):
+                            cs = [th * a - th_v * b for a, b in zip(p, q)]
+                            cols.append([r for c in cs for r in rb.expand(c)])
+                    rows.extend(list(r) for r in zip(*cols) if any(not c.is_zero() for c in r))
+            pad = [K.zero()] * (self.dim - len(ones) * rb.d)
+            self._center = [
+                list(x) + pad for x in kernel_basis(K, rows, len(ones) * rb.d)
+            ]
         return self._center
 
     @property

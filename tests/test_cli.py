@@ -496,6 +496,12 @@ PAIR_SHAPES = {
     "wrong-size": _pair_file(h2={"t": [[ONE, ONE], [ONE, ONE]]}),
     "entry-other-field": _pair_file(h2={"t": [[{"n": 5, "char": 0, "coeffs": ["1"]}]]}),
     "entry-bad-coeff": _pair_file(h2={"t": [[{"n": 3, "char": 0, "coeffs": ["x", "0"]}]]}),
+    # coefficients are exact strings: a JSON number or boolean is refused, so
+    # a true in the "sign" character does not read as the trivial one
+    "entry-float-coeff": _pair_file(h2={"t": [[{"n": 3, "char": 0, "coeffs": [-1.0, "0"]}]]}),
+    "entry-bool-coeff": _pair_file(
+        pi1=[{"label": "sign", "gens": {"c": [[{"n": 3, "char": 0, "coeffs": [True, "0"]}]]}}]
+    ),
     "pi1-not-list": _pair_file(pi1={"label": "trivial"}),
     "pi1-gens-mismatch": _pair_file(pi1=[{"label": "a", "gens": {"d": [[ONE]]}}]),
     "pi1-ragged": _pair_file(pi1=[{"gens": {"c": [[ONE], [ONE, ONE]]}}]),
@@ -556,6 +562,24 @@ def test_malformed_input_exits_2(argv, tmp_path):
     assert code == 2
     assert rep["error"]["kind"] == "config-invalid"
     assert rep["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "shape, where",
+    [
+        ("entry-bad-coeff", "h2.t"),
+        ("entry-float-coeff", "h2.t"),
+        ("entry-bool-coeff", "pi1[0].gens.c"),
+    ],
+)
+def test_pair_file_coefficient_must_be_a_readable_string(shape, where, tmp_path):
+    (tmp_path / "pair.json").write_text(PAIR_SHAPES[shape])
+    code, rep = run_json(["theta", "--pair", str(tmp_path / "pair.json")], tmp_path)
+    assert code == 2
+    assert rep["error"] == {
+        "kind": "config-invalid",
+        "message": f"pair file: {where} has an unreadable coefficient",
+    }
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python-O"])

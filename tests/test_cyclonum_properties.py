@@ -1,5 +1,6 @@
 """Property tests for CycloNum arithmetic in Q(zeta_n) and F_ell[zeta_p]:
-field axioms, the norm inverse, division by zero and the wire format."""
+field axioms, the coefficientwise product by a prime-field factor, the norm
+inverse, division by zero and the wire format."""
 
 import itertools
 
@@ -7,11 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weildescent._kernel import lpoly_mul, lpoly_rem, zpoly_mul, zpoly_rem
 from weildescent.errors import IdentityFailure
 from weildescent.fields import (
     MODULAR,
     RATIONAL,
     CoeffField,
+    CycloNum,
+    _normalized,
     cyclonum_from_json,
     cyclotomic_poly,
     field_make,
@@ -40,6 +44,16 @@ def elements(K, nonzero=False):
     return out.filter(lambda x: not x.is_zero()) if nonzero else out
 
 
+def polynomial_product(x, y):
+    "x y as the reduced polynomial product of the coefficient vectors."
+    K = x.field
+    if K.char:
+        v = lpoly_rem(lpoly_mul(list(x.nums), list(y.nums), K.char), list(K.modulus), K.char)
+        return CycloNum(K, tuple(v), 1)
+    v = zpoly_rem(zpoly_mul(list(x.nums), list(y.nums)), list(K.modulus))
+    return _normalized(K, v, x.den * y.den)
+
+
 @pytest.mark.parametrize("kind,n,ell", FIELDS, ids=IDS)
 class TestCycloNum:
     @PROPS
@@ -54,6 +68,18 @@ class TestCycloNum:
         assert a * (b + c) == a * b + a * c
         assert a + zero == a and a * one == a and a * zero == zero
         assert a + (-a) == zero and a - b == a + (-b)
+
+    @PROPS
+    @given(data=st.data())
+    def test_prime_field_factor_is_the_polynomial_product(self, kind, n, ell, data):
+        # __mul__ scales coefficientwise when a factor lies in the prime field
+        K = field_make(kind, n, ell)
+        x = data.draw(elements(K))
+        c = data.draw(coefficients(K).map(lambda v: K.from_coeffs(v[:1])))
+        for factor in (c, K.zero()):
+            want = polynomial_product(x, factor)
+            for got in (x * factor, factor * x):
+                assert (got.nums, got.den) == (want.nums, want.den)
 
     @PROPS
     @given(data=st.data())

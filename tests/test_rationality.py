@@ -37,10 +37,11 @@ from weildescent.weil import (
 SWEEP_BOUND = 10**5
 
 
-def _end(rep, tag, constituents=1):
+def _end(rep, tag, constituents=1, field_tag=None):
     """End of rep over the tagged subfield, with its dimension checked
-    against the trace formula on the class_traces table of rep."""
-    alg = endomorphism_algebra(rep, tag, character_field(rep), constituents)
+    against the trace formula on the class_traces table of rep; field_tag
+    defaults to character_field(rep)."""
+    alg = endomorphism_algebra(rep, tag, field_tag or character_field(rep), constituents)
     terms = [
         (trace_to_subfield(t, tag), trace_to_subfield(ti, tag), w)
         for t, ti, w in class_traces(rep, SWEEP_BOUND)
@@ -374,27 +375,60 @@ def _center_from_table(alg):
     return Matrix(alg.rep.field, rows).nullspace(), commutative
 
 
-def _odd_part(p, ell=None):
+def _weil_part(part, p, ell=None):
+    """The full Weil rep of Sp(2, F_p), or its even or odd part, over Q or
+    F_ell, with its character field.  "conjugated" is the full rep
+    conjugated by D = diag(1, zeta, 1, ...), so that End_K(V) has a basis
+    matrix that sigma_u moves; the omega(m_alpha) witness of character_field
+    does not hold in that basis, so its field is the full rep's."""
     fq = fq_field(p, 1)
-    psi = psi_standard(fq, field_make(MODULAR if ell else RATIONAL, p, ell))
-    return even_odd_split(weil_rep(psi, SymplecticSpace(fq, 1)))[1]
+    K = field_make(MODULAR if ell else RATIONAL, p, ell)
+    w = weil_rep(psi_standard(fq, K), SymplecticSpace(fq, 1))
+    if part == "conjugated":
+        D = Matrix.identity(K, w.dim)
+        D.rows[1][1] = K.zeta()
+        Dinv = D.inverse()
+        return w.derive("D w D^-1", lambda k: D * w.image(k) * Dinv), character_field(w)
+    rep = w if part == "full" else even_odd_split(w)[part == "odd"]
+    return rep, character_field(rep)
 
 
 @pytest.mark.parametrize(
     "part,subfield",
     [
+        # (p, ell): the odd part
         ((5, None), "Q"),
         ((5, None), "char"),
         ((7, None), "Q"),
         ((7, None), "char"),
         ((5, 7), "char"),
         ("heisenberg", "Q"),
+        # two constituents: Hom_K(^u V, V) is a plane at every square u
+        pytest.param(("full", 5, None), "Q", id="full-p5-Q"),
+        pytest.param(("full", 5, None), "char", id="full-p5-char"),
+        # quaternion-shaped over Q(sqrt 5): one Hom line at sigma_4
+        pytest.param(("even", 5, None), "char", id="even-p5-char"),
+        pytest.param(("full", 5, 13), "char", id="full-p5-ell13-char"),
+        pytest.param(("conjugated", 5, None), "Q", id="conjugated-p5-Q"),
     ],
 )
 def test_generator_centre_matches_structure_constants(model3, part, subfield):
-    rep = model3["heis"] if part == "heisenberg" else _odd_part(*part)
-    tag = rep.field.full_tag() if subfield == "Q" else character_field(rep)
-    alg = _end(rep, tag)
+    # the centre solved on the sigma_1 block is the rref kernel basis of the
+    # full commutator table, entry for entry
+    if part == "heisenberg":
+        rep = model3["heis"]
+        field_tag = character_field(rep)
+    else:
+        part, p, ell = part if len(part) == 3 else ("odd", *part)
+        rep, field_tag = _weil_part(part, p, ell)
+    tag = rep.field.full_tag() if subfield == "Q" else field_tag
+    alg = _end(rep, tag, 2 if part in ("full", "conjugated") else 1, field_tag)
+    if part == "conjugated":
+        # the sigma_1 block is not fixed by the other sigma_v of the support
+        K = rep.field
+        assert any(
+            B.map(GaloisAut(K, v)) != B for B in alg.hom_bases[1] for v in alg.hom_bases
+        )
     center, commutative = _center_from_table(alg)
     assert alg.center_basis() == center
     assert alg.is_commutative() == commutative

@@ -1,14 +1,20 @@
 """Report bytes pinned: the sha256 of the JSON report that cli.run writes to
 stdout, for a fixed set of quick commands.  A change that keeps every report
 byte-identical keeps these digests; a change that alters a report on purpose
-updates its digest here and says why.  theta is left out: its report holds
-the path of the pair file."""
+updates its digest here and says why.  The theta report holds the path of
+its pair file, so theta is pinned on a pair file written by the test, with
+config.pair taken out of the report."""
 
 import hashlib
+import json
 
 import pytest
 
 from weildescent.cli import run
+from weildescent.fields import RATIONAL, field_make
+from weildescent.finite import SymplecticSpace, fq_field, psi_standard
+from weildescent.linalg import Matrix
+from weildescent.weil import parity_matrix, weil_rep
 
 DIGESTS = {
     "verify --p 5": "ae6bbb434b8861baddb109594a8022ee04bba0d2f5a077fd46a72330500191a9",
@@ -29,7 +35,14 @@ DIGESTS = {
     "end-algebra --p 7 --part odd --subfield Q": (
         "cef10c3f4dc32328d84b7be2aebbe9168bd542c8eeaabd957da7364cc5b691ab"
     ),
+    "end-algebra --p 11 --part odd --subfield Q": (
+        "47f28d0293e32bc7ade0b2164bdbf6412f7317ef3078b9e36acdcf245eb3d528"
+    ),
+    "end-algebra --p 5 --m 2 --part full --subfield char": (
+        "ab18a31f468a7919ebf158887272358918bff24ec5db6bffa0ee65f5f8ccb850"
+    ),
 }
+THETA_DIGEST = "d545fe140582ba8c751ab4f5b4f2e12488b40006bdc2a6dc58f7740328f8a62b"
 
 
 @pytest.mark.parametrize("command", list(DIGESTS))
@@ -37,3 +50,40 @@ def test_report_bytes_are_pinned(command, capsys):
     assert run(command.split()) == 0
     text = capsys.readouterr().out
     assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[command]
+
+
+def _parity_pair(p):
+    """The pair file of H1 = {1, S}, S f(y) = f(-y), and H2 = the Weil
+    generators of Sp(2, F_p) over Q(zeta_p), with the trivial and the sign
+    character of H1."""
+    fq = fq_field(p, 1)
+    sp = SymplecticSpace(fq, 1)
+    K = field_make(RATIONAL, p)
+    w = weil_rep(psi_standard(fq, K), sp)
+
+    def ser(m):
+        return [[e.to_json() for e in row] for row in m.rows]
+
+    one = Matrix.identity(K, 1)
+    return {
+        "field": {"n": p, "char": 0},
+        "dim": p,
+        "h1": {"c": ser(parity_matrix(sp, K))},
+        "h2": {str(t): ser(w.image(t)) for t in w.gen_names},
+        "pi1": [
+            {"label": "trivial", "gens": {"c": ser(one)}},
+            {"label": "sign", "gens": {"c": ser(one.scale(K.from_int(-1)))}},
+        ],
+    }
+
+
+def test_theta_report_bytes_are_pinned(tmp_path):
+    # the theta report on the parity pair at p = 7, config.pair removed
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(_parity_pair(7)))
+    out = tmp_path / "theta.json"
+    assert run(["theta", "--pair", str(path), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    del report["config"]["pair"]
+    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == THETA_DIGEST

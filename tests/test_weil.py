@@ -1094,6 +1094,12 @@ bent.rows[0][1] = bent.rows[0][1] + K5.one()
 alg5.hom_bases[4] = [bent]
 expect("square-scalar", lambda: rationality.quaternion_scalar(alg5))
 
+# theta replaced by a rational: sigma_4 fixes it, so theta Id no longer
+# confines the centre to the sigma_1 block
+alg5 = rationality.endomorphism_algebra(even5, tag5, tag5, 1)
+alg5.rb.theta = K5.from_int(2)
+expect("centre-theta", alg5.center_basis)
+
 # a trace to Q that returns its argument: the entries of the trace form of
 # Q(sqrt 5) are not rational
 honest_trace = rationality.trace_to_subfield
@@ -1205,7 +1211,8 @@ def test_certificates_raise_under_optimize():
         "commutant", "zero-column", "zero-image", "semilinearity", "orbit-multiplicity", "span",
         "span-dependent",
         "datum-cocycle", "datum-rank", "hom-support",
-        "subfield-coefficient", "m-squared-n", "split-certificate", "square-scalar", "trace-form",
+        "subfield-coefficient", "m-squared-n", "split-certificate", "square-scalar", "centre-theta",
+        "trace-form",
         "block-idempotent", "block-sum", "gauss-square", "matrix-inverse", "product-formula",
         "z2-hensel", "z2-root", "z2-classes", "exact-division", "zeta-order",
         "min-poly-coefficient", "hom-dimension",
