@@ -33,7 +33,7 @@ from .fields import (
     is_prime,
 )
 from .finite import sp_enumerate, sp_order, sp_sample
-from .linalg import Matrix, intertwiner_space
+from .linalg import Matrix, intertwiner_space, monomial_form
 from .rationality import character_field, endomorphism_algebra
 from .descent import (
     build_weil,
@@ -379,7 +379,10 @@ def _read_pair(path):
             f"{what} must be {size} x {size}",
         )
         mat = Matrix(K, [[entry(e, what) for e in r] for r in rows])
-        need(not mat.det().is_zero(), f"{what} must be invertible")
+        # a monomial matrix (one nonzero entry per row and column) is
+        # invertible; only the others need the determinant
+        invertible = monomial_form(mat) is not None or not mat.det().is_zero()
+        need(invertible, f"{what} must be invertible")
         return mat
 
     def gens(obj, size, what):

@@ -7,7 +7,10 @@ Weyl element W0, and the conjugacy classes of Sp(W).
 An FqElem is an index in counting order, and F_q arithmetic is lookup in
 the add, neg, mul (log/antilog) and inv tables its FqField builds once;
 .coeffs gives the coefficient vector on the power basis of the modulus,
-which is what the wire format carries.
+which is what the wire format carries.  The hot loops (the factorization
+sp_word, the class sweep) hold a matrix as a row-major tuple of indices and
+multiply, invert and factor it on the tables; SpElement, a Matrix of
+FqElem, is the public form.
 
 Coordinates: W = X + Y with X = span(e_1..e_m), Y = span(f_1..f_m) and
 <e_i, f_j> = delta_ij.  A vector is a length-2m tuple of FqElem, X-part
@@ -372,6 +375,17 @@ class SpElement:
             if mat.transpose() * J * mat != J:
                 raise IdentityFailure("matrix is not symplectic")
 
+    @classmethod
+    def from_indices(cls, space: SymplecticSpace, x):
+        "The element with the row-major tuple x of F_q indices, taken as symplectic."
+        n, elems = space.dim, space.fq.elems
+        rows = [[elems[c] for c in x[i : i + n]] for i in range(0, n * n, n)]
+        return cls(space, Matrix(space.fq, rows), _checked=True)
+
+    def indices(self):
+        "The row-major tuple of the F_q indices of the entries."
+        return tuple(e.idx for row in self.mat.rows for e in row)
+
     def __mul__(self, o):
         assert self.space == o.space
         return SpElement(self.space, self.mat * o.mat, _checked=True)
@@ -467,40 +481,40 @@ def token_n(b: Matrix):
 TOKEN_W = ("W",)
 
 
-def _mat_from_key(fq, key):
-    return Matrix(fq, [list(r) for r in key])
+def _token(tag, fq: FqField, a, m: int):
+    "The token (tag, a) for an m x m matrix a given as a row-major index tuple."
+    elems = fq.elems
+    return (tag, tuple(tuple(elems[c] for c in a[i : i + m]) for i in range(0, m * m, m)))
+
+
+def token_indices(space: SymplecticSpace, token):
+    "The element of Sp(W) that token names, as a row-major tuple of F_q indices."
+    fq, m = space.fq, space.m
+    n = 2 * m
+    out = [0] * (n * n)
+    if token == TOKEN_W:  # [[0, -I], [I, 0]]
+        for i in range(m):
+            out[i * n + m + i] = fq.neg[1]
+            out[(m + i) * n + i] = 1
+        return tuple(out)
+    a = [e.idx for row in token[1] for e in row]
+    if token[0] == "M":  # [[a, 0], [0, a^-T]]
+        ainv = _index_det_inverse(fq, a, m)[1]
+        for i in range(m):
+            for j in range(m):
+                out[i * n + j] = a[i * m + j]
+                out[(m + i) * n + m + j] = ainv[j * m + i]
+        return tuple(out)
+    assert token[0] == "N" and all(a[i * m + j] == a[j * m + i] for i in range(m) for j in range(m))
+    for i in range(m):  # [[I, b], [0, I]]
+        out[i * n + i] = out[(m + i) * n + m + i] = 1
+        for j in range(m):
+            out[i * n + m + j] = a[i * m + j]
+    return tuple(out)
 
 
 def token_to_sp(space: SymplecticSpace, token) -> SpElement:
-    fq, m = space.fq, space.m
-    z = fq.zero()
-    if token[0] == "M":
-        a = _mat_from_key(fq, token[1])
-        ainvt = a.inverse().transpose()
-        rows = []
-        for i in range(m):
-            rows.append(list(a.rows[i]) + [z] * m)
-        for i in range(m):
-            rows.append([z] * m + list(ainvt.rows[i]))
-        return SpElement(space, Matrix(fq, rows), _checked=True)
-    if token[0] == "N":
-        b = _mat_from_key(fq, token[1])
-        assert b == b.transpose()
-        eye = Matrix.identity(fq, m)
-        rows = []
-        for i in range(m):
-            rows.append(list(eye.rows[i]) + list(b.rows[i]))
-        for i in range(m):
-            rows.append([z] * m + list(eye.rows[i]))
-        return SpElement(space, Matrix(fq, rows), _checked=True)
-    assert token == TOKEN_W
-    eye = Matrix.identity(fq, m)
-    rows = []
-    for i in range(m):
-        rows.append([z] * m + [-e for e in eye.rows[i]])
-    for i in range(m):
-        rows.append(list(eye.rows[i]) + [z] * m)
-    return SpElement(space, Matrix(fq, rows), _checked=True)
+    return SpElement.from_indices(space, token_indices(space, token))
 
 
 def eval_word(space: SymplecticSpace, word) -> SpElement:
@@ -510,58 +524,127 @@ def eval_word(space: SymplecticSpace, word) -> SpElement:
     return g
 
 
-def _symmetric_matrices(fq, m):
-    "All symmetric m x m matrices in counting order of the upper triangle."
+# ---------------------------------------------------------------------------
+# Matrices over F_q as row-major tuples of indices, on the F_q tables
+
+
+def _index_product(fq: FqField, x, y, n: int):
+    "x . y for n x n matrices over F_q given as row-major index tuples."
+    add, mul = fq.add, fq.mul
+    cols = [y[j::n] for j in range(n)]
+    out = []
+    for i in range(0, n * n, n):
+        row = [mul[a] for a in x[i : i + n]]
+        for col in cols:
+            acc = 0
+            for r, b in zip(row, col):
+                acc = add[acc][r[b]]
+            out.append(acc)
+    return tuple(out)
+
+
+def _index_det_inverse(fq: FqField, a, n: int):
+    """(det a, a^-1) for an n x n matrix a over F_q given as a row-major index
+    tuple, by Gauss-Jordan elimination on the tables; a^-1 is None when
+    det a = 0."""
+    add, mul, neg, inv = fq.add, fq.mul, fq.neg, fq.inv
+    rows = [list(a[i * n : (i + 1) * n]) + [int(i == j) for j in range(n)] for i in range(n)]
+    det = 1
+    for c in range(n):
+        r = next((r for r in range(c, n) if rows[r][c]), None)
+        if r is None:
+            return 0, None
+        if r != c:
+            rows[c], rows[r] = rows[r], rows[c]
+            det = neg[det]
+        det = mul[det][rows[c][c]]
+        scale = mul[inv[rows[c][c]]]
+        pivot = rows[c] = [scale[v] for v in rows[c]]
+        for k, row in enumerate(rows):
+            if k != c and row[c]:
+                factor = mul[neg[row[c]]]
+                rows[k] = [add[v][factor[w]] for v, w in zip(row, pivot)]
+    return det, tuple(v for row in rows for v in row[n:])
+
+
+@lru_cache(maxsize=None)
+def _inverse_shuffle(m: int):
+    """Entry (i, j) of g^-1 = [[D^T, -B^T], [-C^T, A^T]] for a symplectic
+    g = [[A, B], [C, D]]: (position in g, negated), row-major."""
+    n = 2 * m
+    return tuple(
+        ((j + m) % n * n + (i + m) % n, (i < m) != (j < m)) for i in range(n) for j in range(n)
+    )
+
+
+def _sp_inverse(fq: FqField, m: int, x):
+    "The inverse of x in Sp(W), as index tuples: an index shuffle plus the neg table."
+    neg = fq.neg
+    return tuple(neg[x[pos]] if flip else x[pos] for pos, flip in _inverse_shuffle(m))
+
+
+def _symmetric_indices(q: int, m: int):
+    "All symmetric m x m index tuples over F_q, in counting order of the upper triangle."
     slots = [(i, j) for i in range(m) for j in range(i, m)]
-    for k in range(fq.q ** len(slots)):
-        ent = {}
+    for k in range(q ** len(slots)):
+        s = [0] * (m * m)
         for idx, (i, j) in enumerate(slots):
-            ent[(i, j)] = fq.element((k // fq.q**idx) % fq.q)
-            ent[(j, i)] = ent[(i, j)]
-        yield Matrix(fq, [[ent[(i, j)] for j in range(m)] for i in range(m)])
+            s[i * m + j] = s[j * m + i] = (k // q**idx) % q
+        yield tuple(s)
+
+
+def sp_word(space: SymplecticSpace, x):
+    """Canonical word in M(a), N(b), W0 evaluating to the element x of Sp(W),
+    given as a row-major tuple of F_q indices; computed on the F_q tables.
+
+    With x = [[A, B], [C, D]]: C = 0 gives the parabolic word
+    M(A) N(A^-1 B); invertible C gives N(A C^-1) W0 M(C) N(C^-1 D); a
+    singular nonzero C is first repaired by the least symmetric s with
+    det(C - sA) != 0, pulled out as the lower unipotent
+    N'(s) = M(-I) W0 N(-s) W0.  Identity M and zero N tokens are left out."""
+    fq, m = space.fq, space.m
+    n = 2 * m
+    A, B, C, D = (
+        tuple(x[(r + i) * n + c + j] for i in range(m) for j in range(m))
+        for r, c in ((0, 0), (0, m), (m, 0), (m, m))
+    )
+    word = []
+    if not any(C):
+        if A != tuple(int(i == j) for i in range(m) for j in range(m)):
+            word.append(_token("M", fq, A, m))
+        b = _index_product(fq, _index_det_inverse(fq, A, m)[1], B, m)
+        if any(b):
+            word.append(_token("N", fq, b, m))
+        return word
+    cinv = _index_det_inverse(fq, C, m)[1]
+    if cinv is not None:
+        b1 = _index_product(fq, A, cinv, m)
+        if any(b1):
+            word.append(_token("N", fq, b1, m))
+        word += [TOKEN_W, _token("M", fq, C, m)]
+        b2 = _index_product(fq, cinv, D, m)
+        if any(b2):
+            word.append(_token("N", fq, b2, m))
+        return word
+    add, neg = fq.add, fq.neg
+    for s in _symmetric_indices(fq.q, m):
+        sa = _index_product(fq, s, A, m)
+        if _index_det_inverse(fq, tuple(add[c][neg[t]] for c, t in zip(C, sa)), m)[0]:
+            minus_eye = tuple(neg[int(i == j)] for i in range(m) for j in range(m))
+            word = [_token("M", fq, minus_eye, m), TOKEN_W]
+            if any(s):
+                word.append(_token("N", fq, tuple(neg[c] for c in s), m))
+            word.append(TOKEN_W)
+            lower = token_indices(space, word[0])  # this is N'(s)
+            for tok in word[1:]:
+                lower = _index_product(fq, lower, token_indices(space, tok), n)
+            return word + sp_word(space, _index_product(fq, _sp_inverse(fq, m, lower), x, n))
+    raise AssertionError("no symmetric repair found; q >= 3 guarantees one")
 
 
 def sp_factor(g: SpElement):
-    """Canonical word in M(a), N(b), W0 evaluating to g exactly.
-
-    C = 0 gives the parabolic word M(A) N(A^-1 B); invertible C gives
-    N(A C^-1) W0 M(C) N(C^-1 D); a singular nonzero C is first repaired by
-    the least symmetric s with det(C - sA) != 0, pulled out as the lower
-    unipotent N'(s) = M(-I) W0 N(-s) W0."""
-    space = g.space
-    fq, m = space.fq, space.m
-    A, B, C, D = g.blocks()
-    word = []
-    if C.is_zero():
-        if not A.is_identity():
-            word.append(token_m(A))
-        b = A.inverse() * B
-        if not b.is_zero():
-            word.append(token_n(b))
-        return word
-    if not C.det().is_zero():
-        cinv = C.inverse()
-        b1 = A * cinv
-        if not b1.is_zero():
-            word.append(token_n(b1))
-        word.append(TOKEN_W)
-        word.append(token_m(C))
-        b2 = cinv * D
-        if not b2.is_zero():
-            word.append(token_n(b2))
-        return word
-    for s in _symmetric_matrices(fq, m):
-        if not (C - s * A).det().is_zero():
-            eye = Matrix.identity(fq, m)
-            word.append(token_m(-eye))
-            word.append(TOKEN_W)
-            if not s.is_zero():
-                word.append(token_n(-s))
-            word.append(TOKEN_W)
-            lower = eval_word(space, word)  # this is N'(s)
-            rest = sp_factor(lower.inverse() * g)
-            return word + rest
-    raise AssertionError("no symmetric repair found; q >= 3 guarantees one")
+    "Canonical word in M(a), N(b), W0 evaluating to g exactly: sp_word on its indices."
+    return sp_word(g.space, g.indices())
 
 
 def sp_order(m: int, q: int) -> int:
@@ -730,7 +813,7 @@ def sp_classes(space: SymplecticSpace, tokens, bound: int) -> SpClasses:
     spanning tree and the right-multiplication table.  Reaching fewer than
     |Sp| elements raises IdentityFailure: the tokens do not generate.  The
     inverse is the block formula g^-1 = [[D^T, -B^T], [-C^T, A^T]] of a
-    symplectic g = [[A, B], [C, D]], an index shuffle plus the neg table.
+    symplectic g = [[A, B], [C, D]] (_sp_inverse).
     Conjugation by a token s needs no further product,
     s^-1 g s = inv(R_s(inv(R_s(g)))) with R_s(g) = g s, and the orbits under
     conjugation by the generating tokens are the conjugacy classes.
@@ -738,10 +821,7 @@ def sp_classes(space: SymplecticSpace, tokens, bound: int) -> SpClasses:
     total = sp_order_within(space, bound)
     fq, m, n = space.fq, space.m, space.dim
     tokens = tuple(tokens)
-    movers = [
-        _right_multiplier(fq, [e.idx for row in token_to_sp(space, t).mat.rows for e in row], n)
-        for t in tokens
-    ]
+    movers = [_right_multiplier(fq, token_indices(space, t), n) for t in tokens]
     ident = tuple(int(i == j) for i in range(n) for j in range(n))
     elements, parent, via, right = [ident], [None], [None], []
     index = {ident: 0}
@@ -757,16 +837,7 @@ def sp_classes(space: SymplecticSpace, tokens, bound: int) -> SpClasses:
             right.append(k)
     if len(elements) != total:
         raise IdentityFailure(f"generators reach {len(elements)} of the {total} elements of Sp")
-    # entry (i, j) of g^-1 is entry (j + m, i + m) of g (indices mod 2m),
-    # negated off the diagonal blocks
-    neg = fq.neg
-    shuffle = [
-        ((j + m) % n * n + (i + m) % n, (i < m) != (j < m)) for i in range(n) for j in range(n)
-    ]
-    inverse = [
-        index[tuple([neg[x[pos]] if flip else x[pos] for pos, flip in shuffle])]
-        for x in elements
-    ]
+    inverse = [index[_sp_inverse(fq, m, x)] for x in elements]
     T = len(tokens)
     class_of = [None] * len(elements)
     classes = []

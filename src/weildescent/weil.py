@@ -29,10 +29,14 @@ signed powers +-zeta^k, computed in that form on the F_q index tables
 (token_phases), as rho_monomial computes rho: a sign per column for M(a),
 psi-values for N(b) and S^-m times psi-values for W0.  The dense image
 (weil_generator_image) is its expansion, as rho_matrix is rho_monomial's.
-The certificates run on the phase form.  A column is a scalar times integer
-phase coordinates in Z[x]/(x^n - 1), x standing for zeta_n, on which P acts
-by signed cyclic shifts and sums; it enters K only to be compared.  Premise
-(a) and Galois semilinearity compare the (sign, exponent) entries of P.
+The certificates run on the phase form.  A column is integer phase
+coordinates in Z[x]/(x^n - 1), x standing for zeta_n, on which P acts by
+signed cyclic shifts and sums; only W0 has a scalar, so a word's scalar is a
+power of c_W that the cocycle certificate clears by multiplying with the
+integral S^m, and a column enters K only as its canonical reduction, to be
+compared.  Elements of Sp are F_q index tuples there (finite.sp_word).
+Premise (a), Galois semilinearity and the twisting identities compare the
+(sign, exponent) entries of P.
 
 class_traces gives the character data of a rep of Sp or H(W) as one table
 of terms (tr g, tr g^-1, weight), one per conjugacy class of Sp or per
@@ -44,7 +48,9 @@ _trace_pair_dimension as their oracles, as they read weil_op."""
 from __future__ import annotations
 
 from itertools import product
+from operator import itemgetter
 
+from ._kernel import lpoly_mul, lpoly_rem, zpoly_mul, zpoly_rem
 from .errors import CocycleViolation, IdentityFailure, InvalidCharacteristic
 from .fields import CoeffField, GaloisAut, apply_aut
 from .finite import (
@@ -55,16 +61,18 @@ from .finite import (
     SpElement,
     SymplecticSpace,
     TOKEN_W,
+    _index_det_inverse,
+    _index_product,
     char_galois,
     char_twist,
     heis_enumerate,
     legendre,
     sp_classes,
-    sp_act_heis,
     sp_factor,
+    sp_word,
+    token_indices,
     token_m,
     token_n,
-    token_to_sp,
 )
 from .linalg import Matrix
 
@@ -250,9 +258,9 @@ def token_phases(psi: AdditiveCharacter, space: SymplecticSpace, tok):
         return acc
 
     if tok[0] == "M":
-        a = Matrix(fq, [list(r) for r in tok[1]])
-        s = legendre(a.det())
-        ainvt = [[e.idx for e in row] for row in a.inverse().transpose().rows]
+        det, ainv = _index_det_inverse(fq, [e.idx for row in tok[1] for e in row], m)
+        s = legendre(fq.elems[det])
+        ainvt = [ainv[i::m] for i in range(m)]
         rows = [sum(dot(r, y0) * q**i for i, r in enumerate(ainvt)) for y0 in pts]
         return K.one(), [[(row, s, 0)] for row in rows]
     if tok[0] == "N":
@@ -436,23 +444,45 @@ def _nonzero_phases(psi: AdditiveCharacter, space: SymplecticSpace, tok):
     return c, cols
 
 
+def _monomial_entries(cols):
+    """[(row, s, k)] per column, its one entry s . zeta^k, when the cols of
+    token_phases are those of a signed monomial P (one entry per column,
+    the rows a permutation); None otherwise."""
+    if all(len(col) == 1 for col in cols) and len({col[0][0] for col in cols}) == len(cols):
+        return [col[0] for col in cols]
+    return None
+
+
 def _phase_op(cols, n):
     """x -> P x on phase coordinates, for P given by the cols of
     token_phases.  x holds n integers per entry, entry y at x[y n : (y + 1) n]
     standing for sum_t x[y n + t] zeta_n^t, so an entry s . zeta_n^k of P
     moves coordinate t of x_j to coordinate t + k mod n of row y, signed.
-    A monomial P (M, N) moves each coordinate to one place; any other P
-    (W0) sums, at each coordinate of P x, the coordinates moved there."""
+    A monomial P (M, N) is one gather plus a sign; any other P (W0) is one
+    gather-and-sum per coordinate of P x, over the coordinates moved there."""
+    size = len(cols) * n
+    mono = _monomial_entries(cols)
+    if mono is not None:
+        source, sign = [0] * size, [0] * size
+        for j, (y, s, k) in enumerate(mono):
+            for t in range(n):
+                source[y * n + (t + k) % n], sign[y * n + (t + k) % n] = j * n + t, s
+        gather = itemgetter(*source)
+        if -1 not in sign:
+            return gather
+        if 1 not in sign:
+            return lambda x: [-v for v in gather(x)]
+        return lambda x: [s * v for s, v in zip(sign, gather(x))]
     # coordinate of P x -> the indices in x moved there with sign +1, -1
-    plus, minus = [[] for _ in range(len(cols) * n)], [[] for _ in range(len(cols) * n)]
+    plus, minus = [[] for _ in range(size)], [[] for _ in range(size)]
     for j, col in enumerate(cols):
         for y, s, k in col:
             moved = plus if s == 1 else minus
             for t in range(n):
                 moved[y * n + (t + k) % n].append(j * n + t)
-    if all(len(a) + len(b) == 1 for a, b in zip(plus, minus)):
-        moves = [(1, a[0]) if a else (-1, b[0]) for a, b in zip(plus, minus)]
-        return lambda x: [s * x[i] for s, i in moves]
+    if not any(minus) and all(len(a) > 1 for a in plus):
+        gathers = [itemgetter(*a) for a in plus]
+        return lambda x: [sum(gather(x)) for gather in gathers]
 
     def apply(x):
         get = x.__getitem__
@@ -462,98 +492,155 @@ def _phase_op(cols, n):
 
 
 class _Columns:
-    """omega~(g) applied to vectors along the word sp_factor(g), on integer
-    phase coordinates.  Each token image is c . P (token_phases), P with
-    entries 0 and +-zeta^k, so a vector is kept as a scalar of K times
-    integer coordinates in Z[x]/(x^n - 1), x standing for zeta = zeta_n:
-    the M and N images act by a sign and a cyclic shift per column, W0 by
-    signed shifted sums (_phase_op), and the scalars c multiply along the
-    word.  A vector enters K only to be compared: reduced by the defining
-    polynomial (mod ell in the modular case), then scaled.  Caches the
-    word of every element with its scalar, its column omega~(g) e_0, and
-    the element and operator of every token."""
+    """omega~(g) applied to e_0 along the word sp_word(g), on integer phase
+    coordinates, for the cocycle certificate.  An element of Sp is a
+    row-major tuple of F_q indices; products and words are computed on the
+    F_q tables.  Each token image is c . P (token_phases), P with entries 0
+    and +-zeta^k, so P acts on integer coordinates in Z[x]/(x^n - 1), x
+    standing for zeta = zeta_n, by a gather and a sign (M, N) or a
+    gather-and-sum per coordinate (W0), as _phase_op builds it.
+
+    Only W0 carries a scalar, c_W = S^-m; an M or N image with another
+    scalar is refused by IdentityFailure.  So omega~(g) = c_W^k P_g, k the
+    number of W0 tokens in the word of g, and for a pair (g, h) with
+    e = k_g + k_h - k_gh the identity omega~(g) omega~(h) e_0 =
+    lam omega~(gh) e_0 reads c_W^e x = lam u, with x = P_g P_h e_0 and
+    u = P_gh e_0 integral.  Write c_W^-|e| = N / d, N integral and d a
+    positive integer; c_W^-1 = S^m is itself integral (S is a sum of
+    zeta-powers), so d = 1 for the model's W0.  For e > 0, c_W^e = d / N
+    and the identity is d x = lam N u; for e < 0 it is N x = lam d u.
+    Either way it is multiplied by N or d, nonzero elements of the field K
+    (N != 0 since c_W != 0; in F_ell[zeta_p], S^2 = +-q is prime to ell),
+    so the new identity holds exactly when the old one does, in
+    characteristic 0 and ell alike.  N^e u is made once per (gh, e); for
+    e < 0 the factor N goes on the per-pair side.  The two integral vectors
+    are compared on their canonical reductions by K.modulus (zpoly_rem, or
+    lpoly_rem mod ell): x -> zeta is a ring homomorphism Z[x] -> K that
+    sends x^n - 1 to 0, and the remainder by the defining polynomial is the
+    canonical form of an image.  No CycloNum is made per pair.
+
+    Caches the word of every element with its operators and W0 count, its
+    column P_g e_0, the reduced target of every (gh, e), and the element
+    and operator of every token.  Premise (a) for tokens outside the
+    declared generators, (c) and (d) of cocycle_value are checked here."""
 
     def __init__(self, rep: MarkedRep):
         self.rep = rep
+        K, space = rep.field, rep.space
         self.declared = set(rep.gen_names)
         self.rho_gens = None  # made for the first undeclared token
-        self.tokens = {}  # token -> (token_to_sp(token), c, x -> P x)
-        self.words = {}  # matrix key of g -> (sp_factor(g), product of its c)
-        self.cols = {}  # matrix key of g -> omega~(g) e_0 as (scalar, coordinates)
-        self.col_values = {}  # matrix key of g -> omega~(g) e_0 in K
-        K, space = rep.field, rep.space
-        self.e0 = (K.one(), [1] + [0] * (rep.dim * K.n - 1))
-        self.identity = SpElement(space, Matrix.identity(space.fq, space.dim), _checked=True)
+        self.tokens = {}  # token -> (its element, 1 for W0 and 0 otherwise, x -> P x)
+        self.words = {}  # element -> (the operators along its word, last first; W0 count)
+        self.cols = {}  # element g -> P_g e_0
+        self.targets = {}  # (gh, e) -> P_gh e_0 times its factor for e, reduced; its negative
+        self.factors = {}  # e -> (factor of the pair side, of the target), None for 1
+        self.w_scalar = None  # c_W, from the W0 token
+        n = space.dim
+        self.identity = tuple(int(i == j) for i in range(n) for j in range(n))
+        self.e0 = (1,) + (0,) * (rep.dim * K.n - 1)
 
     def _token(self, tok):
         if tok not in self.tokens:
             rep = self.rep
-            g = token_to_sp(rep.space, tok)
+            g = token_indices(rep.space, tok)
             c, cols = _nonzero_phases(rep.psi, rep.space, tok)
             if tok not in self.declared:
                 # premise (a) for a token outside the declared generators: at
-                # m >= 2, sp_factor uses M(a) and N(b) for every a and b
+                # m >= 2, sp_word uses M(a) and N(b) for every a and b
                 if self.rho_gens is None:
                     keys = heisenberg_rep(rep.psi, rep.space).gen_names
                     self.rho_gens = _rho_generators(rep.psi, rep.space, keys)
                 _check_intertwines(rep.psi, rep.space, tok, g, cols, self.rho_gens)
-            self.tokens[tok] = (g, c, _phase_op(cols, rep.field.n))
+            if tok == TOKEN_W:
+                self.w_scalar = c
+            elif c != rep.field.one():
+                raise IdentityFailure(f"the image of {tok} has the scalar {c!r}, not 1")
+            self.tokens[tok] = (g, int(tok == TOKEN_W), _phase_op(cols, rep.field.n))
         return self.tokens[tok]
 
-    def _word(self, g: SpElement):
-        "(sp_factor(g), the product of the token scalars c along it)."
-        key = g.mat.to_key()
-        if key not in self.words:
-            word = sp_factor(g)
-            h, c = self.identity, self.rep.field.one()
-            for tok in word:
-                elem, ct, _ = self._token(tok)
-                h, c = h * elem, ct * c
-            if h != g:  # premise (c)
-                raise IdentityFailure(f"sp_factor gives a word for another element than {g!r}")
-            self.words[key] = word, c
-        return self.words[key]
+    def _word(self, x):
+        "(the operators P along sp_word(x), last token first; its W0 count k)."
+        if x not in self.words:
+            space = self.rep.space
+            prod, ops, k = self.identity, [], 0
+            for tok in sp_word(space, x):
+                elem, is_w, op = self._token(tok)
+                prod = _index_product(space.fq, prod, elem, space.dim)
+                ops.append(op)
+                k += is_w
+            if prod != x:  # premise (c)
+                raise IdentityFailure(
+                    f"sp_word gives a word for another element than"
+                    f" {SpElement.from_indices(space, x)!r}"
+                )
+            ops.reverse()
+            self.words[x] = ops, k
+        return self.words[x]
 
-    def apply(self, g: SpElement, v):
-        "omega~(g) v, v and the result as (scalar, coordinates)."
-        word, c = self._word(g)
-        s, x = v
-        for tok in reversed(word):
-            x = self.tokens[tok][2](x)
-        return s * c, x
+    def column(self, x):
+        "P_x e_0 as phase coordinates."
+        if x not in self.cols:
+            v = self.e0
+            for op in self._word(x)[0]:
+                v = op(v)
+            self.cols[x] = v
+        return self.cols[x]
 
-    def column(self, g: SpElement):
-        "omega~(g) e_0 as (scalar, coordinates)."
-        key = g.mat.to_key()
-        if key not in self.cols:
-            self.cols[key] = self.apply(g, self.e0)
-        return self.cols[key]
+    def _factors(self, e):
+        "(factor of the pair side, factor of the target) for the W0 count difference e."
+        if e not in self.factors:
+            if e == 0:
+                self.factors[e] = None, None
+            else:
+                r = self.w_scalar.inv() ** abs(e)  # c_W^-|e| = N / d
+                num, den = list(r.nums), [r.den] if r.den != 1 else None
+                self.factors[e] = (den, num) if e > 0 else (num, den)
+        return self.factors[e]
 
-    def _in_field(self, v):
-        "The entries of v = (scalar, coordinates) in K."
-        s, x = v
+    def _reduced(self, v, factor):
+        "The canonical coordinates in K of the entries of the phase vector v times factor."
         K = self.rep.field
-        n = K.n
-        return [K.from_zeta_coords(x[a : a + n]) * s for a in range(0, len(x), n)]
+        n, mod, ell = K.n, K.modulus, K.char
+        out = []
+        for a in range(0, len(v), n):
+            block = v[a : a + n]
+            if ell:
+                out += lpoly_rem(lpoly_mul(block, factor, ell) if factor else block, mod, ell)
+            else:
+                out += zpoly_rem(zpoly_mul(block, factor) if factor else block, mod)
+        return out
+
+    def _target(self, xy, e, g, h):
+        "(P_gh e_0 times its factor for e, reduced; its negative), refusing a zero column."
+        if (xy, e) not in self.targets:
+            u = self._reduced(self.column(xy), self._factors(e)[1])
+            if not any(u):  # premise (d)
+                raise IdentityFailure(f"omega~(gh) e_0 = 0 at g = {g!r}, h = {h!r}")
+            ell = self.rep.field.char
+            self.targets[xy, e] = u, [(-c) % ell for c in u] if ell else [-c for c in u]
+        return self.targets[xy, e]
 
     def value(self, g: SpElement, h: SpElement) -> int:
-        gh = g * h
-        key = gh.mat.to_key()
-        if key not in self.col_values:
-            self.col_values[key] = self._in_field(self.column(gh))
-        u = self.col_values[key]
-        nonzero = [i for i, e in enumerate(u) if not e.is_zero()]
-        if not nonzero:  # premise (d)
-            raise IdentityFailure(f"omega~(gh) e_0 = 0 at g = {g!r}, h = {h!r}")
-        w = self._in_field(self.apply(g, self.column(h)))
+        x, y = g.indices(), h.indices()
+        xy = _index_product(g.space.fq, x, y, g.space.dim)
+        ops, k = self._word(x)
+        e = k + self._word(y)[1] - self._word(xy)[1]
+        u, minus_u = self._target(xy, e, g, h)
+        w = self.column(y)
+        for op in ops:
+            w = op(w)
+        w = self._reduced(w, self._factors(e)[0])
         if w == u:
             return 1
-        if w == [-e for e in u]:
+        if w == minus_u:
             return -1
-        i = nonzero[0]
+        K = self.rep.field
+        d = K.degree
+        i = next(i for i in range(0, len(u), d) if any(u[i : i + d]))
+        ratio = K.from_zeta_coords(w[i : i + d]) / K.from_zeta_coords(u[i : i + d])
         raise CocycleViolation(
             f"omega~(g) omega~(h) e_0 = lambda omega~(gh) e_0 fails for lambda = +-1"
-            f" (entry {i} gives {w[i] / u[i]!r})"
+            f" (entry {i // d} gives {ratio!r})"
         )
 
 
@@ -565,14 +652,21 @@ def cocycle_value(rep: MarkedRep, g: SpElement, h: SpElement) -> int:
     The reading is a certificate under Schur's lemma, given four premises:
     (a) every token image intertwines rho, omega(s) rho(v) = rho(s.v)
     omega(s) (intertwining_check on the declared generators; the tokens
-    outside them, which sp_factor uses at m >= 2, are checked here as they
-    first appear); (b) the commutant of rho is K (cocycle_certificate
-    requires it); (c) each word sp_factor(g) evaluates to g over F_q,
-    checked here as the product of the token elements; (d) omega~(gh) e_0
-    != 0, checked here.  Then omega~(g) omega~(h) omega~(gh)^-1 commutes
-    with rho (rho being a representation of H, as heisenberg_hom_check
-    certifies), so it is a scalar lambda, and one nonzero column decides
-    lambda.  (c) and (d) raise IdentityFailure.
+    outside them, which sp_word uses at m >= 2, are checked by _Columns as
+    they first appear); (b) the commutant of rho is K (cocycle_certificate
+    requires it); (c) each word sp_word(g) evaluates to g over F_q, checked
+    by _Columns as the product of the token elements on the F_q tables;
+    (d) omega~(gh) e_0 != 0, checked by _Columns on its reduced coordinates.
+    Then omega~(g) omega~(h) omega~(gh)^-1 commutes with rho (rho being a
+    representation of H, as heisenberg_hom_check certifies), so it is a
+    scalar lambda, and one nonzero column decides lambda.  (c) and (d)
+    raise IdentityFailure.
+
+    The scalars are compared through the W0 count: only W0 carries one,
+    c_W = S^-m, so both sides are integral vectors once multiplied by a
+    power of c_W^-1 = S^m, which is exact in characteristic 0 and ell
+    alike (see _Columns), and they are compared on their canonical
+    reductions by the defining polynomial of K, never as CycloNums.
 
     Empirically this section measures identically +1 on every finite
     group tested (exhaustively on Sp(2,F_3) and Sp(2,F_5)): the double
@@ -610,8 +704,9 @@ def _rho_generators(psi: AdditiveCharacter, space: SymplecticSpace, keys):
 
 
 def _check_intertwines(psi: AdditiveCharacter, space: SymplecticSpace, tok, g, cols, rho_gens):
-    """omega~(tok) rho(h) = rho(g.h) omega~(tok) for g = token_to_sp(tok) and
-    every h of rho_gens (from _rho_generators); raises IdentityFailure.
+    """omega~(tok) rho(h) = rho(g.h) omega~(tok) for g = token_indices(tok)
+    and every h of rho_gens (from _rho_generators); raises IdentityFailure.
+    g . (w, t) = (g w, t) is computed on the F_q tables.
     omega~(tok) = c . P with cols the columns of P (token_phases), so it is
     P that is compared, column by column on its (sign, exponent) entries,
     with rho in monomial form: column j of P rho(h) is column perm[j] of P
@@ -620,8 +715,17 @@ def _check_intertwines(psi: AdditiveCharacter, space: SymplecticSpace, tok, g, c
     O(n) per h, a dense one (W0) O(n^2)."""
     n = psi.coeff.n
     step = n // space.fq.p  # psi-exponent e is the zeta_n-exponent step . e
+    fq, dim = space.fq, space.dim
+    add, mul = fq.add, fq.mul
+    rows = [[mul[a] for a in g[i : i + dim]] for i in range(0, dim * dim, dim)]
     for hk, h, (perm, exps) in rho_gens:
-        perm2, exps2 = rho_monomial(psi, space, sp_act_heis(g, h))
+        gw = []
+        for row in rows:
+            acc = 0
+            for r, c in zip(row, h.w):
+                acc = add[acc][r[c.idx]]
+            gw.append(fq.elems[acc])
+        perm2, exps2 = rho_monomial(psi, space, HeisElem(space, gw, h.t))
         for j, col in enumerate(cols):
             e = step * exps[j]
             lhs = {i: (s, (k + e) % n) for i, s, k in cols[perm[j]]}
@@ -639,7 +743,7 @@ def intertwining_check(wrep: MarkedRep, hrep: MarkedRep):
     is invertible, and omega~(g) rho(h) omega~(g)^-1 = rho(g.h) follows."""
     rho_gens = _rho_generators(hrep.psi, hrep.space, hrep.gen_names)
     for tok in wrep.gen_names:
-        g = token_to_sp(wrep.space, tok)
+        g = token_indices(wrep.space, tok)
         cols = _nonzero_phases(wrep.psi, wrep.space, tok)[1]
         _check_intertwines(hrep.psi, hrep.space, tok, g, cols, rho_gens)
     return True
@@ -663,6 +767,36 @@ def semilinearity_check(rep: MarkedRep, sigma: GaloisAut):
     return True
 
 
+def _signed_permutation(tok, cols):
+    "_monomial_entries(cols), refusing a P that is not monomial by IdentityFailure."
+    mono = _monomial_entries(cols)
+    if mono is None:
+        raise IdentityFailure(f"the image of {tok} is not monomial")
+    return mono
+
+
+def _times_monomial(cols, mono, n):
+    """The columns of X M, for X given by cols and M by _signed_permutation:
+    column j is column r_j of X times s_j zeta^k_j."""
+    return [sorted((i, s * t, (k + kk) % n) for i, t, kk in cols[r]) for r, s, k in mono]
+
+
+def _monomial_times(mono, cols, n):
+    "The columns of M X: row i of X moved to row r_i and multiplied by s_i zeta^k_i."
+    return [
+        sorted((mono[i][0], mono[i][1] * t, (mono[i][2] + kk) % n) for i, t, kk in col)
+        for col in cols
+    ]
+
+
+def _same_image(c1, cols1, c2, cols2):
+    """c1 P1 == c2 P2 for phase forms with rows sorted: equal scalars and
+    columns, or opposite scalars and columns of opposite signs."""
+    if c1 == c2:
+        return cols1 == cols2
+    return c1 == -c2 and cols1 == [[(i, -s, k) for i, s, k in col] for col in cols2]
+
+
 def weil_twist_check(psi: AdditiveCharacter, space: SymplecticSpace, gamma: FqElem):
     """Exact finite-case forms of the twisting identities: on every declared
     M(a) and N(b) token, the M-image is psi-independent (the Hilbert symbol
@@ -673,28 +807,36 @@ def weil_twist_check(psi: AdditiveCharacter, space: SymplecticSpace, gamma: FqEl
 
     with the scalar identity Omega_mu(psi^gamma o Q) =
     legendre(gamma)^m Omega_mu(psi o Q), and conjugation by M(gamma)
-    realises the square-twist on every generator."""
-    fq, m = space.fq, space.m
+    realises the square-twist on every generator.
+
+    Every image is compared on its phase form c . P (token_phases), as a
+    table of (row, sign, exponent) entries, with no dense matrix: the M
+    tables are equal, the psi^gamma table of N(b) is the psi table of
+    N(gamma b), W0 M(gamma^-1) is a signed column permutation of W0, and
+    X M(gamma) and M(gamma) X are signed moves of the rows and columns of
+    X.  The M images, being monomial, are read by _signed_permutation."""
+    fq, m, n = space.fq, space.m, psi.coeff.n
     psig = char_twist(psi, gamma)
-    rep = weil_rep(psi, space)
-    repg = weil_rep(psig, space)
+    toks = _gl_generator_tokens(space)
     report = {}
-    for tok in rep.gen_names:
-        if tok[0] == "M" and rep.image(tok) != repg.image(tok):
+    for tok in toks:
+        if tok[0] == "M" and token_phases(psi, space, tok) != token_phases(psig, space, tok):
             raise IdentityFailure(f"M-image depends on psi at {tok}")
     report["m_identity"] = True
-    for tok in rep.gen_names:
+    for tok in toks:
         if tok[0] == "N":
             gamma_b = token_n(Matrix(fq, [list(r) for r in tok[1]]).scale(gamma))
-            if repg.image(tok) != rep.image(gamma_b):
+            if token_phases(psig, space, tok) != token_phases(psi, space, gamma_b):
                 raise IdentityFailure(f"N-twist identity fails at {tok}")
     report["n_identity"] = True
-    ginv = gamma.inv()
     eye = Matrix.identity(fq, m)
-    lhs = repg.image(TOKEN_W)
-    rhs = rep.image(TOKEN_W) * rep.image(token_m(eye.scale(ginv)))
-    report["w_identity"] = lhs == rhs
-    if lhs != rhs:
+    c1, lhs = token_phases(psig, space, TOKEN_W)
+    c2, w0 = token_phases(psi, space, TOKEN_W)
+    m_inv = token_m(eye.scale(gamma.inv()))
+    cm, mcols = token_phases(psi, space, m_inv)
+    rhs = _times_monomial(w0, _signed_permutation(m_inv, mcols), n)
+    report["w_identity"] = _same_image(c1, [sorted(col) for col in lhs], c2 * cm, rhs)
+    if not report["w_identity"]:
         raise IdentityFailure("W0-twist identity fails")
     s = _weil_gauss_scalar(psi, space)
     sg = _weil_gauss_scalar(psig, space)
@@ -702,11 +844,16 @@ def weil_twist_check(psi: AdditiveCharacter, space: SymplecticSpace, gamma: FqEl
     report["omega_scalar"] = (sg**m) == chi * (s**m)
     if not report["omega_scalar"]:
         raise IdentityFailure("Omega_{w,gamma} scalar identity fails")
-    # conjugation by M(gamma) realises psi -> psi^(gamma^2) on all generators
-    repgg = weil_rep(char_twist(psi, gamma * gamma), space)
-    mg = rep.image(token_m(eye.scale(gamma)))
-    for tok in rep.gen_names:
-        if repgg.image(tok) * mg != mg * rep.image(tok):
+    # conjugation by M(gamma) realises psi -> psi^(gamma^2) on all generators:
+    # omega_{psi^(gamma^2)}(tok) M(gamma) = M(gamma) omega_psi(tok), the
+    # scalar of M(gamma) on both sides
+    psigg = char_twist(psi, gamma * gamma)
+    m_gamma = token_m(eye.scale(gamma))
+    mono = _signed_permutation(m_gamma, token_phases(psi, space, m_gamma)[1])
+    for tok in toks:
+        c1, x1 = token_phases(psigg, space, tok)
+        c2, x2 = token_phases(psi, space, tok)
+        if not _same_image(c1, _times_monomial(x1, mono, n), c2, _monomial_times(mono, x2, n)):
             raise IdentityFailure(f"square-twist conjugation fails at {tok}")
     report["square_twist_conjugation"] = True
     # the quadratic-sum convention behind Omega^psi_{1,gamma} = legendre

@@ -19,6 +19,7 @@ from weildescent.finite import (
     psi_standard,
     sp_classes,
     sp_enumerate,
+    sp_factor,
     sp_order,
     sp_sample,
     token_m,
@@ -283,12 +284,24 @@ def _oracle_case(case):
     elif case == "Sp(2,F_5) twist 2":
         sp, K, seed, npairs = SymplecticSpace(fq5, 1), field_make(RATIONAL, 5), 16, 60
         twist = 2
+    elif case == "Sp(4,F_3) over F_11[zeta_3]":  # 11 = 2 mod 3: zeta_3 has degree 2
+        sp, K, seed, npairs = SymplecticSpace(fq3, 2), field_make(MODULAR, 3, 11), 18, 20
+    elif case == "Sp(4,F_3) e < 0":
+        sp, K, seed, npairs = SymplecticSpace(fq3, 2), field_make(RATIONAL, 3), 19, 60
     elif case == "F_29[zeta_7]":  # 29 = 1 mod 7: zeta_7 lies in F_29, degree 1
         sp, K, seed, npairs = SymplecticSpace(fq_field(7, 1), 1), field_make(MODULAR, 7, 29), 17, 40
     else:  # the modular model over F_7[zeta_5]
         sp, K, seed, npairs = SymplecticSpace(fq5, 1), field_make(MODULAR, 5, 7), 13, 60
     rng = random.Random(seed)
     pairs = [(sp_sample(sp, rng), sp_sample(sp, rng)) for _ in range(npairs)]
+    if case == "Sp(4,F_3) e < 0":
+        # the pairs whose product's word has more W0 tokens than the words of
+        # g and h together: the power of S^m multiplies the pair's side
+        def w0_count(g):
+            return sp_factor(g).count(TOKEN_W)
+
+        pairs = [(g, h) for g, h in pairs if w0_count(g) + w0_count(h) < w0_count(g * h)]
+        assert len(pairs) >= 5
     psi = char_twist(psi_standard(sp.fq, K), sp.fq.from_int(twist))
     return weil_rep(psi, sp), pairs
 
@@ -297,7 +310,7 @@ def _oracle_case(case):
     "case",
     [
         "Sp(2,F_3)", "Sp(2,F_5)", "Sp(4,F_3)", "F_7[zeta_5]", "Sp(2,F_9)", "Sp(2,F_5) twist 2",
-        "F_29[zeta_7]",
+        "F_29[zeta_7]", "Sp(4,F_3) over F_11[zeta_3]", "Sp(4,F_3) e < 0",
     ],
 )
 def test_column_cocycle_matches_dense_oracle(case):
@@ -344,10 +357,11 @@ def test_scaled_w_intertwines_but_fails_the_cocycle(model5, monkeypatch):
 def test_cocycle_checks_the_word_of_each_element(model5, monkeypatch):
     from weildescent import weil
 
+    # the word of g followed by W0 evaluates to g W0, not to g
     sp = model5["space"]
     w0 = token_to_sp(sp, TOKEN_W)
-    honest = weil.sp_factor
-    monkeypatch.setattr(weil, "sp_factor", lambda g: honest(g * w0))
+    honest = weil.sp_word
+    monkeypatch.setattr(weil, "sp_word", lambda space, x: honest(space, x) + [TOKEN_W])
     with pytest.raises(IdentityFailure, match="word"):
         cocycle_certificate(model5["weil"], [(w0, w0)], _commutant_dim(model5["heis"]))
 
@@ -371,14 +385,31 @@ def test_cocycle_needs_a_nonzero_column(model5, monkeypatch):
         cocycle_value(w, g, g * g.inverse())
 
 
+def test_cocycle_refuses_a_scalar_on_m_or_n(model5, monkeypatch):
+    # a word's scalar is read as a power of the W0 scalar alone, so an N
+    # image with a scalar of its own is refused, not misread
+    sp, psi = model5["space"], model5["psi"]
+    fq = sp.fq
+    tok = token_n(Matrix(fq, [[fq.one()]]))
+
+    def scaled(honest, psi_, space, t):
+        c, cols = honest(psi_, space, t)
+        return (c * psi_.values[1], cols) if t == tok else (c, cols)
+
+    _patch_phases(monkeypatch, scaled)
+    g = token_to_sp(sp, tok)
+    with pytest.raises(IdentityFailure, match="scalar"):
+        cocycle_value(weil_rep(psi, sp), g, g)
+
+
 def test_cocycle_needs_a_scalar_commutant(model5, monkeypatch):
     # with a larger commutant Schur's lemma says nothing: no column is read
     from weildescent import weil
 
-    def unread(g):
+    def unread(space, x):
         raise AssertionError("a column was read")
 
-    monkeypatch.setattr(weil, "sp_factor", unread)
+    monkeypatch.setattr(weil, "sp_word", unread)
     w0 = token_to_sp(model5["space"], TOKEN_W)
     with pytest.raises(IdentityFailure, match="commutant"):
         cocycle_certificate(model5["weil"], [(w0, w0)], 2)
@@ -502,24 +533,45 @@ def test_twist_identities_m2(p, f):
 def test_twist_check_catches_corrupted_n_image_m2(monkeypatch):
     # only the twisted model psi^2 gets a wrong N image: neither the W0
     # identity nor the square twist (through psi^4 = psi) reads it
-    from weildescent import weil
-
     fq = fq_field(3, 1)
     sp = SymplecticSpace(fq, 2)
     psi = psi_standard(fq, field_make(RATIONAL, 3))
     gamma = fq.from_int(2)
-    honest = weil.weil_generator_image
 
-    def corrupted(psi_, space, token):
-        out = honest(psi_, space, token)
+    def corrupted(honest, psi_, space, token):
+        c, cols = honest(psi_, space, token)
         if token[0] == "N" and psi_.twist == gamma:
-            out = out.copy()
-            out.rows[1][1] = psi_.coeff.zeta() * out.rows[1][1]
-        return out
+            ((i, s, k),) = cols[1]  # entry (1, 1) times zeta
+            cols = [cols[0], [(i, s, (k + 1) % psi_.coeff.n)]] + cols[2:]
+        return c, cols
 
-    monkeypatch.setattr(weil, "weil_generator_image", corrupted)
+    _patch_phases(monkeypatch, corrupted)
     with pytest.raises(IdentityFailure, match="N-twist identity fails"):
         weil_twist_check(psi, sp, gamma)
+
+
+@pytest.mark.parametrize(
+    "twist, tok, match",
+    [(2, TOKEN_W, "W0-twist identity fails"), (4, TOKEN_W, "square-twist conjugation fails"),
+     (4, "N1", "square-twist conjugation fails")],
+)
+def test_twist_check_catches_a_corrupted_phase_table(twist, tok, match, model5, monkeypatch):
+    # at p = 5 and gamma = 2, one exponent shifted in the psi^2 W0 table, or
+    # in the psi^4 table of W0 or N(1), which only the square twist reads
+    psi, sp = model5["psi"], model5["space"]
+    fq = sp.fq
+    tok = token_n(Matrix(fq, [[fq.one()]])) if tok == "N1" else tok
+
+    def corrupted(honest, psi_, space, t):
+        c, cols = honest(psi_, space, t)
+        if t == tok and psi_.twist == fq.from_int(twist):
+            (i, s, k), *rest = cols[1]
+            cols = [cols[0], [(i, s, (k + 1) % psi_.coeff.n)] + rest] + cols[2:]
+        return c, cols
+
+    _patch_phases(monkeypatch, corrupted)
+    with pytest.raises(IdentityFailure, match=match):
+        weil_twist_check(psi, sp, fq.from_int(2))
 
 
 def test_twist_identity_gamma_one(model3):
@@ -970,11 +1022,12 @@ weil.intertwining_check(wz, heis)
 expect("cocycle-column", lambda: weil.cocycle_certificate(wz, [(w0, w0)], comm), CocycleViolation)
 weil.token_phases = honest_phases
 
-# a factorization word that evaluates to another element
-honest_factor = weil.sp_factor
-weil.sp_factor = lambda g: honest_factor(g * w0)
+# a factorization word that evaluates to another element: the word of x
+# followed by W0
+honest_factor = weil.sp_word
+weil.sp_word = lambda space, x: honest_factor(space, x) + [TOKEN_W]
 expect("word-element", lambda: weil.cocycle_certificate(weil.weil_rep(psi, sp), [(w0, w0)], comm))
-weil.sp_factor = honest_factor
+weil.sp_word = honest_factor
 
 expect("commutant", lambda: weil.cocycle_certificate(weil.weil_rep(psi, sp), [(w0, w0)], 2))
 
@@ -1019,6 +1072,19 @@ expect(
     "semilinearity",
     lambda: weil.semilinearity_check(weil.weil_rep(psi, sp), fields.GaloisAut(psi.coeff, 2)),
 )
+
+
+# the psi^2 W0 table with one exponent shifted: no longer W0 M(1/2)
+def shifted_w0(psi_, space, tok):
+    c, cols = honest_phases(psi_, space, tok)
+    if tok == TOKEN_W and psi_.twist == fq.from_int(2):
+        (i, s, k), *rest = cols[0]
+        cols = [[(i, s, (k + 1) % psi_.coeff.n)] + rest] + cols[1:]
+    return c, cols
+
+
+weil.token_phases = shifted_w0
+expect("twist-w0", lambda: weil.weil_twist_check(psi, sp, fq.from_int(2)))
 weil.token_phases = honest_phases
 
 # an iso_test that finds every Galois conjugate isomorphic, over Q: the
@@ -1208,7 +1274,8 @@ def test_certificates_raise_under_optimize():
         "rho-exponent", "rho-t0-exponent", "parity-leak", "generation", "symplectic",
         "zero-inverse", "norm-outside", "r-tau-power", "no-witness", "sqrt-minus-one",
         "datum-entries", "omega-m-alpha", "projector-central", "cocycle-column", "word-element",
-        "commutant", "zero-column", "zero-image", "semilinearity", "orbit-multiplicity", "span",
+        "commutant", "zero-column", "zero-image", "semilinearity", "twist-w0", "orbit-multiplicity",
+        "span",
         "span-dependent",
         "datum-cocycle", "datum-rank", "hom-support",
         "subfield-coefficient", "m-squared-n", "split-certificate", "square-scalar", "centre-theta",
