@@ -303,6 +303,8 @@ def cmd_norm_solve(args, report):
     bottom = _tag_arg(K, args.bottom, "--bottom")
     top = _tag_arg(K, args.top, "--top", inside=bottom)
     target = K.from_int(args.target)
+    if target.is_zero():
+        raise ConfigInvalid(f"--target {args.target} is 0 in {K}: no nonzero lambda has norm 0")
     lam, transcript = solve_norm_equation(K, top, bottom, target, args.bound)
     report["results"] = {"lambda": lam.to_json(), "transcript": transcript}
     _transcript(report, "norm_verified", True, {"target": args.target})

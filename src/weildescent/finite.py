@@ -7,10 +7,11 @@ Weyl element W0, and the conjugacy classes of Sp(W).
 An FqElem is an index in counting order, and F_q arithmetic is lookup in
 the add, neg, mul (log/antilog) and inv tables its FqField builds once;
 .coeffs gives the coefficient vector on the power basis of the modulus,
-which is what the wire format carries.  The hot loops (the factorization
-sp_word, the class sweep) hold a matrix as a row-major tuple of indices and
-multiply, invert and factor it on the tables; SpElement, a Matrix of
-FqElem, is the public form.
+which is what the wire format carries.  The hot loops (drawing and listing
+Sp(W), the factorization sp_word, the class sweep) hold a matrix as a
+row-major tuple of indices and multiply, factor and reduce it on the tables,
+every reduction by one Gauss-Jordan (_gauss_jordan); SpElement, a Matrix
+of FqElem, is the public form.
 
 Coordinates: W = X + Y with X = span(e_1..e_m), Y = span(f_1..f_m) and
 <e_i, f_j> = delta_ij.  A vector is a length-2m tuple of FqElem, X-part
@@ -29,7 +30,7 @@ from itertools import product
 
 from .errors import IdentityFailure, TooLarge, ZeroTwist
 from .fields import CoeffField, GaloisAut, _least_irreducible, is_prime
-from .linalg import Matrix, _rref_kernel
+from .linalg import Matrix
 
 
 class FqField:
@@ -345,11 +346,6 @@ class SymplecticSpace:
     def zero_vector(self):
         return (self.fq.zero(),) * self.dim
 
-    def basis_vector(self, i):
-        v = [self.fq.zero()] * self.dim
-        v[i] = self.fq.one()
-        return tuple(v)
-
     def y_points(self):
         "All of Y = F_q^m in counting order (the model's index set)."
         q, m = self.fq.q, self.m
@@ -370,6 +366,7 @@ class SpElement:
     def __init__(self, space: SymplecticSpace, mat: Matrix, _checked=False):
         self.space = space
         self.mat = mat
+        self._indices = None  # the tuple from_indices was given
         if not _checked:
             J = space.gram()
             if mat.transpose() * J * mat != J:
@@ -380,11 +377,13 @@ class SpElement:
         "The element with the row-major tuple x of F_q indices, taken as symplectic."
         n, elems = space.dim, space.fq.elems
         rows = [[elems[c] for c in x[i : i + n]] for i in range(0, n * n, n)]
-        return cls(space, Matrix(space.fq, rows), _checked=True)
+        g = cls(space, Matrix(space.fq, rows), _checked=True)
+        g._indices = x
+        return g
 
     def indices(self):
         "The row-major tuple of the F_q indices of the entries."
-        return tuple(e.idx for row in self.mat.rows for e in row)
+        return self._indices or tuple(e.idx for row in self.mat.rows for e in row)
 
     def __mul__(self, o):
         assert self.space == o.space
@@ -543,28 +542,41 @@ def _index_product(fq: FqField, x, y, n: int):
     return tuple(out)
 
 
-def _index_det_inverse(fq: FqField, a, n: int):
-    """(det a, a^-1) for an n x n matrix a over F_q given as a row-major index
-    tuple, by Gauss-Jordan elimination on the tables; a^-1 is None when
-    det a = 0."""
+def _gauss_jordan(fq: FqField, rows):
+    """(reduced row echelon form, pivot columns, det) of rows of F_q indices of
+    one length, by Gauss-Jordan on the tables: leftmost column, topmost row.
+    det is that of the first len(rows) columns, 0 unless all are pivots."""
     add, mul, neg, inv = fq.add, fq.mul, fq.neg, fq.inv
-    rows = [list(a[i * n : (i + 1) * n]) + [int(i == j) for j in range(n)] for i in range(n)]
-    det = 1
-    for c in range(n):
-        r = next((r for r in range(c, n) if rows[r][c]), None)
-        if r is None:
-            return 0, None
-        if r != c:
-            rows[c], rows[r] = rows[r], rows[c]
+    rows, nr = list(rows), len(rows)  # rows are replaced, never edited in place
+    pivots, det = [], 1
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        for k in range(r, nr):
+            if rows[k][c]:
+                break
+        else:
+            continue
+        if k != r:
+            rows[r], rows[k] = rows[k], rows[r]
             det = neg[det]
-        det = mul[det][rows[c][c]]
-        scale = mul[inv[rows[c][c]]]
-        pivot = rows[c] = [scale[v] for v in rows[c]]
+        det = mul[det][rows[r][c]]
+        scale = mul[inv[rows[r][c]]]
+        pivot = rows[r] = [scale[v] for v in rows[r]]
         for k, row in enumerate(rows):
-            if k != c and row[c]:
+            if k != r and row[c]:
                 factor = mul[neg[row[c]]]
                 rows[k] = [add[v][factor[w]] for v, w in zip(row, pivot)]
-    return det, tuple(v for row in rows for v in row[n:])
+        pivots.append(c)
+    if pivots[:nr] != list(range(nr)):
+        det = 0
+    return rows, pivots, det
+
+
+def _index_det_inverse(fq: FqField, a, n: int):
+    "(det a, a^-1 or None when det a = 0) for an n x n row-major index tuple a: [a | I] reduced."
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    red, _, det = _gauss_jordan(fq, [list(a[i * n : (i + 1) * n]) + eye[i] for i in range(n)])
+    return det, tuple(v for row in red for v in row[n:]) if det else None
 
 
 @lru_cache(maxsize=None)
@@ -664,13 +676,13 @@ def sp_order_within(space: SymplecticSpace, bound: int) -> int:
 
 def sp_enumerate(space: SymplecticSpace, bound: int):
     """Every element of Sp(W) exactly once, in the deterministic order given
-    by enumerating symplectic bases (e'_1, f'_1, e'_2, f'_2, ...)."""
+    by enumerating symplectic bases (e'_1, f'_1, e'_2, f'_2, ...): the index
+    tuples of _symplectic_bases, each made an SpElement."""
     sp_order_within(space, bound)
     q = space.fq.q
     # digit tuples (c_0, c_1, ...) in counting order: c_0 varies fastest
-    yield from _symplectic_bases(
-        space, lambda k: (ds[::-1] for ds in product(range(q), repeat=k))
-    )
+    for x in _symplectic_bases(space, lambda k: (ds[::-1] for ds in product(range(q), repeat=k))):
+        yield SpElement.from_indices(space, x)
 
 
 def sp_sample(space: SymplecticSpace, rng) -> SpElement:
@@ -678,76 +690,64 @@ def sp_sample(space: SymplecticSpace, rng) -> SpElement:
     symplectic Gram-Schmidt with a uniform nonzero e'_1, a uniform f'_1 with
     <e'_1, f'_1> = 1, then the same on their orthogonal complement.  The
     number of choices at each step does not depend on the earlier ones, and
-    symplectic bases correspond one to one to elements of Sp(W)."""
+    symplectic bases correspond one to one to elements of Sp(W).  The draw
+    runs on index tuples (_symplectic_bases) and is made an SpElement."""
     q = space.fq.q
 
     def draws(k):
         while True:
             yield [rng.randrange(q) for _ in range(k)]
 
-    return next(_symplectic_bases(space, draws))
-
-
-def _pairing_row(space: SymplecticSpace, v):
-    "Coefficients of w -> <v, w>."
-    m = space.m
-    return [-c for c in v[m:]] + list(v[:m])
+    return SpElement.from_indices(space, next(_symplectic_bases(space, draws)))
 
 
 def _symplectic_bases(space: SymplecticSpace, digits):
     """The elements of Sp(W) whose columns are symplectic bases
-    (e'_1, f'_1, e'_2, f'_2, ...): each e'_i a nonzero vector orthogonal to
-    the earlier pairs, each f'_i one of those with <e'_i, f'_i> = 1.  The
-    candidates for a vector are particular + sum_i c_i basis_i over a basis
-    of its (affine) solution space, with (c_0, c_1, ...) the F_q indices
-    that digits(len(basis)) yields, in its order."""
-    fq, dim = space.fq, space.dim
-    zero = space.zero_vector()
+    (e'_1, f'_1, e'_2, f'_2, ...), as row-major F_q index tuples: each e'_i a
+    nonzero vector orthogonal to the earlier pairs, each f'_i one of those
+    with <e'_i, f'_i> = 1.  The candidates for a vector are particular +
+    sum_i c_i basis_i over the reduced-echelon basis of its (affine)
+    solution space, solved by _gauss_jordan, with (c_0, c_1, ...) the F_q
+    indices that digits(len(basis)) yields, in its order."""
+    fq, m, dim = space.fq, space.m, space.dim
+    add, mul, neg = fq.add, fq.mul, fq.neg
 
-    def combinations(basis, particular):
+    def solutions(rows, rhs):
+        "A solution of rows . v = rhs and the reduced-echelon basis of the kernel."
+        red, pivots, _ = _gauss_jordan(fq, [row + [b] for row, b in zip(rows, rhs)])
+        row_of = dict(zip(pivots, red))  # pivot column -> its reduced row
+        if dim in row_of:
+            raise IdentityFailure("a symplectic Gram-Schmidt system has no solution")
+        part = [row_of[c][dim] if c in row_of else 0 for c in range(dim)]
+        basis = [
+            [neg[row_of[c][free]] if c in row_of else int(c == free) for c in range(dim)]
+            for free in range(dim)
+            if free not in row_of
+        ]
+        return part, basis
+
+    def combinations(part, basis):
         for ds in digits(len(basis)):
-            v = list(particular)
+            v = part
             for d, b in zip(ds, basis):
                 if d:
-                    c = fq.elems[d]
-                    v = [a + c * x for a, x in zip(v, b)]
-            yield tuple(v)
+                    v = [add[a][mul[d][x]] for a, x in zip(v, b)]
+            yield v
 
     def rec(chosen):
         if len(chosen) == dim:
             cols = chosen[0::2] + chosen[1::2]
-            mat = Matrix(fq, [[c[i] for c in cols] for i in range(dim)])
-            yield SpElement(space, mat, _checked=True)
+            yield tuple(c[i] for i in range(dim) for c in cols)
             return
-        constraints = [_pairing_row(space, v) for v in chosen]
-        if constraints:
-            kernel = Matrix(fq, constraints).nullspace()
-        else:
-            kernel = [list(space.basis_vector(i)) for i in range(dim)]
-        for e in combinations(kernel, zero):
-            if e == zero:
-                continue
-            rowsys = constraints + [_pairing_row(space, e)]
-            rhs = [fq.zero()] * len(constraints) + [fq.one()]
-            part, ker2 = _solve_affine(fq, rowsys, rhs)
-            assert part is not None
-            for f in combinations(ker2, part):
-                yield from rec(chosen + [e, f])
+        # row v holds the coefficients of w -> <v, w>
+        pairing = [[neg[c] for c in v[m:]] + v[:m] for v in chosen]
+        for e in combinations(*solutions(pairing, [0] * len(chosen))):
+            if any(e):
+                rows = pairing + [[neg[c] for c in e[m:]] + e[:m]]
+                for f in combinations(*solutions(rows, [0] * len(chosen) + [1])):
+                    yield from rec(chosen + [e, f])
 
     return rec([])
-
-
-def _solve_affine(fq, rows, rhs):
-    "One solution of rows . x = rhs plus a kernel basis (None if unsolvable)."
-    aug = Matrix(fq, [list(r) + [b] for r, b in zip(rows, rhs)])
-    red, pivots = aug.rref()
-    ncols = len(rows[0])
-    if ncols in pivots:
-        return None, []
-    part = [fq.zero()] * ncols
-    for r, p in enumerate(pivots):
-        part[p] = red.rows[r][ncols]
-    return part, _rref_kernel(red, pivots, ncols)
 
 
 # ---------------------------------------------------------------------------

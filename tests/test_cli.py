@@ -620,12 +620,24 @@ def test_singular_pair_exits_2_in_a_fresh_interpreter(flags, tmp_path):
         (["--n", "5", "--ell", "1"], "--ell 1 must be a prime not dividing n = 5"),
         (["--n", "5", "--ell", "5"], "--ell 5 must be a prime not dividing n = 5"),
         (["--n", "6", "--ell", "7"], "--ell takes a prime n, not 6"),
+        (
+            ["--n", "7", "--target", "0"],
+            "--target 0 is 0 in Q(zeta_7): no nonzero lambda has norm 0",
+        ),
+        (
+            ["--n", "7", "--ell", "29", "--target", "58"],
+            "--target 58 is 0 in F_29(zeta_7)[deg 1]: no nonzero lambda has norm 0",
+        ),
     ],
-    ids=["n-0", "n-1", "ell-4", "ell-1", "ell-divides-n", "composite-n-with-ell"],
+    ids=[
+        "n-0", "n-1", "ell-4", "ell-1", "ell-divides-n", "composite-n-with-ell",
+        "target-0", "target-0-mod-ell",
+    ],
 )
 def test_norm_solve_refuses_invalid_field(field, message, flags, tmp_path):
     # field_make guards these with asserts, which python -O strips: the
-    # command refuses them first
+    # command refuses them first; a target that is 0 in K is refused before
+    # any search, since no nonzero lambda has norm 0
     import os
     import subprocess
     import sys
@@ -672,3 +684,39 @@ def test_reports_do_not_depend_on_optimize(argv):
     ]
     assert [proc.returncode for proc in runs] == [0, 0], runs[1].stderr
     assert runs[0].stdout == runs[1].stdout
+
+
+class _FqElimination(Exception):
+    "Raised by the Matrix eliminations when a command calls one over F_q."
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--p", "5"],
+        ["verify", "--p", "3", "--m", "2"],
+        ["verify", "--p", "3", "--exhaustive"],
+        ["build", "--p", "7"],
+    ],
+    ids=["verify-p5", "verify-p3-m2", "verify-p3-exhaustive", "build-p7"],
+)
+def test_commands_eliminate_over_f_q_on_the_tables(argv, monkeypatch, capsys):
+    # the draws, the listing of Sp(W), sp_word and token_phases eliminate on
+    # the F_q tables: with Matrix.rref, nullspace, det and inverse refusing a
+    # matrix over F_q, the commands still pass with the same reports
+    from weildescent.finite import FqField
+
+    for name in ("rref", "nullspace", "det", "inverse"):
+        honest = getattr(Matrix, name)
+
+        def refuse(self, *args, _honest=honest, _name=name):
+            if isinstance(self.field, FqField):
+                raise _FqElimination(f"Matrix.{_name} over {self.field!r}")
+            return _honest(self, *args)
+
+        monkeypatch.setattr(Matrix, name, refuse)
+    assert run(argv) == 0
+    patched = capsys.readouterr().out
+    monkeypatch.undo()
+    assert run(argv) == 0
+    assert capsys.readouterr().out == patched

@@ -3,12 +3,15 @@
 import hashlib
 import json
 import random
+from itertools import islice
 
 import pytest
 
 from weildescent.errors import TooLarge, ZeroTwist
 from weildescent.fields import GaloisAut, MODULAR, RATIONAL, field_make
 from weildescent.finite import (
+    _gauss_jordan,
+    _index_det_inverse,
     HeisElem,
     SpElement,
     SymplecticSpace,
@@ -337,6 +340,120 @@ def test_sp_sample_draws_are_pinned(p, m, digest):
     rng = random.Random(1)
     draws = [list(sp_sample(sp, rng).indices()) for _ in range(50)]
     assert hashlib.sha256(json.dumps(draws).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "p, f, m, count, digest",
+    [
+        (5, 1, 1, 120, "974081420267e9e885f0e84b0afde1b72d63d32b932feaec41f72bc3c3e1bbb4"),
+        (3, 2, 1, 720, "3b79c2cc1de2ba99a1b3db27f9ff79ef37b6027e2b63d73260fc7179353921e1"),
+        (3, 1, 2, 300, "e75eac999dc7eef10e18e92ba7dd8933afdc559ee47c573202b13d9f4f256795"),
+    ],
+    ids=["Sp(2,F_5)", "Sp(2,F_9)", "Sp(4,F_3)-first-300"],
+)
+def test_sp_enumerate_order_is_pinned(p, f, m, count, digest):
+    # the exhaustive cocycle pairs are every pair of this list, in its order:
+    # all of Sp(2, F_5) and Sp(2, F_9), the first 300 of Sp(4, F_3), as F_q
+    # index lists
+    sp = SymplecticSpace(fq_field(p, f), m)
+    els = [list(g.indices()) for g in islice(sp_enumerate(sp, 10**5), count)]
+    assert len(els) == count
+    assert hashlib.sha256(json.dumps(els).encode()).hexdigest() == digest
+
+
+def _random_index_rows(fq, rng, nr, nc, rank=None, zero_rows=0):
+    """nr x nc rows of F_q indices: uniform, or a product of uniform nr x rank
+    and rank x nc factors; then zero_rows of them, chosen by rng, set to 0."""
+    def uniform(a, b):
+        return Matrix(fq, [[fq.elems[rng.randrange(fq.q)] for _ in range(b)] for _ in range(a)])
+
+    if rank is None:
+        mat = uniform(nr, nc)
+    else:
+        mat = uniform(nr, rank) * uniform(rank, nc) if rank else Matrix.zeros(fq, nr, nc)
+    rows = [[e.idx for e in row] for row in mat.rows]
+    for i in rng.sample(range(nr), zero_rows):
+        rows[i] = [0] * nc
+    return rows
+
+
+@pytest.mark.parametrize(
+    "p, f", [(3, 1), (5, 1), (3, 2), (5, 2), (3, 3)], ids=["F_3", "F_5", "F_9", "F_25", "F_27"]
+)
+def test_gauss_jordan_matches_matrix_elimination(p, f):
+    # the one table elimination (draws, listing, sp_word, token_phases)
+    # against Matrix.rref / nullspace / det / inverse over FqElem
+    fq = fq_field(p, f)
+    rng = random.Random(1000 * p + f)
+    elems = fq.elems
+
+    def as_matrix(rows):
+        return Matrix(fq, [[elems[c] for c in row] for row in rows])
+
+    def check(rows):
+        before = [list(row) for row in rows]
+        red, pivots, det = _gauss_jordan(fq, rows)
+        assert rows == before  # the input is not reduced in place
+        mat = as_matrix(rows)
+        ref, ref_pivots = mat.rref()
+        assert pivots == ref_pivots
+        assert red == [[e.idx for e in row] for row in ref.rows]
+        nr, nc = len(rows), len(rows[0])
+        kernel = []
+        for free in (c for c in range(nc) if c not in pivots):
+            v = [0] * nc
+            v[free] = 1
+            for row, c in zip(red, pivots):
+                v[c] = fq.neg[row[free]]
+            kernel.append(v)
+        assert kernel == [[e.idx for e in v] for v in mat.nullspace()]
+        if nr <= nc:
+            assert det == mat.submatrix(range(nr), range(nr)).det().idx
+        else:
+            assert det == 0
+        if nr == nc:
+            flat = tuple(c for row in rows for c in row)
+            inverse = _index_det_inverse(fq, flat, nr)
+            if det:
+                assert inverse == (det, tuple(e.idx for row in mat.inverse().rows for e in row))
+            else:
+                assert inverse == (0, None)
+                with pytest.raises(ZeroDivisionError):
+                    mat.inverse()
+        return red, pivots
+
+    shapes = [(1, 1), (2, 2), (3, 3), (4, 4), (2, 5), (3, 6), (5, 2), (6, 3)]
+    for nr, nc in shapes:
+        small = min(nr, nc)
+        for _ in range(3):
+            check(_random_index_rows(fq, rng, nr, nc))
+            check(_random_index_rows(fq, rng, nr, nc, rank=rng.randrange(small)))
+            check(_random_index_rows(fq, rng, nr, nc, zero_rows=rng.randrange(1, nr + 1)))
+    assert _gauss_jordan(fq, []) == ([], [], 1)
+    # augmented systems [a | b]: consistent when b = a x, and, for a of low
+    # rank, inconsistent for most uniform b
+    seen = set()
+    for nr, nc in shapes:
+        for _ in range(6):
+            a = _random_index_rows(fq, rng, nr, nc, rank=rng.randrange(min(nr, nc) + 1))
+            x = [elems[rng.randrange(fq.q)] for _ in range(nc)]
+            consistent = rng.randrange(2)
+            if consistent:
+                b = [e.idx for e in as_matrix(a).mul_vec(x)]
+            else:
+                b = [rng.randrange(fq.q) for _ in range(nr)]
+            red, pivots = check([row + [c] for row, c in zip(a, b)])
+            solvable = as_matrix(a).rank() == as_matrix([row + [c] for row, c in zip(a, b)]).rank()
+            assert (nc not in pivots) == solvable
+            if consistent:
+                assert solvable
+            seen.add(solvable)
+            if solvable:
+                part = [0] * nc
+                for row, c in zip(red, pivots):
+                    part[c] = row[nc]
+                assert [e.idx for e in as_matrix(a).mul_vec([elems[c] for c in part])] == b
+    assert seen == {True, False}
 
 
 def _sp_element(space, flat):

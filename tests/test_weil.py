@@ -896,8 +896,9 @@ def test_hom_check_steps_through_the_whole_f_p_basis(monkeypatch):
 
 # Run with python -O: every check below must still raise IdentityFailure.
 OPTIMIZED_SCRIPT = """
+import random
 import sys
-from weildescent import fields, rationality, symbols, theta, weil
+from weildescent import fields, finite, rationality, symbols, theta, weil
 from weildescent.descent import (
     DescentDatum, build_weil, descent_datum, fixed_points, odd_obstruction_check, sqrt_minus_p,
 )
@@ -962,6 +963,21 @@ expect("generation", lambda: sp_classes(sp, borel, 10**4))
 
 o, z = fq.one(), fq.zero()
 expect("symplectic", lambda: SpElement(sp, Matrix(fq, [[o, o], [z, fq.from_int(2)]])))
+
+# an elimination that makes every system with a nonzero right-hand side
+# inconsistent (a row 0 = 1): the draw finds no f'_1 with <e'_1, f'_1> = 1
+honest_elimination = finite._gauss_jordan
+
+
+def inconsistent(fq_, rows):
+    if any(row[-1] for row in rows):
+        rows = rows + [[0] * (len(rows[0]) - 1) + [1]]
+    return honest_elimination(fq_, rows)
+
+
+finite._gauss_jordan = inconsistent
+expect("gram-schmidt-solve", lambda: finite.sp_sample(sp, random.Random(1)))
+finite._gauss_jordan = honest_elimination
 
 expect("zero-inverse", lambda: psi.coeff.zero().inv(), ZeroDivisionError)
 
@@ -1272,6 +1288,7 @@ def test_certificates_raise_under_optimize():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [
         "rho-exponent", "rho-t0-exponent", "parity-leak", "generation", "symplectic",
+        "gram-schmidt-solve",
         "zero-inverse", "norm-outside", "r-tau-power", "no-witness", "sqrt-minus-one",
         "datum-entries", "omega-m-alpha", "projector-central", "cocycle-column", "word-element",
         "commutant", "zero-column", "zero-image", "semilinearity", "twist-w0", "orbit-multiplicity",
