@@ -12,16 +12,19 @@ Every part in both characteristics gets its datum from descent_datum:
 Gamma = <sigma_gen> of order ord, R_gen = lambda . omega(m_alpha) with
 alpha^2 = 1/gen in F_q (the root with alpha^ord = 1 if any, else the least)
 and R_{gen^(j+1)} = R_{gen^j} . sigma_{gen^j}(R_gen); lambda = 1 unless
-omega(m_alpha)^ord = -Id, when N(lambda) = -1.  The parts differ only in
-the target: the 2'-part (full rep), the square stabilizer (even part, odd
-part for q = 3 mod 4, modular parts), a subfield of Q(zeta_4p) (odd part
-of Schur index 2).
+omega(m_alpha)^ord = -Id, when N(lambda) = -1.  Each R_u is kept as the
+monomial form (perm, vals) it is born in, and the chain, the validation and
+the fixed-space rows read it with no matrix product.  The parts differ only
+in the target: the 2'-part (full rep), the square stabilizer (even part,
+odd part for q = 3 mod 4, modular parts), a subfield of Q(zeta_4p) (odd
+part of Schur index 2).
 
 Fixed points are extracted by one exact nullspace computation over the
 prime field (restriction of scalars), never by Galois averaging: rows for
 the generators of the stabilizer only, in native prime-field numbers
 (Fractions or ints mod ell).  The solve works for any valid datum and
 certifies itself through the rank, which Speiser's lemma fixes in advance.
+One elimination over K picks the basis U of the fixed space and inverts it.
 
 The odd part carries the quaternionic obstruction: r_tau^(2^k_a) = -Id,
 so descending past the CM field needs lambda with N(lambda) = -1, which a
@@ -54,20 +57,21 @@ from .fields import (
     RATIONAL,
 )
 from .finite import SymplecticSpace, fq_field, psi_standard, token_m
-from .linalg import Matrix, ldl_psd, monomial_form, twisted_commutes, twisted_product
+from .linalg import Matrix, ldl_psd, monomial_form, pivot_inverse, twisted_commutes, twisted_product
 from .weil import MarkedRep, even_odd_split, weil_rep
 
 
 class DescentDatum:
-    "Family {R_u} over the stabilizer exponents of the target tag."
+    """Family {R_u} over the stabilizer exponents of the target tag, each
+    R_u the monomial form (perm, vals) of linalg.monomial_form: column j
+    nonzero only at row perm[j], with value vals[j]."""
 
     def __init__(self, rep: MarkedRep, entries, target: SubfieldTag):
         self.rep = rep
-        self.entries = dict(entries)  # exponent u -> Matrix over rep.field
+        self.entries = dict(entries)  # exponent u -> monomial form over rep.field
         self.target = target
-        K = rep.field
         if 1 not in self.entries:
-            self.entries[1] = Matrix.identity(K, rep.dim)
+            self.entries[1] = list(range(rep.dim)), [rep.field.one()] * rep.dim
         if set(self.entries) != set(target.stabilizer):
             raise DatumInvalid(
                 f"entries {sorted(self.entries)} are not the stabilizer "
@@ -77,19 +81,13 @@ class DescentDatum:
     def validate(self):
         """The cocycle R_uv = R_u sigma_u(R_v) and the equivariance
         R_u sigma_u(rho(g)) = rho(g) R_u on the generators, exactly, on the
-        monomial forms of the R_u (each R_u = lambda . omega(m_alpha) is
-        monomial): permutations composed and values compared, with no
-        matrix product.  A non-monomial R_u raises DatumInvalid."""
+        monomial forms of the R_u: permutations composed and values
+        compared, with no matrix product."""
         K = self.rep.field
-        forms = {}
         for u, Ru in self.entries.items():
-            forms[u] = monomial_form(Ru)
-            if forms[u] is None:
-                raise DatumInvalid(f"R_{u} is not monomial")
-        for u, Ru in forms.items():
             su = GaloisAut(K, u)
-            for v, Rv in forms.items():
-                if twisted_product(Ru, su, Rv) != forms[(u * v) % K.n]:
+            for v, Rv in self.entries.items():
+                if twisted_product(Ru, su, Rv) != self.entries[(u * v) % K.n]:
                     raise DatumInvalid(f"cocycle fails at ({u}, {v})")
             for g in self.rep.gen_names:
                 if not twisted_commutes(Ru, su, self.rep.image(g)):
@@ -102,16 +100,17 @@ class DescentDatum:
 
 
 class DescentResult:
-    def __init__(self, rep, target, basis, images, transcript):
+    def __init__(self, rep, target, basis, inverse, images, transcript):
         self.rep = rep
         self.target = target
         self.basis = basis  # N x N over K, columns = fixed vectors
+        self.inverse = inverse  # basis^-1
         self.images = images  # generator key -> matrix over K with entries in target
         self.transcript = transcript
 
     def to_marked_rep(self) -> MarkedRep:
         "The descended model as a rep: U^-1 . rho(g) . U for every element g."
-        U, Uinv = self.basis, self.basis.inverse()
+        U, Uinv = self.basis, self.inverse
         return self.rep.derive(
             f"{self.rep.label} over {self.target!r}",
             lambda k: Uinv * self.rep.image(k) * U,
@@ -137,9 +136,11 @@ def fixed_points(datum: DescentDatum) -> DescentResult:
     """Solve for the simultaneous fixed vectors of all R_u . sigma_u over
     the prime field (on the generators of the stabilizer, once validate has
     certified the cocycle), extract a K-basis U of the fixed space, and
-    conjugate the generator images into the target subfield.  The descended model is
-    certified by U itself: U is invertible and U . D(g) = rho(g) . U for
-    every generator g, so U is an isomorphism onto the original."""
+    conjugate the generator images into the target subfield.  One
+    pivot_inverse picks U among the folded fixed vectors and gives U^-1.
+    The descended model is certified by U itself: U . U^-1 = Id is checked
+    exactly, so D(g) = U^-1 . rho(g) . U satisfies U . D(g) = rho(g) . U
+    for every generator g, and U is an isomorphism onto the original."""
     transcript = {"datum": datum.validate()}
     rep = datum.rep
     K = rep.field
@@ -158,35 +159,32 @@ def fixed_points(datum: DescentDatum) -> DescentResult:
         K, [[K.from_coeffs(vec[i * dk : (i + 1) * dk]) for vec in null] for i in range(N)]
     )
     # the pivot columns are the folded vectors independent of those before them
-    pivots = folded.rref()[1]
-    if len(pivots) != N:
+    found = pivot_inverse(folded)
+    if found is None:
         raise RankDeficiency("fixed space does not span over K")
+    pivots, Uinv = found
     U = Matrix(K, [[row[j] for j in pivots] for row in folded.rows])
-    Uinv = U.inverse()
     if not (U * Uinv).is_identity():
         raise IdentityFailure("fixed-space basis is not invertible")
     images = {}
     for g in rep.gen_names:
-        rho_U = rep.image(g) * U
-        img = Uinv * rho_U
+        img = Uinv * (rep.image(g) * U)
         for row in img.rows:
             for e in row:
                 if not subfield_membership(e, datum.target):
                     raise IdentityFailure("descended entry escapes the target subfield")
-        if U * img != rho_U:
-            raise IdentityFailure(f"basis does not intertwine at generator {g}")
         images[g] = img
     transcript["entries_in_target"] = True
     transcript["round_trip_isomorphism"] = True
-    return DescentResult(rep, datum.target, U, images, transcript)
+    return DescentResult(rep, datum.target, U, Uinv, images, transcript)
 
 
 def _fixed_space(K, N, entries):
     """Prime-field basis of the vectors of K^N fixed by every
-    v -> R_u . sigma_u(v), R_u = entries[u], each coordinate written on the
-    power basis of K.  entries is a cocycle on a group of exponents, so
-    u -> R_u sigma_u is a homomorphism and the rows of a greedy generating
-    set of the group suffice.  The rows hold native prime-field numbers
+    v -> R_u . sigma_u(v), R_u = entries[u] a monomial form, each coordinate
+    written on the power basis of K.  entries is a cocycle on a group of
+    exponents, so u -> R_u sigma_u is a homomorphism and the rows of a
+    greedy generating set of the group suffice.  The rows hold native prime-field numbers
     (Fractions, or ints mod ell) and the basis is the reduced-echelon kernel
     basis of the system, the one every exact elimination of it returns."""
     char, dk = K.char, K.degree
@@ -196,17 +194,18 @@ def _fixed_space(K, N, entries):
         sigma = GaloisAut(K, u)
         images = [apply_aut(sigma, K.zeta_pow(b)) for b in range(dk)]
         blocks = {}  # c -> columns b of c . sigma_u(zeta^b), on the power basis
-        for i, Ri in enumerate(entries[u].rows):
+        perm, vals = entries[u]
+        col_of = dict(zip(perm, range(N)))  # row i of R_u is nonzero at column col_of[i]
+        for i in range(N):
+            j = col_of[i]
+            c = vals[j]
             block = [[0] * size for _ in range(dk)]
-            for j, c in enumerate(Ri):
-                if c.is_zero():
-                    continue
-                if c not in blocks:
-                    prods = [c * w for w in images]
-                    blocks[c] = [y.nums if char else y.as_fractions() for y in prods]
-                for b, col in enumerate(blocks[c]):
-                    for a, x in enumerate(col):
-                        block[a][j * dk + b] = x
+            if c not in blocks:
+                prods = [c * w for w in images]
+                blocks[c] = [y.nums if char else y.as_fractions() for y in prods]
+            for b, col in enumerate(blocks[c]):
+                for a, x in enumerate(col):
+                    block[a][j * dk + b] = x
             for a in range(dk):
                 x = block[a][i * dk + a] - 1
                 block[a][i * dk + a] = x % char if char else x
@@ -256,7 +255,7 @@ def _prime_kernel(m, ncols, char):
 def _subfield_q_basis(tag: SubfieldTag):
     "Prime-field basis of the tagged subfield: the fixed space of the trivial 1 x 1 datum."
     K = tag.field
-    one = Matrix.identity(K, 1)
+    one = [0], [K.one()]
     null = _fixed_space(K, 1, dict.fromkeys(tag.stabilizer, one))
     if len(null) != tag.degree_over_prime():
         raise RankDeficiency(
@@ -288,8 +287,9 @@ def _square_stabilizer(rep):
 
 def _m_alpha_sign(block: MarkedRep, gen: int, ord_: int):
     """(alpha, r0, s): alpha^2 = 1/gen in F_q, the root with alpha^ord = 1
-    when there is one and the least root otherwise; r0 = omega(m_alpha);
-    s = +-1 with r0^ord = s . Id."""
+    when there is one and the least root otherwise; r0 the monomial form of
+    omega(m_alpha); s = +-1 with r0^ord = s . Id.  A non-monomial
+    omega(m_alpha) raises DatumInvalid."""
     space = block.space
     fq = space.fq
     K = block.field
@@ -298,14 +298,19 @@ def _m_alpha_sign(block: MarkedRep, gen: int, ord_: int):
         raise IdentityFailure(f"1/{gen} is not a square in F_q")
     if alpha**ord_ != fq.one() and (-alpha) ** ord_ == fq.one():
         alpha = -alpha
-    r0 = block.image(token_m(Matrix.identity(fq, space.m).scale(alpha)))
-    power = Matrix.identity(K, block.dim)
-    for _ in range(ord_):
-        power = power * r0
-    if power.is_identity():
-        return alpha, r0, 1
-    if power == Matrix.identity(K, block.dim).scale(K.from_int(-1)):
-        return alpha, r0, -1
+    r0 = monomial_form(block.image(token_m(Matrix.identity(fq, space.m).scale(alpha))))
+    if r0 is None:
+        raise DatumInvalid("omega(m_alpha) is not monomial")
+    sigma_1, one = GaloisAut(K, 1), K.one()
+    power = r0
+    for _ in range(ord_ - 1):
+        power = twisted_product(power, sigma_1, r0)
+    perm, vals = power
+    if perm == list(range(block.dim)):
+        if all(v == one for v in vals):
+            return alpha, r0, 1
+        if all(v == -one for v in vals):
+            return alpha, r0, -1
     raise DatumInvalid("r0^ord is not a sign")
 
 
@@ -329,12 +334,11 @@ def descent_datum(block: MarkedRep, target: SubfieldTag, bound: int):
         )
     # R_{gen^(j+1)} = R_{gen^j} . sigma_{gen^j}(R_gen), exact by construction
     entries = {}
-    rgen = r0.scale(lam)
+    rgen = r0[0], [lam * v for v in r0[1]]
     e, Rcur = gen, rgen
     while e != 1:
         entries[e] = Rcur
-        sigma = GaloisAut(K, e)
-        Rcur = Rcur * rgen.map(lambda c: apply_aut(sigma, c))
+        Rcur = twisted_product(Rcur, GaloisAut(K, e), rgen)
         e = (e * gen) % K.n
     return DescentDatum(block, entries, target), lam, norm_transcript
 

@@ -4,9 +4,12 @@ A Matrix is rows of field elements (CycloNum, or FqElem: an index into the
 lookup tables of its FqField); the field handle supplies zero()/one() and
 elements do their own exact arithmetic.  A product tests each entry of
 either factor for zero once, so a product with a monomial factor (the
-Heisenberg, M(a), N(b) and parity images) costs O(n^2).  Pivoting is
-deterministic (leftmost column, topmost row), so ranks, nullspace bases
-and inverses are reproducible.
+Heisenberg, M(a), N(b) and parity images) costs O(n^2).  Every elimination
+is the one Gauss-Jordan _gauss_jordan, with deterministic pivoting
+(leftmost column, topmost row): rref, rank, nullspace and det read it, and
+pivot_inverse reads the pivots of a matrix and the inverse of its pivot
+columns off one rref of [a | I], so ranks, nullspace bases and inverses
+are reproducible.
 
 Intertwiner systems T*A_i = B_i*T get a dedicated solver.  The generator
 pairs whose images are both monomial (exactly one nonzero per row and
@@ -161,12 +164,6 @@ class Matrix:
     def map(self, fn, field=None):
         return Matrix(field or self.field, [[fn(e) for e in r] for r in self.rows])
 
-    def hstack(self, other):
-        assert self.nrows == other.nrows
-        return Matrix(
-            self.field, [ra + rb for ra, rb in zip(self.rows, other.rows)]
-        )
-
     def col(self, j):
         return [self.rows[i][j] for i in range(self.nrows)]
 
@@ -184,32 +181,8 @@ class Matrix:
 
     def rref(self):
         "Reduced row echelon form; returns (rref matrix, pivot column list)."
-        m = [list(r) for r in self.rows]
-        nr, nc = self.nrows, self.ncols
-        one = self.field.one()
-        pivots = []
-        row = 0
-        for col in range(nc):
-            sel = None
-            for i in range(row, nr):
-                if not m[i][col].is_zero():
-                    sel = i
-                    break
-            if sel is None:
-                continue
-            m[row], m[sel] = m[sel], m[row]
-            if m[row][col] != one:
-                inv = m[row][col].inv()
-                m[row] = [inv * e for e in m[row]]
-            for i in range(nr):
-                if i != row and not m[i][col].is_zero():
-                    c = m[i][col]
-                    m[i] = [a - c * b for a, b in zip(m[i], m[row])]
-            pivots.append(col)
-            row += 1
-            if row == nr:
-                break
-        return Matrix(self.field, m), pivots
+        red, pivots, _ = _gauss_jordan(self.field, self.rows)
+        return Matrix(self.field, red), pivots
 
     def rank(self):
         return len(self.rref()[1])
@@ -220,39 +193,17 @@ class Matrix:
         return _rref_kernel(red, pivots, self.ncols)
 
     def inverse(self):
+        "The inverse, from one rref of [self | I]; ZeroDivisionError when singular."
         assert self.nrows == self.ncols
-        n = self.nrows
-        aug = self.hstack(Matrix.identity(self.field, n))
-        red, pivots = aug.rref()
-        if pivots != list(range(n)):
+        found = pivot_inverse(self)
+        if found is None:
             raise ZeroDivisionError("matrix is not invertible")
-        return Matrix(self.field, [r[n:] for r in red.rows])
+        return found[1]
 
     def det(self):
+        "The determinant, read off the Gauss-Jordan that reduces the rows."
         assert self.nrows == self.ncols
-        m = [list(r) for r in self.rows]
-        n = self.nrows
-        acc = self.field.one()
-        sign = 1
-        for col in range(n):
-            sel = None
-            for i in range(col, n):
-                if not m[i][col].is_zero():
-                    sel = i
-                    break
-            if sel is None:
-                return self.field.zero()
-            if sel != col:
-                m[col], m[sel] = m[sel], m[col]
-                sign = -sign
-            piv = m[col][col]
-            acc = acc * piv
-            inv = piv.inv()
-            for i in range(col + 1, n):
-                if not m[i][col].is_zero():
-                    c = m[i][col] * inv
-                    m[i] = [a - c * b for a, b in zip(m[i], m[col])]
-        return acc if sign == 1 else -acc
+        return _gauss_jordan(self.field, self.rows)[2]
 
     def is_invertible(self):
         return self.nrows == self.ncols and not self.det().is_zero()
@@ -268,10 +219,56 @@ class Matrix:
         return Matrix(self.field, rows)
 
 
+def _gauss_jordan(field, rows):
+    """(reduced rows, pivot columns, det) of rows of field elements of one
+    length, by Gauss-Jordan: leftmost column, topmost row.  det is that of
+    the first len(rows) columns, 0 unless all are pivots: the product of the
+    pivots as found, negated once per row swap."""
+    one = field.one()
+    rows, nr = [list(r) for r in rows], len(rows)
+    pivots, det = [], one
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        k = next((k for k in range(r, nr) if not rows[k][c].is_zero()), None)
+        if k is None:
+            continue
+        if k != r:
+            rows[r], rows[k] = rows[k], rows[r]
+            det = -det
+        det = det * rows[r][c]
+        if rows[r][c] != one:
+            inv = rows[r][c].inv()
+            rows[r] = [inv * e for e in rows[r]]
+        pivot = rows[r]
+        for k, row in enumerate(rows):
+            if k != r and not row[c].is_zero():
+                f = row[c]
+                rows[k] = [a - f * b for a, b in zip(row, pivot)]
+        pivots.append(c)
+        if len(pivots) == nr:
+            break
+    if pivots[:nr] != list(range(nr)):
+        det = field.zero()
+    return rows, pivots, det
+
+
+def pivot_inverse(a: Matrix):
+    """(pivots, B^-1) for a k x n matrix a: pivots are the pivot columns of
+    a.rref() and B the k x k matrix of those columns of a; None when
+    rank a < k.  One rref of [a | I_k]: the pivot chosen in a column depends
+    only on the columns to its left, so the pivots are those of a, and the
+    row operations that reduce a turn B into I, so they are B^-1."""
+    k, n = a.nrows, a.ncols
+    z, o = a.field.zero(), a.field.one()
+    aug = [row + [o if i == j else z for j in range(k)] for i, row in enumerate(a.rows)]
+    red, pivots = Matrix(a.field, aug).rref()
+    if any(c >= n for c in pivots):
+        return None
+    return pivots, Matrix(a.field, [r[n:] for r in red.rows])
+
+
 def _rref_kernel(red, pivots, ncols):
-    """Kernel basis of a matrix A from the reduced row echelon form red of
-    A, or of A with columns appended on the right (the first ncols columns
-    of that form are the form of A, with the same pivots)."""
+    "Kernel basis of a matrix with ncols columns from its reduced row echelon form red."
     z, o = red.field.zero(), red.field.one()
     basis = []
     for f in range(ncols):
@@ -478,18 +475,19 @@ def _dense_intertwiners(gens_a, gens_b, na, nb, field):
 
 def span_coordinates(basis):
     """The map M -> [c_t] with M = sum_t c_t basis[t], for linearly
-    independent matrices of one shape.  One rref of the flattened basis
-    picks k entries on which it is invertible; each M is solved on those
-    entries through the k x k inverse and then checked on every entry.
+    independent matrices of one shape.  One pivot_inverse of the flattened
+    basis picks k entries on which it is invertible and inverts it there;
+    each M is solved on those entries and then checked on every entry.
     Raises IdentityFailure for a dependent basis and, from the map, for an M
     outside the span."""
     field = basis[0].field
     flat = [[e for r in b.rows for e in r] for b in basis]
-    entries = Matrix(field, flat).rref()[1]
-    if len(entries) != len(basis):
+    found = pivot_inverse(Matrix(field, flat))
+    if found is None:
         raise IdentityFailure("span basis is dependent")
     # c S = (M at entries) with S[t][s] = basis[t] at entries[s]
-    solve = Matrix(field, [[row[e] for e in entries] for row in flat]).inverse().transpose()
+    entries, Sinv = found
+    solve = Sinv.transpose()
     support = [[(e, x) for e, x in enumerate(row) if not x.is_zero()] for row in flat]
     z = field.zero()
 

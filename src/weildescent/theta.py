@@ -92,24 +92,16 @@ def isotypic_projector(pair: CommutingPair, pi1_gens):
     return e
 
 
-def _column_space_basis(mat):
-    red, pivots = mat.transpose().rref()
-    return [red.rows[i] for i in range(len(pivots))]
-
-
 def isotypic_quotient(pair: CommutingPair, pi1_gens):
-    """Exact splitting V = V[pi1] (+) V_pi1 by the isotypic projector;
-    both summands are stable under the whole pair."""
+    """Exact splitting V = V[pi1] (+) V_pi1 by the isotypic projector e;
+    both summands are stable under the whole pair.  One nullspace of e:
+    the image of e has dimension dim - dim ker e."""
     e = isotypic_projector(pair, pi1_gens)
-    image = _column_space_basis(e)
     kernel = e.nullspace()
-    if len(image) + len(kernel) != pair.dim:
-        raise IdentityFailure("isotypic image and kernel do not span V")
     return {
         "projector": e,
-        "isotypic_dim": len(image),
+        "isotypic_dim": pair.dim - len(kernel),
         "kernel_dim": len(kernel),
-        "isotypic_basis": image,
         "kernel_basis": kernel,
     }
 

@@ -71,21 +71,25 @@ def test_datum_invalid_detected():
     _, _, rep7 = build_weil(7, 1, 1)
     datum = _full_datum(rep7)
     K = rep7.field
-    datum.entries[2] = datum.entries[2].scale(K.zeta())
+    perm, vals = datum.entries[2]
+    datum.entries[2] = perm, [K.zeta() * v for v in vals]
     with pytest.raises(DatumInvalid):
         datum.validate()
 
 
 def test_non_monomial_datum_entry_is_refused():
-    # every R_u = lambda . omega(m_alpha) is monomial; a dense entry is no datum
+    # every R_u = lambda . omega(m_alpha) is monomial; a dense omega(m_alpha)
+    # gives no datum.  At p = 7, gen = 2 and alpha = 2: 2^2 = 1/2, 2^3 = 1
+    from weildescent.finite import token_m
+
     _, _, rep7 = build_weil(7, 1, 1)
-    datum = _full_datum(rep7)
-    K = rep7.field
-    dense = datum.entries[2].copy()
+    K, fq = rep7.field, rep7.space.fq
+    tok = token_m(Matrix(fq, [[fq.from_int(2)]]))
+    dense = rep7.image(tok).copy()
     dense.rows[0] = [K.one()] * rep7.dim
-    datum.entries[2] = dense
+    rep7._images[tok] = dense
     with pytest.raises(DatumInvalid, match="not monomial"):
-        datum.validate()
+        _full_datum(rep7)
 
 
 def test_even_datum_q5(model5):
@@ -244,8 +248,9 @@ def test_realise_odd_modular():
 def _closed_form_entries(rep):
     """The 2'-part datum in closed form: R_u = omega(m_gamma), gamma the
     unique odd-order square root of 1/u in F_p, i.e. (1/u)^((k+1)/2) for k
-    the (odd) multiplicative order of 1/u."""
+    the (odd) multiplicative order of 1/u; as monomial forms."""
     from weildescent.finite import token_m
+    from weildescent.linalg import monomial_form
 
     fq = rep.space.fq
     p = fq.p
@@ -259,7 +264,7 @@ def _closed_form_entries(rep):
         gamma = pow(uinv, (k + 1) // 2, p)
         assert gamma * gamma % p == uinv
         a = Matrix.identity(fq, rep.space.m).scale(fq.from_int(gamma))
-        out[u] = rep.image(token_m(a))
+        out[u] = monomial_form(rep.image(token_m(a)))
     return out
 
 
@@ -311,7 +316,8 @@ def test_fixed_points_basis_is_greedy_selection(p, part, ell):
 
 def _all_entries_fixed_space(K, N, entries):
     """The fixed space as one nullspace over the prime field as a degree-1
-    CycloNum field, with a block of rows for every non-identity entry."""
+    CycloNum field, with a block of rows for every non-identity entry (a
+    monomial form: column j nonzero only at row perm[j])."""
     from weildescent.fields import prime_field
     from weildescent.linalg import kernel_basis
 
@@ -326,20 +332,16 @@ def _all_entries_fixed_space(K, N, entries):
         for u in entries
     }
     rows = []
-    for u, Ru in entries.items():
+    for u, (perm, vals) in entries.items():
         if u == 1:
             continue
         block = Matrix.zeros(P, N * dk, N * dk)
-        for i in range(N):
-            for j in range(N):
-                c = Ru.rows[i][j]
-                if c.is_zero():
-                    continue
-                mul = Matrix.from_cols(P, [coords(c * K.zeta_pow(b)) for b in range(dk)])
-                piece = mul * smat[u]
-                for a in range(dk):
-                    for b in range(dk):
-                        block.rows[i * dk + a][j * dk + b] = piece.rows[a][b]
+        for j, (i, c) in enumerate(zip(perm, vals)):
+            mul = Matrix.from_cols(P, [coords(c * K.zeta_pow(b)) for b in range(dk)])
+            piece = mul * smat[u]
+            for a in range(dk):
+                for b in range(dk):
+                    block.rows[i * dk + a][j * dk + b] = piece.rows[a][b]
         rows.extend((block - Matrix.identity(P, N * dk)).rows)
     return [[e.as_fraction() for e in v] for v in kernel_basis(P, rows, N * dk)]
 
@@ -393,7 +395,7 @@ def test_subfield_q_basis_noncyclic_stabilizers(stab):
     K = field_make(RATIONAL, 20)
     tag = SubfieldTag(K, stab)
     assert len(tag.gens) == 2
-    one = Matrix.identity(K, 1)
+    one = [0], [K.one()]
     oracle = _all_entries_fixed_space(K, 1, dict.fromkeys(tag.stabilizer, one))
     basis = _subfield_q_basis(tag)
     assert basis == [K.from_coeffs(v) for v in oracle]
@@ -459,12 +461,13 @@ def test_rank_deficiency_detected(model5):
     odd = model5["odd"]
     K = odd.field
     from weildescent.finite import token_m
+    from weildescent.linalg import monomial_form
 
     sp = model5["space"]
     fq = sp.fq
     bad = {
-        1: Matrix.identity(K, 2),
-        4: odd.image(token_m(Matrix(fq, [[fq.from_int(3)]]))).scale(K.zeta()),
+        1: monomial_form(Matrix.identity(K, 2)),
+        4: monomial_form(odd.image(token_m(Matrix(fq, [[fq.from_int(3)]]))).scale(K.zeta())),
     }
     datum = DescentDatum(odd, bad, SubfieldTag(K, [4]))
     with pytest.raises((DatumInvalid, RankDeficiency)):
@@ -590,3 +593,45 @@ def _non_generator_case(kind):
 def test_derived_rep_images_any_element(kind):
     derived, key, check = _non_generator_case(kind)
     assert check(derived.image(key))
+
+
+@pytest.fixture
+def elimination_calls(monkeypatch):
+    "Counts of the Matrix.rref, Matrix.inverse and Matrix.det calls made from here on."
+    calls = dict.fromkeys(("rref", "inverse", "det"), 0)
+    for name in calls:
+
+        def counted(self, *args, _name=name, _honest=getattr(Matrix, name)):
+            calls[_name] += 1
+            return _honest(self, *args)
+
+        monkeypatch.setattr(Matrix, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "descend --part odd --p 13",
+        "descend --part full --p 7",
+        "descend --part odd --p 5 --m 2",
+        "descend --part even --p 13 --ell 3",
+    ],
+)
+def test_descend_eliminates_once_over_k(command, elimination_calls, capsys):
+    # U and U^-1 come from one rref of [folded fixed vectors | I]
+    from weildescent.cli import run
+
+    assert run(command.split()) == 0
+    capsys.readouterr()
+    assert elimination_calls == {"rref": 1, "inverse": 0, "det": 0}
+
+
+def test_span_coordinates_eliminates_once(elimination_calls):
+    from weildescent.linalg import span_coordinates
+
+    K = field_make(RATIONAL, 3)
+    one, z = K.one(), K.zero()
+    basis = [Matrix.identity(K, 2), Matrix(K, [[z, one], [K.zeta(), z]])]
+    span_coordinates(basis)
+    assert elimination_calls == {"rref": 1, "inverse": 0, "det": 0}

@@ -3,17 +3,20 @@ against the dense one, and the rational PSD certificate."""
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
 from weildescent.descent import build_weil
 from weildescent.fields import MODULAR, RATIONAL, GaloisAut, field_make, prime_field
+from weildescent.finite import FqField, fq_field
 from weildescent.linalg import (
     Matrix,
     intertwiner_space,
     invertible_element,
     ldl_psd,
     monomial_form,
+    pivot_inverse,
     twisted_commutes,
     twisted_product,
     _dense_intertwiners,
@@ -48,6 +51,96 @@ def test_det_multiplicative_random():
         a = qmat([[rng.randint(-4, 4) for _ in range(3)] for _ in range(3)])
         b = qmat([[rng.randint(-4, 4) for _ in range(3)] for _ in range(3)])
         assert (a * b).det() == a.det() * b.det()
+
+
+ELIMINATION_FIELDS = {
+    "Q(zeta_5)": lambda: field_make(RATIONAL, 5),
+    "F_3[zeta_13]": lambda: field_make(MODULAR, 13, 3),
+    "F_9": lambda: fq_field(3, 2),
+}
+
+
+def _draw(field, rng):
+    "A seeded element of the field, zero about a third of the time."
+    if rng.randrange(3) == 0:
+        return field.zero()
+    if isinstance(field, FqField):
+        return rng.choice(field.elements())
+    return field.from_coeffs([rng.randint(-2, 2) for _ in range(field.degree)])
+
+
+def _seeded(field, rng, nrows, ncols, deficient=False):
+    """A seeded nrows x ncols matrix; with deficient, its last row is a
+    combination of the others (zero when it is the only row)."""
+    rows = [[_draw(field, rng) for _ in range(ncols)] for _ in range(nrows)]
+    if deficient:
+        last = [field.zero()] * ncols
+        for row in rows[:-1]:
+            c = _draw(field, rng)
+            last = [x + c * y for x, y in zip(last, row)]
+        rows[-1] = last
+    return Matrix(field, rows)
+
+
+def _leibniz_det(m):
+    "det m as the signed sum over all permutations."
+    n, acc = m.nrows, m.field.zero()
+    for perm in permutations(range(n)):
+        term = m.field.one()
+        for i, j in enumerate(perm):
+            term = term * m.rows[i][j]
+        swaps = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        acc = acc - term if swaps % 2 else acc + term
+    return acc
+
+
+def _two_step_pivot_inverse(a):
+    """The pivots of a.rref(), then the inverse of those columns by the rref
+    of [B | I]; None below full row rank."""
+    k = a.nrows
+    pivots = a.rref()[1]
+    if len(pivots) < k:
+        return None
+    z, o = a.field.zero(), a.field.one()
+    aug = [[row[j] for j in pivots] + [o if i == t else z for t in range(k)] for i, row in enumerate(a.rows)]
+    red, aug_pivots = Matrix(a.field, aug).rref()
+    assert aug_pivots == list(range(k))
+    return pivots, Matrix(a.field, [r[k:] for r in red.rows])
+
+
+@pytest.mark.parametrize("name", list(ELIMINATION_FIELDS))
+def test_det_matches_leibniz(name):
+    field = ELIMINATION_FIELDS[name]()
+    rng = random.Random(25)
+    for n in range(1, 5):
+        for deficient in (False, True, False):
+            m = _seeded(field, rng, n, n, deficient)
+            det = m.det()
+            assert det == _leibniz_det(m)
+            if deficient:
+                assert det.is_zero()
+
+
+@pytest.mark.parametrize("name", list(ELIMINATION_FIELDS))
+def test_pivot_inverse_matches_two_step_path(name):
+    field = ELIMINATION_FIELDS[name]()
+    rng = random.Random(26)
+    shapes = [(n, n, False) for n in range(1, 5)] + [(n, n, True) for n in range(1, 5)]
+    shapes += [(2, 4, False), (3, 5, False), (3, 5, True), (4, 2, False), (3, 1, False)]
+    nones = 0
+    for nrows, ncols, deficient in shapes:
+        a = _seeded(field, rng, nrows, ncols, deficient)
+        found = pivot_inverse(a)
+        assert found == _two_step_pivot_inverse(a)
+        if found is None:
+            nones += 1
+            assert a.rank() < nrows
+        else:
+            pivots, inv = found
+            B = a.submatrix(range(nrows), pivots)
+            assert (B * inv).is_identity() and (inv * B).is_identity()
+    # every deficient and tall matrix is below full row rank
+    assert nones >= 7
 
 
 def test_kron_and_trace():

@@ -29,6 +29,27 @@ DIGESTS = {
     "descend --part odd --p 5 --m 2": (
         "53a04a575d3b151cf70dc9b1c145f2bfb1522c6f80c98dfba85e0fc2994f9093"
     ),
+    "descend --part full --p 7": (
+        "18e197071f8bab49539e33ba57fe4172da1324064f100348aeaf94531bab3dcd"
+    ),
+    "descend --part even --p 7": (
+        "0b14eb2f6d3d9ed7adc75777c5ccd10c44e8765eb840eaeba7a063608e0cdf48"
+    ),
+    "descend --part odd --p 3 --f 2": (
+        "1e938245e883c636b519516aaec68aace19e4f201d9c15f57004cd059c342c3c"
+    ),
+    "descend --part odd --p 13 --ell 3": (
+        "93fd6782a2ed1d5d1e765cb77319703c7ef03787fc8cda64b1d89e5187860539"
+    ),
+    "descend --part odd --p 11 --ell 23": (
+        "ca9f4990af92260edf45074c61f05491a84d9d8b5eacf214e8d033165c53a601"
+    ),
+    "descend --part odd --p 13": (
+        "9df73735a9bff2b9a3c785d08cba0cdf7e8de5e11cce9557ec3846f4d6318943"
+    ),
+    "descend --part full --p 13": (
+        "cd42aad17391754b360bc617db9df8f8e19ddf6f00598e178681c92e5400d814"
+    ),
     "character-field --p 11 --part odd": (
         "902b23ace74ab2eedfc6874e65f4a5dcdb2916171fd78d20bd4936f6195c1efb"
     ),

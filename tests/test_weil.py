@@ -898,7 +898,7 @@ def test_hom_check_steps_through_the_whole_f_p_basis(monkeypatch):
 OPTIMIZED_SCRIPT = """
 import random
 import sys
-from weildescent import fields, finite, rationality, symbols, theta, weil
+from weildescent import descent, fields, finite, rationality, symbols, theta, weil
 from weildescent.descent import (
     DescentDatum, build_weil, descent_datum, fixed_points, odd_obstruction_check, sqrt_minus_p,
 )
@@ -1121,7 +1121,7 @@ _, _, w7 = build_weil(7, 1, 1)
 K7 = w7.field
 honest7 = descent_datum(w7, SubfieldTag(K7, [1, 2, 4]), 0)[0]
 negated = dict(honest7.entries)
-negated[2] = negated[2].scale(K7.from_int(-1))
+negated[2] = negated[2][0], [-v for v in negated[2][1]]
 expect(
     "datum-cocycle",
     lambda: fixed_points(DescentDatum(w7, negated, honest7.target)),
@@ -1129,6 +1129,24 @@ expect(
 )
 honest7.target = K7.top_tag()
 expect("datum-rank", lambda: fixed_points(honest7), (DatumInvalid, RankDeficiency))
+
+# the honest datum with U^-1 doubled: U . U^-1 = 2 Id; then with every
+# descended entry refused by the membership test
+honest_pivot_inverse = descent.pivot_inverse
+
+
+def doubled_inverse(a):
+    pivots, inv = honest_pivot_inverse(a)
+    return pivots, inv.scale(inv.field.from_int(2))
+
+
+descent.pivot_inverse = doubled_inverse
+expect("fixed-space-inverse", lambda: fixed_points(descent_datum(w7, SubfieldTag(K7, [1, 2, 4]), 0)[0]))
+descent.pivot_inverse = honest_pivot_inverse
+honest_membership = descent.subfield_membership
+descent.subfield_membership = lambda x, tag: False
+expect("descended-entry", lambda: fixed_points(descent_datum(w7, SubfieldTag(K7, [1, 2, 4]), 0)[0]))
+descent.subfield_membership = honest_membership
 
 
 
@@ -1294,7 +1312,7 @@ def test_certificates_raise_under_optimize():
         "commutant", "zero-column", "zero-image", "semilinearity", "twist-w0", "orbit-multiplicity",
         "span",
         "span-dependent",
-        "datum-cocycle", "datum-rank", "hom-support",
+        "datum-cocycle", "datum-rank", "fixed-space-inverse", "descended-entry", "hom-support",
         "subfield-coefficient", "m-squared-n", "split-certificate", "square-scalar", "centre-theta",
         "trace-form",
         "block-idempotent", "block-sum", "gauss-square", "matrix-inverse", "product-formula",
