@@ -596,6 +596,86 @@ def make_parser():
     return ap
 
 
+def json_text(obj) -> str:
+    """The text of json.dumps(obj, sort_keys=True, indent=2, default=str),
+    written in one pass onto one list of pieces.  A list, tuple or dict met
+    again at the same depth reuses the text of its first writing, so the
+    entry dicts that a report's matrices share (weil.generators_json) are
+    encoded once per depth.  Every container written is held until the end,
+    so that its id names it throughout.  obj must hold no reference cycle."""
+    quote = json.encoder.encode_basestring_ascii
+    out = []
+    written = {}  # (id, depth) -> [container, first piece, end, text or None]
+
+    def literal(x):
+        "The text of None, a bool, an int or a float; None for anything else."
+        if x is None:
+            return "null"
+        if x is True:
+            return "true"
+        if x is False:
+            return "false"
+        if isinstance(x, int):
+            return int.__repr__(x)
+        if isinstance(x, float):
+            if x != x:
+                return "NaN"
+            if x == float("inf"):
+                return "Infinity"
+            if x == -float("inf"):
+                return "-Infinity"
+            return float.__repr__(x)
+        return None
+
+    def key_text(k):
+        text = k if isinstance(k, str) else literal(k)
+        if text is None:
+            raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+        return quote(text)
+
+    def write(o, depth):
+        if isinstance(o, str):
+            out.append(quote(o))
+        elif isinstance(o, (list, tuple, dict)):
+            key = (id(o), depth)
+            seen = written.get(key)
+            if seen is not None:
+                if seen[3] is None:
+                    seen[3] = "".join(out[seen[1] : seen[2]])
+                out.append(seen[3])
+                return
+            start = len(out)
+            if not o:
+                out.append("{}" if isinstance(o, dict) else "[]")
+            else:
+                inner = "\n" + "  " * (depth + 1)
+                sep = inner
+                if isinstance(o, dict):
+                    out.append("{")
+                    for k, v in sorted(o.items()):
+                        out.append(sep + key_text(k) + ": ")
+                        sep = "," + inner
+                        write(v, depth + 1)
+                    out.append("\n" + "  " * depth + "}")
+                else:
+                    out.append("[")
+                    for v in o:
+                        out.append(sep)
+                        sep = "," + inner
+                        write(v, depth + 1)
+                    out.append("\n" + "  " * depth + "]")
+            written[key] = [o, start, len(out), None]
+        else:
+            text = literal(o)
+            if text is None:
+                write(str(o), depth)
+            else:
+                out.append(text)
+
+    write(obj, 0)
+    return "".join(out)
+
+
 def run(argv):
     args = make_parser().parse_args(argv)
     report = {
@@ -626,7 +706,7 @@ def run(argv):
         code = EXIT_CHECK_FAILED
     if args.timing:
         report["timing_seconds"] = round(time.time() - t0, 3)
-    text = json.dumps(report, sort_keys=True, indent=2, default=str) + "\n"
+    text = json_text(report) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

@@ -58,7 +58,7 @@ from .fields import (
 )
 from .finite import SymplecticSpace, fq_field, psi_standard, token_m
 from .linalg import Matrix, ldl_psd, monomial_form, pivot_inverse, twisted_commutes, twisted_product
-from .weil import MarkedRep, even_odd_split, weil_rep
+from .weil import MarkedRep, even_odd_split, generators_json, weil_rep
 
 
 class DescentDatum:
@@ -121,13 +121,7 @@ class DescentResult:
             "label": self.rep.label,
             "dim": self.rep.dim,
             "target": self.target.to_json(),
-            "generators": [
-                {
-                    "token": str(k),
-                    "matrix": [[e.to_json() for e in row] for row in self.images[k].rows],
-                }
-                for k in self.rep.gen_names
-            ],
+            "generators": generators_json((str(k), self.images[k]) for k in self.rep.gen_names),
             "transcript": self.transcript,
         }
 

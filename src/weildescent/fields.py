@@ -590,12 +590,13 @@ class GaloisAut:
 
 
 def apply_aut(sigma: GaloisAut, x: CycloNum) -> CycloNum:
-    "Ring automorphism: zeta^i -> zeta^{u i}, prime field fixed."
+    """Ring automorphism: zeta^i -> zeta^{u i}.  It fixes the prime field,
+    so a prime-field x (zero included) is returned unchanged."""
     if sigma.field != x.field:
         raise FieldMismatch("automorphism and element fields differ")
     f = x.field
     n, u = f.n, sigma.exponent
-    if u == 1 or x.is_zero():
+    if u == 1 or x.is_rational():
         return x
     v = [0] * n
     for i, c in enumerate(x.nums):
@@ -661,12 +662,14 @@ class SubfieldTag:
     """Subfield of the coefficient field encoded by the subgroup of Galois
     exponents fixing it.  Tags with equal stabilizers are the same subfield.
     gens is the greedy generating set of the stabilizer: an element is in
-    the subfield when sigma_u fixes it for every u in gens."""
+    the subfield when sigma_u fixes it for every u in gens.  gen_auts holds
+    those sigma_u, built once with the tag for subfield_membership."""
 
     def __init__(self, field: CoeffField, stabilizer):
         self.field = field
         self.stabilizer = _closure(field, stabilizer)
         self.gens = greedy_generators(field, self.stabilizer)
+        self.gen_auts = tuple(GaloisAut(field, u) for u in self.gens)
 
     def degree_over_prime(self) -> int:
         "Degree of the tagged subfield over Q (or F_ell)."
@@ -711,7 +714,7 @@ def subfield_membership(x: CycloNum, tag: SubfieldTag) -> bool:
     "sigma_u(x) == x on the generators of the tag's stabilizer."
     if x.field != tag.field:
         raise FieldMismatch("membership test across fields")
-    return all(apply_aut(GaloisAut(tag.field, u), x) == x for u in tag.gens)
+    return all(apply_aut(sigma, x) == x for sigma in tag.gen_auts)
 
 
 def trace_to_subfield(x: CycloNum, tag: SubfieldTag) -> CycloNum:

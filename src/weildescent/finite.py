@@ -361,11 +361,13 @@ class SymplecticSpace:
 
 
 class SpElement:
-    "Element of Sp(W); the symplectic relation is checked on construction."
+    """Element of Sp(W); the symplectic relation is checked on construction.
+    An element made from_indices builds its Matrix of FqElem on the first
+    read of mat, which only equality, hashing, repr and the blocks need."""
 
     def __init__(self, space: SymplecticSpace, mat: Matrix, _checked=False):
         self.space = space
-        self.mat = mat
+        self._mat = mat
         self._indices = None  # the tuple from_indices was given
         if not _checked:
             J = space.gram()
@@ -375,11 +377,17 @@ class SpElement:
     @classmethod
     def from_indices(cls, space: SymplecticSpace, x):
         "The element with the row-major tuple x of F_q indices, taken as symplectic."
-        n, elems = space.dim, space.fq.elems
-        rows = [[elems[c] for c in x[i : i + n]] for i in range(0, n * n, n)]
-        g = cls(space, Matrix(space.fq, rows), _checked=True)
+        g = cls(space, None, _checked=True)
         g._indices = x
         return g
+
+    @property
+    def mat(self) -> Matrix:
+        if self._mat is None:
+            n, elems, x = self.space.dim, self.space.fq.elems, self._indices
+            rows = [[elems[c] for c in x[i : i + n]] for i in range(0, n * n, n)]
+            self._mat = Matrix(self.space.fq, rows)
+        return self._mat
 
     def indices(self):
         "The row-major tuple of the F_q indices of the entries."

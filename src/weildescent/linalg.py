@@ -4,7 +4,11 @@ A Matrix is rows of field elements (CycloNum, or FqElem: an index into the
 lookup tables of its FqField); the field handle supplies zero()/one() and
 elements do their own exact arithmetic.  A product tests each entry of
 either factor for zero once, so a product with a monomial factor (the
-Heisenberg, M(a), N(b) and parity images) costs O(n^2).  Every elimination
+Heisenberg, M(a), N(b) and parity images) costs O(n^2).  Over a modular
+field F_ell[zeta_p] the product runs on packed integers (_kernel.lmat_mul):
+each entry is one int, each output entry one int sum over its nonzero
+terms, unpacked and reduced once, with no CycloNum arithmetic; over Q(zeta_n)
+and F_q the elements multiply and add themselves.  Every elimination
 is the one Gauss-Jordan _gauss_jordan, with deterministic pivoting
 (leftmost column, topmost row): rref, rank, nullspace and det read it, and
 pivot_inverse reads the pivots of a matrix and the inverse of its pivot
@@ -26,7 +30,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from .errors import IdentityFailure
+from ._kernel import lmat_mul
+from .errors import FieldMismatch, IdentityFailure
+from .fields import CoeffField, CycloNum
 
 
 class Matrix:
@@ -120,7 +126,10 @@ class Matrix:
 
     def __mul__(self, other):
         assert self.ncols == other.nrows
-        z = self.field.zero()
+        f = self.field
+        if isinstance(f, CoeffField) and f.char:
+            return _modular_product(self, other)
+        z = f.zero()
         # the nonzero entries of each row of the right factor, found once
         # per product: a monomial right factor costs O(n^2) in all
         bnz = [[(j, b) for j, b in enumerate(rb) if not b.is_zero()] for rb in other.rows]
@@ -217,6 +226,21 @@ class Matrix:
                     row.extend(a * b for b in rb)
                 rows.append(row)
         return Matrix(self.field, rows)
+
+
+def _modular_product(a: Matrix, b: Matrix) -> Matrix:
+    "a b over F_ell[zeta_p], on the packed coefficient tuples of _kernel.lmat_mul."
+    f = a.field
+    if b.field is not f:
+        raise FieldMismatch(f"{f} vs {b.field}")
+    z = f.zero()
+    rows = lmat_mul(
+        [[e.nums for e in r] for r in a.rows],
+        [[e.nums for e in r] for r in b.rows],
+        f.modulus,
+        f.char,
+    )
+    return Matrix(f, [[z if t == z.nums else CycloNum(f, t, 1) for t in r] for r in rows])
 
 
 def _gauss_jordan(field, rows):

@@ -129,14 +129,28 @@ class MarkedRep:
             "label": self.label,
             "dim": self.dim,
             "field": {"n": self.field.n, "char": self.field.char},
-            "generators": [
-                {
-                    "token": _key_json(k),
-                    "matrix": [[e.to_json() for e in row] for row in self.image(k).rows],
-                }
-                for k in self.gen_names
-            ],
+            "generators": generators_json((_key_json(k), self.image(k)) for k in self.gen_names),
         }
+
+
+def generators_json(images):
+    """The "generators" list of a report, [{"token", "matrix"}], from
+    (token, Matrix) pairs.  Equal entries, across all the matrices, get one
+    to_json() dict, so that the report writer encodes each distinct value
+    once per depth."""
+    shared = {}
+
+    def entry(e):
+        key = e.nums, e.den
+        found = shared.get(key)
+        if found is None:
+            found = shared[key] = e.to_json()
+        return found
+
+    return [
+        {"token": token, "matrix": [[entry(e) for e in row] for row in m.rows]}
+        for token, m in images
+    ]
 
 
 def _key_json(key):

@@ -151,6 +151,35 @@ def test_subfield_membership():
     assert not subfield_membership(K.zeta(), t)
 
 
+@pytest.mark.parametrize("kind,n,ell,stab", [(RATIONAL, 7, None, [6]), (MODULAR, 13, 3, [3])])
+def test_subfield_membership_builds_no_automorphism(monkeypatch, kind, n, ell, stab):
+    # the tag holds the sigma_u of its generators; a membership test makes none
+    K = field_make(kind, n, ell)
+    tag = SubfieldTag(K, stab)
+    made = []
+    orig = GaloisAut.__init__
+
+    def counting(self, *args):
+        made.append(args)
+        orig(self, *args)
+
+    monkeypatch.setattr(GaloisAut, "__init__", counting)
+    x, y = K.zeta(), K.zero()
+    for u in tag.stabilizer:
+        y = y + K.zeta_pow(u)
+    verdicts = [subfield_membership(v, tag) for v in (x, y) * 50]
+    assert made == []
+    assert verdicts == [False, True] * 50
+
+
+def test_apply_aut_returns_prime_field_elements_unchanged():
+    for K in (field_make(RATIONAL, 7), field_make(MODULAR, 13, 3)):
+        sigma = GaloisAut(K, K.galois_exponents()[-1])
+        for x in (K.zero(), K.one(), K.from_fraction(Fraction(-3, 5))):
+            assert apply_aut(sigma, x) is x
+        assert apply_aut(sigma, K.zeta()) == K.zeta_pow(sigma.exponent)
+
+
 def test_subfield_lattice():
     # tag(A u B) stabilizer = tag(A) meet tag(B) stabilizers
     K = field_make(RATIONAL, 13)

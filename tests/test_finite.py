@@ -190,6 +190,26 @@ def test_sp_sample_uniform_and_seeded():
     assert [sp_sample(sp, again).mat.to_key() for _ in range(2400)] == keys
 
 
+def test_from_indices_builds_its_matrix_on_first_read(monkeypatch):
+    # a draw is its F_q index tuple; the Matrix of FqElem waits for .mat
+    sp = SymplecticSpace(fq_field(5, 1), 2)
+    made = []
+    orig = Matrix.__init__
+
+    def counting(self, *args):
+        made.append(args)
+        orig(self, *args)
+
+    monkeypatch.setattr(Matrix, "__init__", counting)
+    rng = random.Random(9)
+    draws = [sp_sample(sp, rng) for _ in range(20)]
+    keys = [g.indices() for g in draws]
+    assert made == []
+    assert [tuple(e.idx for r in g.mat.rows for e in r) for g in draws] == keys
+    assert len(made) == 20
+    assert all(g.mat is g.mat for g in draws) and len(made) == 20
+
+
 def test_sp_sample_rank_2_without_listing():
     # |Sp(4, F_5)| = 9360000: sampling never lists it
     sp = SymplecticSpace(fq_field(5, 1), 2)

@@ -8,7 +8,8 @@ from itertools import permutations
 import pytest
 
 from weildescent.descent import build_weil
-from weildescent.fields import MODULAR, RATIONAL, GaloisAut, field_make, prime_field
+from weildescent.errors import FieldMismatch
+from weildescent.fields import MODULAR, RATIONAL, CycloNum, GaloisAut, field_make, prime_field
 from weildescent.finite import FqField, fq_field
 from weildescent.linalg import (
     Matrix,
@@ -141,6 +142,126 @@ def test_pivot_inverse_matches_two_step_path(name):
             assert (B * inv).is_identity() and (inv * B).is_identity()
     # every deficient and tall matrix is below full row rank
     assert nones >= 7
+
+
+PACKED_FIELDS = [(3, 13), (5, 13), (23, 11), (1009, 7)]
+
+
+def _schoolbook(a, b):
+    """The coefficient tuples of a b over F_ell[x]/(mod): every term a
+    polynomial product, the sum reduced by long division, all mod ell."""
+    f = a.field
+    ell, mod, d = f.char, f.modulus, f.degree
+    rows = []
+    for i in range(a.nrows):
+        row = []
+        for j in range(b.ncols):
+            acc = [0] * (2 * d - 1)
+            for k in range(a.ncols):
+                for s, x in enumerate(a.rows[i][k].nums):
+                    for t, y in enumerate(b.rows[k][j].nums):
+                        acc[s + t] += x * y
+            for top in range(2 * d - 2, d - 1, -1):
+                c = acc[top] % ell
+                for t in range(d + 1):
+                    acc[top - d + t] -= c * mod[t]
+            row.append(tuple(c % ell for c in acc[:d]))
+        rows.append(row)
+    return rows
+
+
+def _random_modular(field, rng, nrows, ncols, density=0.6):
+    z = field.zero()
+    return Matrix(field, [
+        [
+            CycloNum(field, tuple(rng.randrange(field.char) for _ in range(field.degree)), 1)
+            if rng.random() < density else z
+            for _ in range(ncols)
+        ]
+        for _ in range(nrows)
+    ])
+
+
+def _monomial_modular(field, rng, n):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    rows = [[field.zero()] * n for _ in range(n)]
+    for i, j in enumerate(perm):
+        rows[i][j] = field.zeta_pow(rng.randrange(field.n)) * field.from_int(rng.randrange(1, field.char))
+    return Matrix(field, rows)
+
+
+def _check_packed(a, b):
+    prod = a * b
+    assert (prod.nrows, prod.ncols) == (a.nrows, b.ncols)
+    assert [[e.nums for e in r] for r in prod.rows] == _schoolbook(a, b)
+    assert all(e.field is a.field and e.den == 1 for r in prod.rows for e in r)
+
+
+@pytest.mark.parametrize("ell,p", PACKED_FIELDS)
+def test_packed_modular_product_matches_schoolbook(ell, p):
+    K = field_make(MODULAR, p, ell)
+    rng = random.Random(ell * p)
+    top = CycloNum(K, (ell - 1,) * K.degree, 1)
+    # every coefficient ell - 1: each slot of the packed sums at its bound
+    for width in (1, 2, 7, 33, 64):
+        _check_packed(
+            Matrix(K, [[top] * width for _ in range(2)]),
+            Matrix(K, [[top] * 3 for _ in range(width)]),
+        )
+    # zero rows and columns
+    a, b = _random_modular(K, rng, 5, 6), _random_modular(K, rng, 6, 4)
+    a.rows[1] = [K.zero()] * 6
+    for row in b.rows:
+        row[2] = K.zero()
+    _check_packed(a, b)
+    _check_packed(Matrix.zeros(K, 3, 3), _random_modular(K, rng, 3, 3))
+    # monomial factors on either side
+    m = _monomial_modular(K, rng, 6)
+    dense = _random_modular(K, rng, 6, 6, density=1.0)
+    _check_packed(m, dense)
+    _check_packed(dense, m)
+    _check_packed(m, _monomial_modular(K, rng, 6))
+    # 1 x n times n x 1 and n x 1 times 1 x n
+    row, col = _random_modular(K, rng, 1, 9), _random_modular(K, rng, 9, 1)
+    _check_packed(row, col)
+    _check_packed(col, row)
+
+
+def test_packed_modular_product_refuses_other_fields():
+    K = field_make(MODULAR, 13, 3)
+    rng = random.Random(27)
+    a = _random_modular(K, rng, 3, 3, density=1.0)
+    for other in (field_make(MODULAR, 13, 5), field_make(RATIONAL, 13)):
+        b = Matrix.identity(other, 3)
+        with pytest.raises(FieldMismatch):
+            a * b
+        with pytest.raises(FieldMismatch):
+            b * a
+
+
+def test_modular_product_makes_no_element_arithmetic(monkeypatch):
+    # a 7 x 7 product over F_3[zeta_13] runs on packed ints, not CycloNum ops
+    K = field_make(MODULAR, 13, 3)
+    rng = random.Random(28)
+    a, b = _random_modular(K, rng, 7, 7, 1.0), _random_modular(K, rng, 7, 7, 1.0)
+    calls = []
+
+    def spy(name):
+        orig = getattr(CycloNum, name)
+
+        def run(*args):
+            calls.append(name)
+            return orig(*args)
+
+        return run
+
+    for name in ("__mul__", "__rmul__", "__add__"):
+        monkeypatch.setattr(CycloNum, name, spy(name))
+    prod = a * b
+    assert calls == []
+    monkeypatch.undo()
+    assert [[e.nums for e in r] for r in prod.rows] == _schoolbook(a, b)
 
 
 def test_kron_and_trace():

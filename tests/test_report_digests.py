@@ -62,6 +62,17 @@ DIGESTS = {
     "end-algebra --p 5 --m 2 --part full --subfield char": (
         "ab18a31f468a7919ebf158887272358918bff24ec5db6bffa0ee65f5f8ccb850"
     ),
+    "verify --p 3": "31f63c606e14dd0331946c793354108c88409c38a1c940d70f3ab231a64106bc",
+    "character-field --p 11 --part odd --ell 23": (
+        "24db2e5f26fe53933c2541529d9dabf4a4d9d2bbf9018e3545eddb1a4f3ad542"
+    ),
+    "end-algebra --p 7 --part odd --subfield char --ell 29": (
+        "eeb7a283e208b8d2e548eb58f97689162bd2a41ff3539153c2db82b09e75392b"
+    ),
+    # 8.4 MB: the report with the most repeated matrix entries
+    "descend --part odd --p 11 --m 2": (
+        "070dca30f3716122a086ef154368c8c9dc5b9e50faf64550819945d025bc1ac6"
+    ),
 }
 THETA_DIGEST = "d545fe140582ba8c751ab4f5b4f2e12488b40006bdc2a6dc58f7740328f8a62b"
 
@@ -71,6 +82,31 @@ def test_report_bytes_are_pinned(command, capsys):
     assert run(command.split()) == 0
     text = capsys.readouterr().out
     assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[command]
+
+
+def test_reports_are_written_without_json_dumps(monkeypatch, capsys):
+    # cli writes its reports in one pass of its own, byte for byte as
+    # json.dumps(report, sort_keys=True, indent=2, default=str) would
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.dumps called")
+
+    monkeypatch.setattr(json, "dumps", refuse)
+    command = "descend --part even --p 13 --ell 3"
+    assert run(command.split()) == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[command]
+
+
+def test_refusal_bytes_are_pinned(capsys):
+    # a refusal whose message quotes a quote, a non-ASCII letter and a
+    # backslash: each must come out escaped as the json module escapes it
+    argv = ["norm-solve", "--n", "5", "--top", "1", "--bottom", '1,"\u00e9\\', "--target", "-1"]
+    assert run(argv) == 2
+    text = capsys.readouterr().out
+    assert '\\"\\u00e9\\\\\\\\' in text
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "47751ad3d3f282bf571b9bb2da2a09d2360bbcacb866f3f9a33523945073fabb"
+    )
 
 
 def _parity_pair(p):
