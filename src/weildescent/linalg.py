@@ -428,8 +428,12 @@ def _monomial_classes(pairs, na, nb, field):
         members[rb] = []
         dead[ra] = dead[ra] or dead[rb]
 
+    inverses = {}  # each distinct weight alpha_c is inverted once per call
     for (pi, alpha), (tau, beta) in pairs:
-        alpha_inv = [a.inv() for a in alpha]
+        for a in alpha:
+            if a not in inverses:
+                inverses[a] = a.inv()
+        alpha_inv = [inverses[a] for a in alpha]
         for r in range(nb):
             br, tr = beta[r], tau[r]
             for c in range(na):
@@ -494,6 +498,28 @@ def _dense_intertwiners(gens_a, gens_b, na, nb, field):
     for v in system.nullspace():
         T = Matrix(field, [[v[i * na + j] for j in range(na)] for i in range(nb)])
         out.append(T)
+    return out
+
+
+def kernel_form(mats):
+    """The basis of the span of the given linearly independent matrices of
+    one shape that intertwiner_space (and _dense_intertwiners) returns for a
+    system with that solution space W, matrix for matrix.  The rref of a
+    system picks its pivots greedily from the left, so entry f is free
+    exactly when some element of W ends at f (row-major), and the basis
+    vector of f is the element of W that is 1 at f and 0 at the other free
+    entries, listed by f.  Those are the rows of the rref of W with the
+    entries in reverse order, last row first.  Raises IdentityFailure for
+    dependent matrices."""
+    field, nr, nc = mats[0].field, mats[0].nrows, mats[0].ncols
+    rows = [[e for r in M.rows for e in r][::-1] for M in mats]
+    red, pivots, _ = _gauss_jordan(field, rows)
+    if len(pivots) != len(mats):
+        raise IdentityFailure("span basis is dependent")
+    out = []
+    for row in reversed(red):
+        flat = row[::-1]
+        out.append(Matrix(field, [flat[i * nc : (i + 1) * nc] for i in range(nr)]))
     return out
 
 

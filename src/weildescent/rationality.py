@@ -2,27 +2,34 @@
 endomorphism algebras and Galois-orbit decompositions for the exact matrix
 representations built by this package.
 
+The character field and the endomorphism algebra are certified on the
+certifying generators of a rep (certifying_names): at m = 1 the three
+tokens M(g), N(1) and W0, of whose images every declared image is
+certified to be a product; the declared generators at m >= 2 and for
+H(W).
+
 The endomorphism algebra of a restriction V|_R (V over a cyclotomic K) is
 computed through its semilinear decomposition
 
     End_{R[G]}(V|_R)  =  (+)_{sigma in Gal(K/R)}  Hom_K(^sigma V, V) . sigma
 
-each summand being a small exact intertwiner solve on the declared
-generators, instead of one dense nullspace in (dim . [K:Q])^2 unknowns.
-Each solve is checked against Gerardin's decomposition (J. Algebra 46,
-1977): omega = omega+ (+) omega-, two non-isomorphic absolutely irreducible
-parts, and ^sigma_u omega_psi = omega_{psi^u} is isomorphic to omega_psi
-exactly when u is a square in F_q, that is when sigma_u fixes the
-character field (character_field, decided by witnesses on the generators).
-So dim Hom_K(^u V, V) is the number of constituents there and 0 elsewhere,
-as for the absolutely irreducible rho_psi of H(W).  Nothing sweeps the
-group; in characteristic ell the count needs ell prime to |G|.  The
-centre lies in the sigma_1 block Hom_K(V, V): theta Id commutes with
-x = sum M_u sigma_u only if M_u = 0 wherever sigma_u moves theta, which
-it does at every u != 1 of the Hom support (checked).  So the centre is
-the commutant of the A_{v,s} sigma_v in c [K:R] coordinates, for c the
-number of constituents, and commutativity is read from it (Z(A) = A);
-the full structure-constant table is an oracle only."""
+with no dense nullspace in (dim . [K:Q])^2 unknowns.  Gerardin's
+decomposition (J. Algebra 46, 1977) fixes every summand: omega = omega+ (+)
+omega-, two non-isomorphic absolutely irreducible parts, and
+^sigma_u omega_psi = omega_{psi^u} is isomorphic to omega_psi exactly when
+u is a square in F_q, by omega(m_alpha) with alpha^2 = 1/u, the in-witness
+that character_field checks.  So End_K(V) (u = 1) is the one exact solve,
+checked to have the number of constituents as its dimension; at every
+square u the summand is End_K(V) . omega(m_alpha); at a nonsquare u it is 0
+for an absolutely irreducible V, whose trace sigma_u moves, and one solve
+for the full representation.  Nothing sweeps the group; in characteristic
+ell the count needs ell prime to |G|.  The centre lies in the sigma_1
+block Hom_K(V, V): theta Id commutes with x = sum M_u sigma_u only if
+M_u = 0 wherever sigma_u moves theta, which it does at every u != 1 of the
+Hom support (checked).  So the centre is the commutant of the A_{v,s}
+sigma_v in c [K:R] coordinates, for c the number of constituents, and
+commutativity is read from it (Z(A) = A); the full structure-constant
+table is an oracle only."""
 
 from __future__ import annotations
 
@@ -40,64 +47,145 @@ from .linalg import (
     intertwiner_space,
     invertible_element,
     kernel_basis,
+    kernel_form,
     ldl_psd,
     monomial_form,
     span_coordinates,
     twisted_commutes,
 )
-from .finite import token_m
-from .weil import MarkedRep
+from .finite import TOKEN_W, _token, token_m
+from .weil import MarkedRep, _signed_permutation, token_phases
+
+
+def certifying_names(rep: MarkedRep):
+    """The certifying generators of rep: declared generators whose images
+    have every declared image as a product, certified once on the model's
+    own rep that rep derives from (MarkedRep.derive: every derived rep is
+    multiplicative on the images, so it inherits the products).  They are
+    (M(g), N(1), W0) for a Weil representation at m = 1
+    (_gl1_certifying_tokens), and the declared generators at m >= 2, which
+    are already few, and for H(W)."""
+    root = rep
+    while root.parent is not None:
+        root = root.parent
+    if root.certifying is None:
+        if root.group == "sp" and root.space.m == 1:
+            root.certifying = _gl1_certifying_tokens(root.psi, root.space)
+        else:
+            root.certifying = root.gen_names
+    return root.certifying
+
+
+def _gl1_certifying_tokens(psi, space):
+    """(M(g), N(1), W0), g = fq.primitive_element(), once every other M(a)
+    and N(b) token of weil_rep(psi, space) at m = 1 is certified to have as
+    image the product of the M(g) and N(1) images along its word;
+    IdentityFailure otherwise.  The images are compared on the phase forms
+    of token_phases, signed monomial forms with one entry s zeta_n^k per
+    column (_signed_permutation refuses any other M or N image, and a
+    scalar other than 1 is refused), and multiplied there: rows, signs and
+    exponents mod n, no CycloNum.  The words come from the relations of the
+    Schroedinger model, where M(a) f(y) = legendre(a) f(a y) and
+    N(b) f(y) = psi((1/2) b y^2) f(y):
+
+        M(g^k) = M(g)^k,
+        M(g)^k N(b) M(g)^-k = N(g^2k b), so N(g^2j) = M(g)^j N(1) M(g)^-j,
+        N(s + t) = N(s) N(t),
+
+    with M(g)^-j = M(g)^(q-1-j), and a nonsquare b = s + t the sum of two
+    nonzero squares (x^2 + y^2 takes every value of F_q, and a nonsquare
+    value needs x, y != 0): s is the least nonzero square in counting order
+    with b - s a nonzero square."""
+    fq, n, q = space.fq, psi.coeff.n, space.fq.q
+
+    def form(a, tag):
+        tok = _token(tag, fq, (a,), 1)
+        c, cols = token_phases(psi, space, tok)
+        if c != psi.coeff.one():
+            raise IdentityFailure(f"the image of {tok} has the scalar {c!r}, not 1")
+        return tok, _signed_permutation(tok, cols)
+
+    def times(a, b):  # A B: column j of B is s zeta^k at row r, column r of A
+        return [(a[r][0], a[r][1] * s, (a[r][2] + k) % n) for r, s, k in b]
+
+    (g_tok, mg), (n1_tok, n1) = form(fq.exp[1], "M"), form(1, "N")
+    powers = [[(j, 1, 0) for j in range(q)]]  # M(g)^k
+    while len(powers) < q - 1:
+        powers.append(times(mg, powers[-1]))
+    words = {fq.exp[2 * j]: times(powers[j], times(n1, powers[-j])) for j in range(q // 2)}
+    squares = sorted(words)
+    for b in range(1, q):
+        if b not in words:
+            s = next(s for s in squares if fq.add[b][fq.neg[s]] in squares)
+            words[b] = times(words[s], words[fq.add[b][fq.neg[s]]])
+    for a in range(1, q):
+        for tag, word in ("M", powers[fq.log[a]]), ("N", words[a]):
+            tok, found = form(a, tag)
+            if found != word:
+                raise IdentityFailure(f"the image of {tok} is not the product along its word")
+    return g_tok, n1_tok, TOKEN_W
 
 
 def character_field(rep: MarkedRep) -> SubfieldTag:
     """The character field of rep: the subfield fixed by the Galois
     exponents u whose sigma_u fixes every trace.  Each u != 1 is decided by
-    one exact witness, whatever the size of the group:
+    one exact witness on the certifying generators of rep (certifying_names:
+    M(g), N(1) and W0 at m = 1, every declared generator at m >= 2 and for
+    H(W)), whatever the size of the group:
 
-    out: sigma_u moves tr rep(g) for a declared generator g.  That trace
+    out: sigma_u moves tr rep(g) for a certifying generator g.  That trace
          lies in the character field, so sigma_u does not fix it;
     in:  T = rep(M(alpha I_m)) with alpha^2 = 1/u in F_q is monomial (so
-         invertible) and T sigma_u(rep(g)) = rep(g) T on every declared
-         generator.  Then T conjugates sigma_u of every product of generator
-         images to the product itself, and those products are the images
-         of the group up to the sign of the section: sigma_u fixes every
-         trace.
+         invertible) and T sigma_u(rep(g)) = rep(g) T on every certifying
+         generator (_square_class_witness).  Every declared image is a
+         product of certifying images (certified by certifying_names), so T
+         conjugates sigma_u of every product of declared images to the
+         product itself, and those products are the images of the group up
+         to the sign of the section: sigma_u fixes every trace.
 
     For the Weil representations the witnesses are those of Gerardin
     (J. Algebra 46, 1977): sigma_u omega_psi = omega_{psi^u}, which
     conjugation by omega(m_alpha) carries back to omega_psi when u is a
     square, and a Gauss-sum generator trace separates the two otherwise.
     For H(W), sigma_u (u != 1) moves tr rho(0, t) = q^m psi(t).  An exponent
-    with neither witness raises IdentityFailure."""
+    with neither witness raises IdentityFailure.  Each in-witness is kept
+    in rep.witnesses for endomorphism_algebra."""
     K = rep.field
-    traces = [rep.image(g).trace() for g in rep.gen_names]
+    traces = [rep.image(g).trace() for g in certifying_names(rep)]
     fixing = [1]
     for u in K.galois_exponents()[1:]:  # sorted: sigma_1 is the identity
         sigma = GaloisAut(K, u)
         if any(apply_aut(sigma, t) != t for t in traces):
             continue
-        _check_square_class_witness(rep, sigma)
+        if _square_class_witness(rep, sigma) is None:
+            raise IdentityFailure(
+                f"sigma_{u} moves no generator trace, and no omega(m_alpha) with"
+                f" alpha^2 = 1/{u} carries ^sigma_{u} rep to rep"
+            )
         fixing.append(u)
     return SubfieldTag(K, fixing)
 
 
-def _check_square_class_witness(rep: MarkedRep, sigma: GaloisAut):
-    "The in-witness of character_field for sigma, or IdentityFailure."
+def _square_class_witness(rep: MarkedRep, sigma: GaloisAut):
+    """The monomial form of T = rep(M(alpha I_m)), alpha^2 = 1/u the least
+    square root in F_q, when T sigma_u(rep(g)) = rep(g) T on every
+    certifying generator g; None when there is no such alpha (u a
+    nonsquare, or rep a representation of H(W)), T is not monomial or T
+    fails on some g.  Decided once per rep and u, and kept in
+    rep.witnesses."""
     u = sigma.exponent
-    fq = rep.space.fq
-    alpha = fq.sqrt(fq.from_int(u).inv()) if rep.group == "sp" else None
-    if alpha is None:
-        raise IdentityFailure(
-            f"sigma_{u} moves no generator trace and has no omega(m_alpha) witness"
-        )
-    T = monomial_form(rep.image(token_m(Matrix.identity(fq, rep.space.m).scale(alpha))))
-    if T is None:
-        raise IdentityFailure(f"omega(m_{alpha!r}) is not monomial")
-    for g in rep.gen_names:
-        if not twisted_commutes(T, sigma, rep.image(g)):
-            raise IdentityFailure(
-                f"omega(m_{alpha!r}) does not carry ^sigma_{u} rep to rep at {g}"
-            )
+    if u not in rep.witnesses:
+        fq = rep.space.fq
+        alpha = fq.sqrt(fq.from_int(u).inv()) if rep.group == "sp" else None
+        T = None
+        if alpha is not None:
+            T = monomial_form(rep.image(token_m(Matrix.identity(fq, rep.space.m).scale(alpha))))
+        if T is not None and not all(
+            twisted_commutes(T, sigma, rep.image(g)) for g in certifying_names(rep)
+        ):
+            T = None
+        rep.witnesses[u] = T
+    return rep.witnesses[u]
 
 
 def iso_test(rep1: MarkedRep, rep2: MarkedRep):
@@ -336,20 +424,56 @@ def endomorphism_algebra(
     """End of rep restricted to the tagged subfield.  rep is the sum of
     `constituents` pairwise non-isomorphic absolutely irreducible parts (2
     for a full Weil representation, 1 for a part or for H(W)) and field_tag
-    is its character field.  Each Hom_K(^u V, V) is one exact solve on the
-    declared generators; IdentityFailure unless its dimension is
-    `constituents` for sigma_u fixing the character field and 0 otherwise."""
+    is its character field.  Every Hom_K(^u V, V) is taken on the
+    certifying generators of rep, whose images have every declared image as
+    a product (certifying_names), so an operator that intertwines them
+    intertwines every declared image:
+
+    - End_K(V) (u = 1) is one exact solve, and IdentityFailure unless its
+      dimension is `constituents`;
+    - for sigma_u fixing field_tag with the in-witness T of character_field
+      (_square_class_witness: monomial, T sigma_u(rep(g)) = rep(g) T), it is
+      End_K(V) . T: E T intertwines ^u V with V for E in End_K(V), and
+      X T^-1 is in End_K(V) for X in Hom_K(^u V, V).  The basis is
+      kernel_form of the E T, the basis the solve would return;
+    - for sigma_u moving the trace of a certifying image and one
+      constituent, it is 0: V and ^u V are irreducible with different
+      traces, so Schur's lemma leaves no nonzero map;
+    - otherwise (two constituents outside field_tag, or a rep without the
+      in-witness) it is one exact solve, and IdentityFailure unless its
+      dimension is `constituents` for sigma_u fixing field_tag and 0
+      otherwise.
+
+    Irreducibility of the constituents needs ell prime to |G| in
+    characteristic ell, as Gerardin's count does."""
     K = rep.field
+    gens = [rep.image(g) for g in certifying_names(rep)]
+    traces = [A.trace() for A in gens]
     hom_bases = {}
-    for u in sorted(tag.stabilizer):
-        conj = rep.conjugate(GaloisAut(K, u))
-        basis = intertwiner_space(conj.gens_images(), rep.gens_images())
-        expected = constituents if u in field_tag.stabilizer else 0
+    for u in sorted(tag.stabilizer):  # sigma_1 first
+        sigma = GaloisAut(K, u)
+        fixes = u in field_tag.stabilizer
+        if u != 1 and fixes:
+            T = _square_class_witness(rep, sigma)
+            if T is not None:
+                hom_bases[u] = kernel_form([_times_form(E, T) for E in hom_bases[1]])
+                continue
+        if not fixes and constituents == 1 and any(apply_aut(sigma, t) != t for t in traces):
+            continue
+        conj = gens if u == 1 else [A.map(lambda c: apply_aut(sigma, c)) for A in gens]
+        basis = intertwiner_space(conj, gens)
+        expected = constituents if fixes else 0
         if len(basis) != expected:
             raise IdentityFailure(f"dim Hom_K(^{u} V, V) = {len(basis)} != {expected}")
         if basis:
             hom_bases[u] = basis
     return EndAlgebra(rep, tag, hom_bases, RestrictionBasis(tag))
+
+
+def _times_form(E: Matrix, T) -> Matrix:
+    "E T for T the monomial form (perm, vals): column j is column perm[j] of E times vals[j]."
+    perm, vals = T
+    return Matrix(E.field, [[row[i] * v for i, v in zip(perm, vals)] for row in E.rows])
 
 
 def quaternion_scalar(alg: EndAlgebra):

@@ -41,7 +41,7 @@ Premise (a), Galois semilinearity and the twisting identities compare the
 class_traces gives the character data of a rep of Sp or H(W) as one table
 of terms (tr g, tr g^-1, weight), one per conjugacy class of Sp or per
 element of H(W).  No command reads it: the character field and the End
-algebra are certified on the declared generators (rationality), and the
+algebra are certified on the certifying generators (rationality), and the
 tests read the field of the class traces and the trace formula
 _trace_pair_dimension as their oracles, as they read weil_op."""
 
@@ -91,9 +91,14 @@ class MarkedRep:
     conjugates, restrictions of scalars, scalar extensions and descended
     models.  So each of them has the image of any element, not only of its
     generators.  space is the symplectic space of the model, psi its central
-    character (None on a derived rep, which is no longer rho_psi)."""
+    character (None on a derived rep, which is no longer rho_psi).
 
-    def __init__(self, field, dim, gen_names, label, make, group, space, psi):
+    parent is the rep a derived rep was made from, None for the model's
+    own.  certifying and witnesses hold what rationality has certified: on
+    a model's own rep its certifying generators (rationality.certifying_
+    names), and on any rep the isomorphisms ^sigma_u rep -> rep, by u."""
+
+    def __init__(self, field, dim, gen_names, label, make, group, space, psi, parent=None):
         self.field = field
         self.dim = dim
         self.gen_names = tuple(gen_names)
@@ -103,6 +108,9 @@ class MarkedRep:
         self.psi = psi
         self._make = make
         self._images = {}
+        self.parent = parent
+        self.certifying = None
+        self.witnesses = {}
 
     def image(self, key) -> Matrix:
         if key not in self._images:
@@ -113,9 +121,20 @@ class MarkedRep:
         return [self.image(k) for k in self.gen_names]
 
     def derive(self, label, make, field=None, dim=None) -> "MarkedRep":
-        "The rep of the same group with image rule make (field and dim default to ours)."
+        """The rep of the same group with image rule make (field and dim
+        default to ours).  make must be multiplicative on the images, as
+        every derived rep of the package is: conjugation by a fixed matrix
+        or by a Galois automorphism, restriction of scalars, and the even
+        and odd blocks.  A block is the restriction to a subspace that the
+        image preserves (_block_image refuses a leak by IdentityFailure), and
+        restricting a product of operators that preserve a subspace is the
+        product of the restrictions.  So a product identity between the
+        parent's images holds between ours, and the certifying generators
+        of the model's own rep are ours."""
         field, dim = field or self.field, dim or self.dim
-        return MarkedRep(field, dim, self.gen_names, label, make, self.group, self.space, None)
+        return MarkedRep(
+            field, dim, self.gen_names, label, make, self.group, self.space, None, self
+        )
 
     def conjugate(self, sigma: GaloisAut) -> "MarkedRep":
         "Entrywise Galois conjugate ^sigma(rep)."

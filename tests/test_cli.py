@@ -297,6 +297,42 @@ def test_character_field_rank_2_beyond_the_sweep(tmp_path):
     assert rep["results"]["name"] == "Q(sqrt(-7))"
 
 
+def test_end_algebra_char_solves_end_once_on_three_generators(monkeypatch, capsys):
+    # End_K(V) is the one solve, on M(g), N(1) and W0; every other
+    # Hom_K(^u V, V) is End_K(V) . omega(m_alpha)
+    from weildescent import rationality
+
+    pairs = []
+    honest = rationality.intertwiner_space
+
+    def counted(gens_a, gens_b):
+        pairs.append(len(gens_a))
+        return honest(gens_a, gens_b)
+
+    monkeypatch.setattr(rationality, "intertwiner_space", counted)
+    assert run(["end-algebra", "--p", "7", "--part", "odd", "--subfield", "char"]) == 0
+    assert pairs == [3]
+
+
+def test_character_field_checks_witnesses_on_three_generators(monkeypatch, capsys):
+    # the in-witness of each of the four nonzero squares u != 1 mod 11 is
+    # checked on the certifying generators, at most 3 twisted commutations
+    from weildescent import rationality
+
+    calls = []
+    honest = rationality.twisted_commutes
+
+    def counted(R, sigma, A):
+        calls.append(sigma.exponent)
+        return honest(R, sigma, A)
+
+    monkeypatch.setattr(rationality, "twisted_commutes", counted)
+    assert run(["character-field", "--p", "11", "--part", "odd"]) == 0
+    fixing = {u * u % 11 for u in range(1, 11)} - {1}
+    assert set(calls) == fixing
+    assert all(calls.count(u) <= 3 for u in fixing)
+
+
 def test_end_algebra_p11_odd(tmp_path):
     argv = ["end-algebra", "--p", "11", "--part", "odd", "--subfield", "char"]
     code, rep = run_json(argv, tmp_path)
@@ -660,7 +696,15 @@ def test_norm_solve_refuses_invalid_field(field, message, flags, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv", [["verify", "--p", "5"], ["build", "--p", "7"]], ids=["verify", "build"]
+    "argv",
+    [
+        ["verify", "--p", "5"],
+        ["build", "--p", "7"],
+        ["character-field", "--p", "11", "--part", "odd"],
+        ["end-algebra", "--p", "7", "--part", "odd", "--subfield", "char"],
+        ["end-algebra", "--p", "7", "--part", "full", "--subfield", "Q"],
+    ],
+    ids=["verify", "build", "character-field", "end-algebra-char", "end-algebra-full-Q"],
 )
 def test_reports_do_not_depend_on_optimize(argv):
     # every certificate raises a typed error rather than asserting, so the

@@ -10,6 +10,7 @@ from weildescent.fields import (
     MODULAR,
     RATIONAL,
     SubfieldTag,
+    apply_aut,
     field_make,
     subfield_membership,
     subfield_of_values,
@@ -19,6 +20,7 @@ from weildescent.finite import SymplecticSpace, fq_field, psi_standard
 from weildescent.linalg import Matrix
 from weildescent.rationality import (
     certify_division_quaternion,
+    certifying_names,
     character_field,
     endomorphism_algebra,
     iso_test,
@@ -498,3 +500,59 @@ def test_span_coordinates_refuse_outside_and_dependent(model3):
         span_coordinates([one])(flip)
     with pytest.raises(IdentityFailure, match="dependent"):
         span_coordinates([one, one.scale(K.zeta())])
+
+
+@pytest.mark.parametrize(
+    "part, p, f, m, ell",
+    [
+        ("odd", 7, 1, 1, None),
+        ("odd", 13, 1, 1, None),
+        ("even", 5, 2, 1, None),
+        ("full", 7, 1, 1, None),
+        ("full", 5, 1, 2, None),
+        ("odd", 7, 1, 1, 29),
+        ("full", 7, 1, 1, 5),
+    ],
+)
+def test_witness_hom_bases_match_the_solve_on_every_generator(part, p, f, m, ell):
+    # each Hom_K(^u V, V) of the End algebra over the prime field, read off
+    # End_K(V) . omega(m_alpha) or solved on the certifying generators, is
+    # the basis of one solve over every declared generator, matrix for matrix
+    from weildescent.linalg import intertwiner_space
+
+    _, _, w = build_weil(p, f, m, ell=ell)
+    rep = w if part == "full" else even_odd_split(w)[part == "odd"]
+    K = rep.field
+    field_tag = character_field(rep)
+    alg = endomorphism_algebra(rep, K.full_tag(), field_tag, 2 if part == "full" else 1)
+    for u in K.galois_exponents():
+        dense = intertwiner_space(rep.conjugate(GaloisAut(K, u)).gens_images(), rep.gens_images())
+        assert alg.hom_bases.get(u, []) == dense
+        if u != 1 and u in field_tag.stabilizer:
+            assert rep.witnesses[u] is not None  # the witness route, not a solve
+
+
+@pytest.mark.parametrize("part", ["full", "even", "odd"])
+@pytest.mark.parametrize(
+    "p, f, ell",
+    [
+        (3, 1, None), (5, 1, None), (7, 1, None), (11, 1, None), (13, 1, None),
+        (3, 2, None), (5, 2, None),
+        # ell a nonsquare mod p, so that some sigma_u moves the field
+        (23, 1, 11), (7, 1, 5), (5, 1, 3), (11, 1, 7),
+        (11, 1, 23), (13, 1, 3), (7, 1, 29),
+    ],
+)
+def test_certifying_generators_keep_a_trace_witness(p, f, ell, part):
+    # Gerardin: sigma_u fixes the character field exactly when u is a square
+    # in F_q; every other u moves the trace of M(g), N(1) or W0
+    _, space, w = build_weil(p, f, 1, ell=ell)
+    rep = w if part == "full" else even_odd_split(w)[part == "odd"]
+    K, fq = rep.field, space.fq
+    assert len(certifying_names(rep)) == 3
+    squares = {u for u in K.galois_exponents() if fq.sqrt(fq.from_int(u)) is not None}
+    assert character_field(rep).stabilizer == squares
+    traces = [rep.image(g).trace() for g in certifying_names(rep)]
+    for u in set(K.galois_exponents()) - squares:
+        sigma = GaloisAut(K, u)
+        assert any(apply_aut(sigma, t) != t for t in traces)

@@ -73,6 +73,35 @@ DIGESTS = {
     "descend --part odd --p 11 --m 2": (
         "070dca30f3716122a086ef154368c8c9dc5b9e50faf64550819945d025bc1ac6"
     ),
+    # the character field and End algebra of every part, in both m
+    "character-field --p 11 --f 2 --part odd": (
+        "3eb9e720ba53967bd610a0780c0a011dfdc2dd88949424bb978b9aeaef07ac0c"
+    ),
+    "character-field --p 7 --part full": (
+        "e28d6b5021ef86a9306cd5dbcd70d507c25f0a304fd01fe7ce64adc816753d37"
+    ),
+    "character-field --p 5 --f 2 --part even": (
+        "5e02ff61e019a8cdcfa8c90d7afb2bf53bfeb8e70bc2d0830f3c6c5008d9f6b8"
+    ),
+    "character-field --p 3 --part heisenberg": (
+        "9562144f15f3736eb87763c5cc5cafcae4c2ca3681f32dd077cd65c5ebdec80c"
+    ),
+    "end-algebra --p 7 --part full --subfield char": (
+        "204db3f7473de9976af1e46b5f7e41312ed7bc5ddd398cb0e991dc062a4c4904"
+    ),
+    "end-algebra --p 5 --f 2 --part even --subfield char": (
+        "bca70fbab1beab6aca24b7904d6ce2aeafe05b620ee3c46a8c3cf2ff8cb938be"
+    ),
+    "end-algebra --p 3 --part heisenberg --subfield Q": (
+        "de00a7b2257e427a174b9e2f128ce6368cd608039e59273b896425cd60ee27ad"
+    ),
+    "end-algebra --p 7 --m 2 --part full --subfield Q": (
+        "6f8e7f7e5f6b05267ac8ee5c54d578f3e746826d9814367504d0382a718fe29d"
+    ),
+    # the slowest End algebra under the size cap: 241 declared generators
+    "end-algebra --p 11 --f 2 --part odd --subfield char": (
+        "dc1e2eee8f094a0f7d3f3086801cc018c99ff63fd450bd5539f51cf301c2b068"
+    ),
 }
 THETA_DIGEST = "d545fe140582ba8c751ab4f5b4f2e12488b40006bdc2a6dc58f7740328f8a62b"
 

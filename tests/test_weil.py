@@ -1284,6 +1284,24 @@ expect(
     lambda: rationality.endomorphism_algebra(w5, K5.full_tag(), tag5, 2),
 )
 rationality.intertwiner_space = honest_space
+
+# N(2) at p = 3 with one entry of its image negated: it is no longer N(1)^2,
+# the product along its word
+n2 = token_n(Matrix(fq, [[fq.from_int(2)]]))
+
+
+def bent_n2(psi_, space, tok):
+    c, cols = honest_phases(psi_, space, tok)
+    return (c, [[(i, -s, k) for i, s, k in cols[0]]] + cols[1:]) if tok == n2 else (c, cols)
+
+
+rationality.token_phases = bent_n2
+expect("word-image", lambda: rationality.character_field(weil.weil_rep(psi, sp)))
+rationality.token_phases = honest_phases
+
+# the odd part at p = 3 declared as two constituents: End_K(V) is a line
+tag3 = rationality.character_field(odd3)
+expect("end-dimension", lambda: rationality.endomorphism_algebra(odd3, K3.full_tag(), tag3, 2))
 """
 
 
@@ -1317,7 +1335,7 @@ def test_certificates_raise_under_optimize():
         "trace-form",
         "block-idempotent", "block-sum", "gauss-square", "matrix-inverse", "product-formula",
         "z2-hensel", "z2-root", "z2-classes", "exact-division", "zeta-order",
-        "min-poly-coefficient", "hom-dimension",
+        "min-poly-coefficient", "hom-dimension", "word-image", "end-dimension",
     ]
 
 
