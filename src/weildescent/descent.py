@@ -8,6 +8,14 @@ v -> R_sigma . sigma(v).  Validity means exactly:
     cocycle        R_{sigma tau} = R_sigma . sigma(R_tau)
     equivariance   R_sigma . sigma(rho(g)) = rho(g) . R_sigma
 
+The cocycle is checked on every pair, and it makes sigma -> R_sigma . sigma
+a homomorphism, so the equivariance is checked at the generators of Gamma
+only.  It, and the test that the descended entries lie in the target, run
+on the certifying generators of rationality.certifying_names (M(g), N(1),
+W0 at m = 1; the declared generators at m >= 2): every other declared
+image is certified to be their product along a word, and both properties
+pass to products.
+
 Every part in both characteristics gets its datum from descent_datum:
 Gamma = <sigma_gen> of order ord, R_gen = lambda . omega(m_alpha) with
 alpha^2 = 1/gen in F_q (the root with alpha^ord = 1 if any, else the least)
@@ -57,7 +65,15 @@ from .fields import (
     RATIONAL,
 )
 from .finite import SymplecticSpace, fq_field, psi_standard, token_m
-from .linalg import Matrix, ldl_psd, monomial_form, pivot_inverse, twisted_commutes, twisted_product
+from .linalg import (
+    Matrix,
+    ldl_psd,
+    monomial_form,
+    monomial_times,
+    pivot_inverse,
+    twisted_commutes,
+    twisted_product,
+)
 from .weil import MarkedRep, even_odd_split, generators_json, weil_rep
 
 
@@ -79,18 +95,35 @@ class DescentDatum:
             )
 
     def validate(self):
-        """The cocycle R_uv = R_u sigma_u(R_v) and the equivariance
-        R_u sigma_u(rho(g)) = rho(g) R_u on the generators, exactly, on the
+        """The cocycle R_uv = R_u sigma_u(R_v) on every pair and the
+        equivariance R_u sigma_u(rho(g)) = rho(g) R_u, exactly, on the
         monomial forms of the R_u: permutations composed and values
-        compared, with no matrix product."""
+        compared, with no matrix product.
+
+        The equivariance is checked at the greedy generators u of the group
+        of exponents, on the certifying generators g
+        (rationality.certifying_names).  It says that the semilinear map
+        R_u sigma_u commutes with rho(g).  The cocycle makes u -> R_u sigma_u
+        a homomorphism (at (1, 1) it gives R_1^2 = R_1, so R_1 = Id for an
+        invertible R_1), so the equivariance passes to every u of the group.
+        Every other declared image rho(h) is certified to be the product
+        rho(c_1) ... rho(c_k) of certifying images along its word, and
+        R sigma(A B) = A R sigma(B) = A B R, so it passes to every h.  The
+        counts are of the identities certified, directly or through a
+        product."""
+        from .rationality import certifying_names  # rationality imports this module
+
         K = self.rep.field
         for u, Ru in self.entries.items():
             su = GaloisAut(K, u)
             for v, Rv in self.entries.items():
                 if twisted_product(Ru, su, Rv) != self.entries[(u * v) % K.n]:
                     raise DatumInvalid(f"cocycle fails at ({u}, {v})")
-            for g in self.rep.gen_names:
-                if not twisted_commutes(Ru, su, self.rep.image(g)):
+        names = certifying_names(self.rep)
+        for u in greedy_generators(K, self.entries):
+            su = GaloisAut(K, u)
+            for g in names:
+                if not twisted_commutes(self.entries[u], su, self.rep.image(g)):
                     raise DatumInvalid(f"equivariance fails at sigma_{u}, {g}")
         return {
             "semilinearity": "structural (matrix composed with entrywise sigma)",
@@ -134,7 +167,17 @@ def fixed_points(datum: DescentDatum) -> DescentResult:
     pivot_inverse picks U among the folded fixed vectors and gives U^-1.
     The descended model is certified by U itself: U . U^-1 = Id is checked
     exactly, so D(g) = U^-1 . rho(g) . U satisfies U . D(g) = rho(g) . U
-    for every generator g, and U is an isomorphism onto the original."""
+    for every generator g, and U is an isomorphism onto the original.
+
+    The entries are tested for membership in the target on the images of
+    the certifying generators only: every other D(h) is, with U . U^-1 =
+    Id, the product of those images along the word of rho(h) (see
+    validate), and a subfield is closed under sums and products.  A
+    monomial rho(g) (the M(a) and N(b) images and their blocks) moves and
+    scales the rows of U (monomial_times), so U^-1 . (rho(g) U) is the one
+    product it costs."""
+    from .rationality import certifying_names  # rationality imports this module
+
     transcript = {"datum": datum.validate()}
     rep = datum.rep
     K = rep.field
@@ -160,13 +203,17 @@ def fixed_points(datum: DescentDatum) -> DescentResult:
     U = Matrix(K, [[row[j] for j in pivots] for row in folded.rows])
     if not (U * Uinv).is_identity():
         raise IdentityFailure("fixed-space basis is not invertible")
+    certifying = set(certifying_names(rep))
     images = {}
     for g in rep.gen_names:
-        img = Uinv * (rep.image(g) * U)
-        for row in img.rows:
-            for e in row:
-                if not subfield_membership(e, datum.target):
-                    raise IdentityFailure("descended entry escapes the target subfield")
+        rho = rep.image(g)
+        form = monomial_form(rho)
+        img = Uinv * (rho * U if form is None else monomial_times(form, U))
+        if g in certifying:
+            for row in img.rows:
+                for e in row:
+                    if not subfield_membership(e, datum.target):
+                        raise IdentityFailure("descended entry escapes the target subfield")
         images[g] = img
     transcript["entries_in_target"] = True
     transcript["round_trip_isomorphism"] = True

@@ -341,6 +341,26 @@ def twisted_product(R, sigma, S):
     return [pr[i] for i in ps], [vr[i] * sigma(v) for i, v in zip(ps, vs)]
 
 
+def monomial_times(A, B: Matrix) -> Matrix:
+    """A . B for A the monomial form (perm, vals) and B a matrix: row j of B,
+    times vals[j], is row perm[j] of the product.  A value 1 or -1 (every
+    M(a) image) moves or negates the row with no multiplication, and no
+    zero entry of B is multiplied."""
+    perm, vals = A
+    f = B.field
+    one, z = f.one(), f.zero()
+    minus = -one
+    rows = [None] * B.nrows
+    for i, v, row in zip(perm, vals, B.rows):
+        if v == one:
+            rows[i] = row
+        elif v == minus:
+            rows[i] = [-e for e in row]
+        else:
+            rows[i] = [z if e.is_zero() else v * e for e in row]
+    return Matrix(f, rows)
+
+
 def twisted_commutes(R, sigma, A: Matrix) -> bool:
     """R . sigma(A) == A . R, for R the monomial form (perm, vals) of an
     invertible monomial matrix and sigma a field automorphism applied

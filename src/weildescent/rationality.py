@@ -479,9 +479,11 @@ def _times_form(E: Matrix, T) -> Matrix:
 def quaternion_scalar(alg: EndAlgebra):
     """For a rank-4 algebra (K/R quadratic, one Hom line at the nontrivial
     sigma): the scalar c with (A . sigma)^2 = c Id, whose norm class decides
-    division vs split."""
+    division vs split.  Any other shape raises IdentityFailure."""
     nontrivial = [u for u in alg.hom_bases if u != 1]
-    assert len(nontrivial) == 1 and len(alg.hom_bases[nontrivial[0]]) == 1
+    if len(nontrivial) != 1 or len(alg.hom_bases[nontrivial[0]]) != 1:
+        shape = {u: len(b) for u, b in sorted(alg.hom_bases.items())}
+        raise IdentityFailure(f"End algebra is not quaternion-shaped: Hom dimensions {shape}")
     u = nontrivial[0]
     A = alg.hom_bases[u][0]
     K = alg.rep.field

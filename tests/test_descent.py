@@ -77,6 +77,33 @@ def test_datum_invalid_detected():
         datum.validate()
 
 
+def test_datum_entry_outside_the_generators_is_checked():
+    # Gamma = {1, 2, 4} = <2> at p = 7: the equivariance is checked at
+    # sigma_2 only, so a bent R_4 must fail the cocycle
+    _, _, rep7 = build_weil(7, 1, 1)
+    datum = _full_datum(rep7)
+    perm, vals = datum.entries[4]
+    datum.entries[4] = perm, [-v for v in vals]
+    with pytest.raises(DatumInvalid, match="cocycle fails"):
+        datum.validate()
+
+
+def test_trivial_datum_fails_equivariance_and_identity():
+    # R_u = Id for every u is a cocycle, but sigma_2 moves the entries of the
+    # Weil images; an R_1 other than Id fails the cocycle
+    _, _, rep7 = build_weil(7, 1, 1)
+    K = rep7.field
+    target = SubfieldTag(K, _odd_part_exponents(K))
+    identity = list(range(rep7.dim)), [K.one()] * rep7.dim
+    datum = DescentDatum(rep7, dict.fromkeys(target.stabilizer, identity), target)
+    with pytest.raises(DatumInvalid, match="equivariance fails at sigma_2"):
+        datum.validate()
+    datum = _full_datum(rep7)
+    datum.entries[1] = identity[0], [-v for v in identity[1]]
+    with pytest.raises(DatumInvalid, match="cocycle fails"):
+        datum.validate()
+
+
 def test_non_monomial_datum_entry_is_refused():
     # every R_u = lambda . omega(m_alpha) is monomial; a dense omega(m_alpha)
     # gives no datum.  At p = 7, gen = 2 and alpha = 2: 2^2 = 1/2, 2^3 = 1
@@ -635,3 +662,68 @@ def test_span_coordinates_eliminates_once(elimination_calls):
     basis = [Matrix.identity(K, 2), Matrix(K, [[z, one], [K.zeta(), z]])]
     span_coordinates(basis)
     assert elimination_calls == {"rref": 1, "inverse": 0, "det": 0}
+
+
+def test_descend_checks_equivariance_on_three_generators(monkeypatch, capsys):
+    # Gamma = {1, 3, 9} = <3> in Gal(F_3[zeta_13]/F_3), and the equivariance
+    # is checked at sigma_3 on M(g), N(1) and W0 only: at most |Gamma| . 3
+    # commutations
+    from weildescent import descent
+    from weildescent.cli import run
+
+    calls = []
+    honest = descent.twisted_commutes
+
+    def counted(R, sigma, A):
+        calls.append(sigma.exponent)
+        return honest(R, sigma, A)
+
+    monkeypatch.setattr(descent, "twisted_commutes", counted)
+    assert run(["descend", "--part", "even", "--p", "13", "--ell", "3"]) == 0
+    capsys.readouterr()
+    assert calls == [3, 3, 3]
+
+
+def test_descend_tests_membership_on_certifying_images(monkeypatch):
+    # every other descended image is a product of these along its word
+    from weildescent import descent
+    from weildescent.rationality import certifying_names
+
+    tested = []
+    honest = descent.subfield_membership
+
+    def recorded(x, tag):
+        tested.append(x)
+        return honest(x, tag)
+
+    monkeypatch.setattr(descent, "subfield_membership", recorded)
+    result, _ = realise_modular(13, 1, 1, 3, "even")
+    certifying = certifying_names(result.rep)
+    assert len(certifying) == 3 < len(result.rep.gen_names)
+    expected = [
+        e
+        for g in result.rep.gen_names
+        if g in certifying
+        for row in result.images[g].rows
+        for e in row
+    ]
+    assert tested == expected
+
+
+def test_monomial_images_move_the_rows_of_u(monkeypatch):
+    # rho(g) U for a monomial rho(g) is built by monomial_times: the only
+    # products are U U^-1, W0 U and U^-1 (rho(g) U), none with a monomial
+    # left factor
+    from weildescent.linalg import monomial_form
+
+    left_monomial = []
+    honest = Matrix.__mul__
+
+    def recorded(a, b):
+        left_monomial.append(monomial_form(a) is not None)
+        return honest(a, b)
+
+    monkeypatch.setattr(Matrix, "__mul__", recorded)
+    result, _ = realise_modular(13, 1, 1, 3, "even")
+    assert not any(left_monomial)
+    assert len(left_monomial) == len(result.rep.gen_names) + 2

@@ -6,6 +6,8 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weildescent.descent import build_weil
 from weildescent.errors import FieldMismatch
@@ -17,6 +19,7 @@ from weildescent.linalg import (
     invertible_element,
     ldl_psd,
     monomial_form,
+    monomial_times,
     pivot_inverse,
     twisted_commutes,
     twisted_product,
@@ -436,3 +439,47 @@ def test_twisted_monomial_checks_match_dense_products():
     )
     assert monomial_form(qmat([[1, 1], [0, 1]])) is None
     assert monomial_form(qmat([[0, 2], [3, 0]])) == ([1, 0], [Q.from_int(3), Q.from_int(2)])
+
+
+PRODUCT_FIELDS = [(RATIONAL, n, None) for n in (7, 12, 20)] + [
+    (MODULAR, 13, 3),
+    (MODULAR, 11, 23),
+]
+PRODUCT_IDS = [f"Q{n}" if ell is None else f"F{ell}z{n}" for _, n, ell in PRODUCT_FIELDS]
+
+
+def _field_elements(K):
+    "Elements of K, with signs and zeta-powers (the M(a), N(b) values) weighted in."
+    if K.char:
+        coeff = st.integers(0, K.char - 1)
+    else:
+        coeff = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    general = st.lists(coeff, min_size=K.degree, max_size=K.degree).map(K.from_coeffs)
+    signed_power = st.tuples(st.sampled_from([1, -1]), st.integers(0, K.n - 1)).map(
+        lambda sk: K.zeta_pow(sk[1]) * sk[0]
+    )
+    return st.one_of(signed_power, general)
+
+
+@pytest.mark.parametrize("kind, n, ell", PRODUCT_FIELDS, ids=PRODUCT_IDS)
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_monomial_times_matches_the_dense_product(kind, n, ell, data):
+    # A B with A monomial, read off its form by moving and scaling the rows
+    # of a sparse B, equals Matrix.__mul__
+    K = field_make(kind, n, ell)
+    size = data.draw(st.integers(1, 5))
+    ncols = data.draw(st.integers(1, 5))
+    elements = _field_elements(K)
+    perm = data.draw(st.permutations(range(size)))
+    vals = data.draw(
+        st.lists(elements.filter(lambda x: not x.is_zero()), min_size=size, max_size=size)
+    )
+    A = Matrix.zeros(K, size, size)
+    for j, (i, v) in enumerate(zip(perm, vals)):
+        A.rows[i][j] = v
+    entry = st.one_of(st.just(K.zero()), elements)
+    row = st.lists(entry, min_size=ncols, max_size=ncols)
+    B = Matrix(K, data.draw(st.lists(row, min_size=size, max_size=size)))
+    assert monomial_form(A) == (list(perm), vals)
+    assert monomial_times((list(perm), vals), B) == A * B

@@ -1302,6 +1302,18 @@ rationality.token_phases = honest_phases
 # the odd part at p = 3 declared as two constituents: End_K(V) is a line
 tag3 = rationality.character_field(odd3)
 expect("end-dimension", lambda: rationality.endomorphism_algebra(odd3, K3.full_tag(), tag3, 2))
+
+# the same bent N(2) under a descent: validate checks the equivariance on
+# M(g), N(1) and W0 only, so it must refuse the word of N(2)
+rationality.token_phases = bent_n2
+expect("descend-word-image", lambda: descent.realise_even(3, 1, 1))
+rationality.token_phases = honest_phases
+
+# the quaternion-shaped End of the even part at p = 5 with its Hom line at
+# sigma_4 doubled: two lines there, so there is no quaternion scalar
+alg5 = rationality.endomorphism_algebra(even5, tag5, tag5, 1)
+alg5.hom_bases[4] = alg5.hom_bases[4] * 2
+expect("quaternion-shape", lambda: rationality.certify_division_quaternion(alg5))
 """
 
 
@@ -1336,6 +1348,7 @@ def test_certificates_raise_under_optimize():
         "block-idempotent", "block-sum", "gauss-square", "matrix-inverse", "product-formula",
         "z2-hensel", "z2-root", "z2-classes", "exact-division", "zeta-order",
         "min-poly-coefficient", "hom-dimension", "word-image", "end-dimension",
+        "descend-word-image", "quaternion-shape",
     ]
 
 
